@@ -51,6 +51,7 @@ from .schemes import (
     SCHEME_NAMES,
     embed_group,
     embed_message,
+    extract_bits,
     extract_message,
     extraction_value,
     make_scheme,
@@ -84,6 +85,7 @@ __all__ = [
     "embed_group",
     "embed_message",
     "enumerate_oracle",
+    "extract_bits",
     "extract_message",
     "extraction_value",
     "frontier",

@@ -86,7 +86,9 @@ class BenchConfig:
             raise BenchConfigError(f"fill {self.fill} outside (0, 1]")
         if self.distance_mode not in ("euclidean", "vertical"):
             raise BenchConfigError(f"bad distance mode {self.distance_mode!r}")
-        lo, hi = self.distance_domain
+        if len(self.distance_domain) != 2:
+            raise BenchConfigError("distance domain must hold two numbers")
+        lo, hi = (_checked("distance domain", v, (int, float)) for v in self.distance_domain)
         if not lo < hi:
             raise BenchConfigError("empty distance domain")
         if self.frontier_max_n < 1 or self.frontier_max_z < 1:
@@ -98,28 +100,35 @@ class BenchConfig:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise BenchConfigError(f"config is not valid JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise BenchConfigError("config is not a JSON object")
         cfg = cls()
-        if "schemes" in raw:
-            cfg.schemes = [
-                (entry["scheme"], dict(entry.get("params", {})))
-                for entry in raw["schemes"]
-            ]
-        for key in (
-            "cover",
-            "seed",
-            "fill",
-            "standard_normalization",
-            "proposed_normalization",
-            "distance_mode",
-            "frontier_max_n",
-            "frontier_max_z",
-        ):
+        # a field accepts the JSON type of its default value
+        for key, default in vars(cfg).items():
             if key in raw:
-                setattr(cfg, key, raw[key])
-        if "distance_domain" in raw:
-            cfg.distance_domain = tuple(raw["distance_domain"])
+                setattr(cfg, key, _checked(key, raw[key], _JSON_TYPES[type(default)]))
+        if "schemes" in raw:
+            cfg.schemes = [_scheme_entry(entry) for entry in cfg.schemes]
+        cfg.distance_domain = tuple(cfg.distance_domain)
         cfg.validate()
         return cfg
+
+
+_JSON_TYPES = {list: list, tuple: list, dict: dict, str: str, int: int, float: (int, float)}
+
+
+def _checked(what: str, value, types):
+    """Return value if it has one of the JSON types; a bool is never a number."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise BenchConfigError(f"bad or missing {what}: {value!r}")
+    return value
+
+
+def _scheme_entry(entry) -> tuple[str, dict]:
+    entry = _checked("scheme entry", entry, dict)
+    return _checked("scheme", entry.get("scheme"), str), dict(
+        _checked("params", entry.get("params", {}), dict)
+    )
 
 
 def noise_image(width: int, height: int, seed: int) -> GrayImage:
@@ -129,14 +138,25 @@ def noise_image(width: int, height: int, seed: int) -> GrayImage:
 
 
 def build_cover(spec: dict) -> GrayImage:
+    """Build the cover a config describes; a missing or mistyped field raises BenchConfigError."""
     kind = spec.get("kind")
-    if kind == "flat":
-        return GrayImage.flat(spec["width"], spec["height"], spec["value"])
-    if kind == "noise":
-        return noise_image(spec["width"], spec["height"], spec.get("seed", 0))
     if kind == "file":
-        return load_pgm(Path(spec["path"]).read_bytes())
-    raise BenchConfigError(f"unknown cover kind {kind!r}")
+        path = _checked("cover path", spec.get("path"), str)
+        try:
+            return load_pgm(Path(path).read_bytes())
+        except OSError as exc:
+            raise BenchConfigError(f"cannot read cover {path}: {exc}") from None
+    if kind not in ("flat", "noise"):
+        raise BenchConfigError(f"unknown cover kind {kind!r}")
+    width, height = (_checked(f"cover {key}", spec.get(key), int) for key in ("width", "height"))
+    if width < 1 or height < 1:
+        raise BenchConfigError(f"empty cover {width}x{height}")
+    if kind == "noise":
+        return noise_image(width, height, _checked("cover seed", spec.get("seed", 0), int))
+    value = _checked("cover value", spec.get("value"), int)
+    if not 0 <= value <= 255:
+        raise BenchConfigError(f"flat cover value {value} outside [0, 255]")
+    return GrayImage.flat(width, height, value)
 
 
 def _fmt(value) -> str:

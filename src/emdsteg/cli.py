@@ -14,6 +14,8 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import bound as bound_mod
 from . import metrics
 from .bench import BenchConfig, BenchConfigError, run_bench
@@ -24,7 +26,7 @@ from .schemes import (
     CapacityExceeded,
     SchemeError,
     embed_message,
-    extract_message,
+    extract_bits,
     make_scheme,
 )
 
@@ -80,31 +82,18 @@ def _load_cover(args: argparse.Namespace) -> GrayImage:
     raise ValueError("need --cover PATH or --synthetic WxH:V")
 
 
-def _message_bits(args: argparse.Namespace) -> tuple[list[int], int | None]:
+def _message_bits(args: argparse.Namespace) -> tuple[np.ndarray, int | None]:
     if args.message is not None:
         try:
             data = Path(args.message).read_bytes()
         except OSError as exc:
             raise CliDataError(f"cannot read {args.message}: {exc}") from None
-        bits = [(byte >> shift) & 1 for byte in data for shift in range(7, -1, -1)]
-        return bits, None
+        return np.unpackbits(np.frombuffer(data, dtype=np.uint8)), None
     if args.random_bits is not None:
         if args.random_bits < 0:
             raise ValueError("--random-bits must be >= 0")
         return seeded_bits(args.seed, args.random_bits), args.seed
     raise ValueError("need --message PATH or --random-bits N")
-
-
-def _pack_bits(bits: list[int]) -> bytes:
-    out = bytearray()
-    for start in range(0, len(bits), 8):
-        byte = 0
-        chunk = bits[start : start + 8]
-        for bit in chunk:
-            byte = (byte << 1) | bit
-        byte <<= 8 - len(chunk)
-        out.append(byte)
-    return bytes(out)
 
 
 def _write_bytes(path: str, data: bytes) -> None:
@@ -135,8 +124,8 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     stego = _read_image(args.stego)
     if args.bits < 0:
         raise ValueError("--bits must be >= 0")
-    bits = extract_message(stego, spec, args.bits)
-    _write_bytes(args.out, _pack_bits(bits))
+    bits = extract_bits(stego, spec, args.bits)
+    _write_bytes(args.out, np.packbits(bits).tobytes())
     return EXIT_OK
 
 

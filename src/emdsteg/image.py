@@ -7,6 +7,7 @@ grouping, range clamping so a bounded embedding change can never leave
 
 from __future__ import annotations
 
+import re
 from typing import Sequence
 
 import numpy as np
@@ -46,12 +47,14 @@ class GrayImage:
     def __init__(self, width: int, height: int, pixels) -> None:
         if width <= 0 or height <= 0:
             raise ValueError(f"bad dimensions {width}x{height}")
-        arr = np.asarray(pixels, dtype=np.int64).ravel()
+        arr = np.asarray(pixels)
         if arr.size != width * height:
             raise ValueError(f"expected {width * height} pixels, got {arr.size}")
-        if arr.size and (int(arr.min()) < 0 or int(arr.max()) > 255):
-            raise ValueError("pixel values outside [0, 255]")
-        store = arr.astype(np.uint8)
+        if arr.dtype != np.uint8:
+            arr = arr.astype(np.int64, copy=False)
+            if arr.size and (int(arr.min()) < 0 or int(arr.max()) > 255):
+                raise ValueError("pixel values outside [0, 255]")
+        store = arr.astype(np.uint8).ravel()
         store.flags.writeable = False
         self.width = width
         self.height = height
@@ -87,21 +90,23 @@ class GrayImage:
         return f"GrayImage({self.width}x{self.height})"
 
 
+# Header tokens are separated by whitespace and by '#' comments, each of
+# which runs to the end of its line (netpbm allows them anywhere in the header).
+_HEADER_GAP = re.compile(b"(?:[%s]|#[^\r\n]*)*" % _WHITESPACE)
+_HEADER_TOKEN = re.compile(b"[^#%s]*" % _WHITESPACE)
+
+
 def _token(data: bytes, pos: int) -> tuple[bytes, int]:
-    n = len(data)
-    while pos < n and data[pos] in _WHITESPACE:
-        pos += 1
-    start = pos
-    while pos < n and data[pos] not in _WHITESPACE:
-        pos += 1
-    return data[start:pos], pos
+    start = _HEADER_GAP.match(data, pos).end()
+    end = _HEADER_TOKEN.match(data, start).end()
+    return data[start:end], end
 
 
 def load_pgm(data: bytes) -> GrayImage:
     """Decode a binary PGM ("P5") byte stream with maxval 255.
 
-    Header tokens may be separated by any run of whitespace; exactly one
-    whitespace byte separates the maxval from the raster.
+    Header tokens may be separated by any run of whitespace and '#' comment
+    lines; exactly one whitespace byte separates the maxval from the raster.
     """
     magic, pos = _token(data, 0)
     if magic != b"P5":
@@ -170,50 +175,47 @@ def symbol_bit_width(modulus: int) -> int:
     return modulus.bit_length() - 1
 
 
-def bits_to_symbols(bits: Sequence[int], modulus: int) -> list[int]:
-    """Pack a bit sequence into symbols of floor(log2 M) bits, MSB first.
+def bits_to_symbols(bits: Sequence[int] | np.ndarray, modulus: int) -> np.ndarray:
+    """Pack a bit sequence into int64 symbols of floor(log2 M) bits, MSB first.
 
     A trailing partial chunk is zero-padded on the right, so every output
     symbol is < 2**width <= M.
     """
     width = symbol_bit_width(modulus)
-    out: list[int] = []
-    value = 0
-    filled = 0
-    for bit in bits:
-        if bit not in (0, 1):
-            raise ValueError(f"bit stream contains {bit!r}")
-        value = (value << 1) | bit
-        filled += 1
-        if filled == width:
-            out.append(value)
-            value = 0
-            filled = 0
-    if filled:
-        out.append(value << (width - filled))
-    return out
+    arr = np.asarray(bits).ravel()
+    bad = (arr != 0) & (arr != 1)
+    if bad.any():
+        raise ValueError(f"bit stream contains {arr[bad].tolist()[0]!r}")
+    # the narrowest unsigned type that holds a symbol holds every partial sum
+    dtype = np.min_scalar_type((1 << width) - 1)
+    padded = np.zeros(-(-arr.size // width) * width, dtype=dtype)
+    padded[: arr.size] = arr
+    weights = (1 << np.arange(width - 1, -1, -1)).astype(dtype)
+    return (padded.reshape(-1, width) @ weights).astype(np.int64)
 
 
-def symbols_to_bits(symbols: Sequence[int], modulus: int, bit_length: int) -> list[int]:
-    """Inverse of bits_to_symbols: emit width bits per symbol, MSB first.
+def symbols_to_bits(
+    symbols: Sequence[int] | np.ndarray, modulus: int, bit_length: int
+) -> np.ndarray:
+    """Inverse of bits_to_symbols: emit width bits per symbol, MSB first, as uint8.
 
     The result is truncated to bit_length, which the receiver must know
-    out of band. Symbols are required to fit the operational width, i.e.
-    to have come out of bits_to_symbols.
+    out of band. The symbols that carry those bits are required to fit the
+    operational width, i.e. to have come out of bits_to_symbols.
     """
     width = symbol_bit_width(modulus)
     if bit_length < 0:
         raise ValueError("bit_length must be >= 0")
-    if bit_length > len(symbols) * width:
+    arr = np.asarray(symbols).ravel()
+    if bit_length > arr.size * width:
         raise LengthOverrun(
-            f"{bit_length} bits requested, stream encodes {len(symbols) * width}"
+            f"{bit_length} bits requested, stream encodes {arr.size * width}"
         )
-    bits: list[int] = []
-    for sym in symbols:
-        if not 0 <= sym < (1 << width):
-            raise ValueError(f"symbol {sym} wider than {width} bits")
-        for shift in range(width - 1, -1, -1):
-            bits.append((sym >> shift) & 1)
-        if len(bits) >= bit_length:
-            break
-    return bits[:bit_length]
+    used = arr[: -(-bit_length // width)]
+    bad = (used < 0) | (used >= 1 << width)
+    if bad.any():
+        raise ValueError(f"symbol {used[bad][0]} wider than {width} bits")
+    dtype = np.min_scalar_type((1 << width) - 1)
+    bits = used.astype(dtype)[:, None] >> np.arange(width - 1, -1, -1, dtype=dtype)
+    bits &= 1
+    return bits.astype(np.uint8, copy=False).ravel()[:bit_length]

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as np
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -30,20 +32,25 @@ def splitmix64(seed: int) -> Iterator[int]:
 
 
 def seeded_bytes(seed: int, count: int) -> bytes:
-    """First count bytes of the stream, words serialized big-endian."""
+    """First count bytes of the stream, words serialized big-endian.
+
+    Word i mixes the state seed + (i+1)*gamma, so all words are computed at
+    once; uint64 arithmetic wraps mod 2**64 just as splitmix64 masks.
+    """
     if count < 0:
         raise ValueError("count must be >= 0")
-    words = splitmix64(seed)
-    out = bytearray()
-    while len(out) < count:
-        out += next(words).to_bytes(8, "big")
-    return bytes(out[:count])
+    counter = np.arange(1, -(-count // 8) + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        x = np.uint64(seed & _MASK) + counter * np.uint64(_GAMMA)
+        x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
+        x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
+        x ^= x >> np.uint64(31)
+    return x.astype(">u8").tobytes()[:count]
 
 
-def seeded_bits(seed: int, count: int) -> list[int]:
-    """First count bits of the stream, MSB-first within each byte."""
+def seeded_bits(seed: int, count: int) -> np.ndarray:
+    """First count bits of the stream as a uint8 array, MSB-first within each byte."""
     if count < 0:
         raise ValueError("count must be >= 0")
     data = seeded_bytes(seed, -(-count // 8))
-    bits = [(byte >> shift) & 1 for byte in data for shift in range(7, -1, -1)]
-    return bits[:count]
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=count)

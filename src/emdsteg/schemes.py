@@ -768,10 +768,6 @@ def operational_capacity(img: GrayImage, spec: SchemeSpec) -> int:
     return group_capacity(img, spec) * spec.payload_bits_operational
 
 
-def _embed_table_array(spec: SchemeSpec) -> np.ndarray:
-    return np.asarray(spec.embed_table, dtype=np.int64).reshape(spec.modulus, spec.n)
-
-
 def _extract_groups(spec: SchemeSpec, groups: np.ndarray) -> np.ndarray:
     if spec.strategy == EXPLICIT_2EMD:
         sub = spec.sub_specs[0]
@@ -784,8 +780,10 @@ def _extract_groups(spec: SchemeSpec, groups: np.ndarray) -> np.ndarray:
         r = _extract_groups(low, groups[:, : low.n])
         c = _extract_groups(high, groups[:, low.n :])
         return c * low.modulus + r
-    base = np.asarray(spec.base, dtype=np.int64)
-    return (groups @ base + spec.key) % spec.modulus
+    # int32 holds sum(pixel * weight) + key and M for 8-bit pixels unless the weights are huge
+    wide = max(255 * sum(map(abs, spec.base)) + abs(spec.key), spec.modulus) >= 2**31
+    acc = np.int64 if wide else np.int32
+    return (groups @ np.asarray(spec.base, dtype=acc) + acc(spec.key)) % acc(spec.modulus)
 
 
 def _embed_groups(
@@ -805,13 +803,14 @@ def _embed_groups(
             [_embed_groups(low, groups[:, : low.n], r), _embed_groups(high, groups[:, low.n :], c)]
         )
     residues = (symbols - _extract_groups(spec, groups)) % spec.modulus
-    return groups + _embed_table_array(spec)[residues]
+    table = np.asarray(spec.embed_table, dtype=np.int16).reshape(spec.modulus, spec.n)
+    return groups + np.take(table, residues, axis=0)
 
 
 def embed_message(
-    img: GrayImage, spec: SchemeSpec, bits: Sequence[int]
+    img: GrayImage, spec: SchemeSpec, bits: Sequence[int] | np.ndarray
 ) -> tuple[GrayImage, int]:
-    """Clamp, partition, and embed a bit stream; returns (stego, used groups).
+    """Clamp, partition, and embed a list or array of bits; returns (stego, used groups).
 
     Groups past the message and the row-major tail keep their clamped
     values. Raises CapacityExceeded when the message does not fit.
@@ -822,27 +821,28 @@ def embed_message(
         )
     clamped = clamp_for_scheme(img, spec.constraint.per_pixel_max)
     symbols = bits_to_symbols(bits, spec.modulus)
-    pixels = clamped.pixels.astype(np.int64)
+    pixels = clamped.pixels.copy()
     used = len(symbols)
     if used:
-        head = pixels[: used * spec.n].reshape(used, spec.n)
-        stego_head = _embed_groups(spec, head, np.asarray(symbols, dtype=np.int64))
-        pixels[: used * spec.n] = stego_head.reshape(-1)
+        # int16 holds every clamped pixel plus its bounded change
+        head = pixels[: used * spec.n].reshape(used, spec.n).astype(np.int16)
+        pixels[: used * spec.n] = _embed_groups(spec, head, symbols).reshape(-1)
     return GrayImage(img.width, img.height, pixels), used
 
 
-def extract_message(img: GrayImage, spec: SchemeSpec, bit_length: int) -> list[int]:
-    """Read bit_length bits back out of a stego image; needs no cover."""
+def extract_bits(img: GrayImage, spec: SchemeSpec, bit_length: int) -> np.ndarray:
+    """Read bit_length bits back out of a stego image as a uint8 array; needs no cover."""
     if bit_length < 0:
         raise ValueError("bit_length must be >= 0")
     if bit_length > operational_capacity(img, spec):
         raise CapacityExceeded(
             f"{bit_length} bits > capacity {operational_capacity(img, spec)}"
         )
-    if bit_length == 0:
-        return []
-    width = spec.payload_bits_operational
-    used = -(-bit_length // width)
-    groups = img.pixels[: used * spec.n].astype(np.int64).reshape(used, spec.n)
-    symbols = [int(v) for v in _extract_groups(spec, groups)]
-    return symbols_to_bits(symbols, spec.modulus, bit_length)
+    used = -(-bit_length // spec.payload_bits_operational)
+    groups = img.pixels[: used * spec.n].reshape(used, spec.n).astype(np.int16)
+    return symbols_to_bits(_extract_groups(spec, groups), spec.modulus, bit_length)
+
+
+def extract_message(img: GrayImage, spec: SchemeSpec, bit_length: int) -> list[int]:
+    """extract_bits as a list of ints."""
+    return extract_bits(img, spec, bit_length).tolist()

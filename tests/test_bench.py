@@ -151,3 +151,55 @@ class TestConfig:
     def test_unknown_cover_kind(self):
         with pytest.raises(BenchConfigError):
             build_cover({"kind": "gradient"})
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            [1, 2],
+            {"schemes": [{"params": {}}]},
+            {"fill": "x"},
+            {"seed": "x"},
+            {"distance_domain": ["a", "b"]},
+        ],
+        ids=[
+            "json-array",
+            "scheme-without-name",
+            "non-numeric-fill",
+            "non-integer-seed",
+            "non-numeric-domain",
+        ],
+    )
+    def test_malformed_config_rejected(self, config):
+        with pytest.raises(BenchConfigError):
+            BenchConfig.from_json(json.dumps(config))
+
+    @pytest.mark.parametrize(
+        "cover",
+        [
+            {"kind": "flat"},
+            {"kind": "flat", "width": 2, "height": 2, "value": 300},
+            {"kind": "noise", "width": 0, "height": 4},
+            {"kind": "file", "path": "no/such/cover.pgm"},
+        ],
+        ids=["flat-without-size", "flat-value-300", "empty-noise", "missing-file"],
+    )
+    def test_malformed_cover_rejected(self, cover):
+        with pytest.raises(BenchConfigError):
+            build_cover(cover)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            [1, 2],
+            {"schemes": [{"params": {}}]},
+            {"fill": "x"},
+            {"cover": {"kind": "flat"}},
+        ],
+        ids=["json-array", "scheme-without-name", "non-numeric-fill", "flat-cover-without-size"],
+    )
+    def test_cli_exit_on_malformed_config(self, tmp_path, capsys, config):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["bench", "--config", str(cfg_path),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -47,6 +47,18 @@ class TestPgm:
             [0, 255]
         )
 
+    def test_header_comments_skipped(self):
+        img = load_pgm(b"P5\n# gimp\n2 1\n255\n" + bytes([4, 5]))
+        assert list(img.pixels) == [4, 5]
+        img = load_pgm(b"P5 # magic\r\n2# w\n#\n1\n# maxval next\n255\n" + bytes([4, 5]))
+        assert list(img.pixels) == [4, 5]
+
+    def test_raster_starts_after_one_separator(self):
+        # a '#' byte in the raster is a pixel, not a comment
+        assert list(load_pgm(b"P5\n# c\n1 1\n255\n#").pixels) == [ord("#")]
+        with pytest.raises(MalformedHeader):
+            load_pgm(b"P5\n1 1\n255# c\n\x00")
+
     def test_multiline_whitespace_header(self):
         img = load_pgm(b"P5\n2\t2\r\n255 " + bytes([9, 8, 7, 6]))
         assert list(img.pixels) == [9, 8, 7, 6]
@@ -130,19 +142,19 @@ class TestClamp:
 
 class TestSymbolCodec:
     def test_chunking_msb_first(self):
-        assert bits_to_symbols([1, 1, 0, 1], 5) == [3, 1]
+        assert bits_to_symbols([1, 1, 0, 1], 5).tolist() == [3, 1]
 
     def test_single_full_chunk(self):
-        assert bits_to_symbols([1, 0, 1], 8) == [5]
+        assert bits_to_symbols([1, 0, 1], 8).tolist() == [5]
 
     def test_empty_stream(self):
-        assert bits_to_symbols([], 5) == []
+        assert bits_to_symbols([], 5).tolist() == []
 
     def test_inverse_of_chunking(self):
-        assert symbols_to_bits([3, 1], 5, 4) == [1, 1, 0, 1]
+        assert symbols_to_bits([3, 1], 5, 4).tolist() == [1, 1, 0, 1]
 
     def test_zero_length(self):
-        assert symbols_to_bits([], 5, 0) == []
+        assert symbols_to_bits([], 5, 0).tolist() == []
 
     def test_overrun_rejected(self):
         with pytest.raises(LengthOverrun):
@@ -160,4 +172,91 @@ class TestSymbolCodec:
     def test_round_trip(self, bits, modulus):
         symbols = bits_to_symbols(bits, modulus)
         assert all(0 <= s < modulus for s in symbols)
-        assert symbols_to_bits(symbols, modulus, len(bits)) == bits
+        assert symbols_to_bits(symbols, modulus, len(bits)).tolist() == bits
+
+
+# The per-bit loops the vectorized codec replaced, kept as its oracle.
+def reference_bits_to_symbols(bits, modulus):
+    width = modulus.bit_length() - 1
+    out = []
+    value = 0
+    filled = 0
+    for bit in bits:
+        if bit not in (0, 1):
+            raise ValueError(f"bit stream contains {bit!r}")
+        value = (value << 1) | bit
+        filled += 1
+        if filled == width:
+            out.append(value)
+            value = 0
+            filled = 0
+    if filled:
+        out.append(value << (width - filled))
+    return out
+
+
+def reference_symbols_to_bits(symbols, modulus, bit_length):
+    width = modulus.bit_length() - 1
+    if bit_length < 0:
+        raise ValueError("bit_length must be >= 0")
+    if bit_length > len(symbols) * width:
+        raise LengthOverrun(
+            f"{bit_length} bits requested, stream encodes {len(symbols) * width}"
+        )
+    bits = []
+    for sym in symbols:
+        if not 0 <= sym < (1 << width):
+            raise ValueError(f"symbol {sym} wider than {width} bits")
+        for shift in range(width - 1, -1, -1):
+            bits.append((sym >> shift) & 1)
+        if len(bits) >= bit_length:
+            break
+    return bits[:bit_length]
+
+
+class TestCodecMatchesScalarReference:
+    @given(st.lists(st.integers(0, 1), max_size=500), st.integers(2, 2**20))
+    @settings(max_examples=150)
+    def test_bits_to_symbols(self, bits, modulus):
+        symbols = bits_to_symbols(bits, modulus)
+        assert symbols.dtype == np.int64
+        assert symbols.tolist() == reference_bits_to_symbols(bits, modulus)
+        assert bits_to_symbols(np.array(bits, dtype=np.uint8), modulus).tolist() == (
+            symbols.tolist()
+        )
+
+    @given(st.integers(2, 2**20), st.data())
+    @settings(max_examples=150)
+    def test_symbols_to_bits(self, modulus, data):
+        width = modulus.bit_length() - 1
+        symbols = data.draw(
+            st.lists(st.integers(0, (1 << width) - 1), max_size=500 // width + 1)
+        )
+        bit_length = data.draw(st.integers(0, len(symbols) * width))
+        bits = symbols_to_bits(symbols, modulus, bit_length)
+        assert bits.dtype == np.uint8
+        assert bits.tolist() == reference_symbols_to_bits(symbols, modulus, bit_length)
+
+    def test_only_consumed_symbols_are_checked(self):
+        assert symbols_to_bits([1, 99], 5, 2).tolist() == [0, 1]
+        assert reference_symbols_to_bits([1, 99], 5, 2) == [0, 1]
+
+    @pytest.mark.parametrize(
+        "codec,args,error",
+        [
+            ("pack", ([1, 2, 0], 5), ValueError),
+            ("pack", ([0, -1], 8), ValueError),
+            ("unpack", ([1, 4], 5, 4), ValueError),
+            ("unpack", ([3], 5, 9), LengthOverrun),
+        ],
+        ids=["bit-2", "bit-minus-1", "symbol-too-wide", "length-overrun"],
+    )
+    def test_error_paths(self, codec, args, error):
+        fast, slow = {
+            "pack": (bits_to_symbols, reference_bits_to_symbols),
+            "unpack": (symbols_to_bits, reference_symbols_to_bits),
+        }[codec]
+        for fn in (fast, slow):
+            with pytest.raises(error) as excinfo:
+                fn(*args)
+            assert excinfo.type is error
