@@ -27,7 +27,6 @@ from .image import (
     bits_to_symbols,
     clamp_for_scheme,
     load_pgm,
-    partition_groups,
     save_pgm,
     symbols_to_bits,
 )
@@ -55,7 +54,6 @@ from .schemes import (
     extract_message,
     extraction_value,
     make_scheme,
-    solver_embed_group,
 )
 
 __version__ = "0.1.0"
@@ -93,13 +91,11 @@ __all__ = [
     "make_scheme",
     "mse",
     "mse_from_psnr",
-    "partition_groups",
     "proposed_efficiency",
     "psnr",
     "relative_payload",
     "save_pgm",
     "seeded_bits",
-    "solver_embed_group",
     "standard_efficiency",
     "sum_changes_linear",
     "sum_changes_squared",

@@ -355,8 +355,12 @@ def distance_to_curve(
 
     vertical is |poly(x0) - y0|. euclidean minimizes the straight-line
     distance over the domain: a 10^4-sample scan brackets the minimum and
-    golden-section refines it, so the result is deterministic.
+    golden-section refines it, so the result is deterministic. Raises
+    InvalidDomain when the point or the domain is not finite, or the domain
+    is empty.
     """
+    if not all(math.isfinite(v) for v in (*point, *domain)):
+        raise InvalidDomain(f"point {point} and domain {domain} must be finite")
     x0, y0 = point
     if mode == "vertical":
         return abs(cubic_eval(poly, x0) - y0)

@@ -1,8 +1,8 @@
 """8-bit grayscale images plus the bit-level plumbing shared by all schemes.
 
-Four small jobs live here: binary PGM (P5) decode/encode, row-major pixel
-grouping, range clamping so a bounded embedding change can never leave
-[0, 255], and the codec between raw bits and M-ary message symbols.
+Three small jobs live here: binary PGM (P5) decode/encode, range clamping
+so a bounded embedding change can never leave [0, 255], and the codec
+between raw bits and M-ary message symbols.
 """
 
 from __future__ import annotations
@@ -138,23 +138,6 @@ def save_pgm(img: GrayImage) -> bytes:
     """Encode as binary PGM with the canonical single-space header."""
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
     return header + img.pixels.tobytes()
-
-
-def partition_groups(
-    img: GrayImage, n: int
-) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
-    """Split the row-major pixel sequence into runs of n, plus the leftover tail.
-
-    The tail (size mod n trailing pixels) is never embedded into.
-    """
-    if n < 1:
-        raise ValueError("group size must be >= 1")
-    arr = img.pixels
-    count = arr.size // n
-    head = arr[: count * n].reshape(count, n)
-    groups = [tuple(int(v) for v in row) for row in head]
-    tail = tuple(int(v) for v in arr[count * n :])
-    return groups, tail
 
 
 def clamp_for_scheme(img: GrayImage, z: int) -> GrayImage:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image import GrayImage
-from .schemes import SchemeSpec, embed_group
+from .schemes import SchemeSpec, _embed_groups
 
 PEAK_SQ = 255.0 * 255.0
 
@@ -132,23 +132,17 @@ def theoretical_distortion(spec: SchemeSpec) -> DistortionProfile:
 
     Valid for any scheme whose change vector depends on the group only
     through the extraction residue, which holds for the whole registry on
-    interior (pre-clamped) pixels.
+    interior (pre-clamped) pixels. The sums are Python ints, so the profile
+    holds plain floats.
     """
-    ref = (128,) * spec.n
-    total_abs = 0
-    total_sq = 0
-    worst = 0
-    for s in range(spec.modulus):
-        g = embed_group(spec, ref, s)
-        abs_sum = sum(abs(a - b) for a, b in zip(g, ref))
-        total_abs += abs_sum
-        total_sq += sum((a - b) ** 2 for a, b in zip(g, ref))
-        worst = max(worst, abs_sum)
+    ref = np.full((spec.modulus, spec.n), 128, dtype=np.int16)
+    deltas = _embed_groups(spec, ref, np.arange(spec.modulus)) - ref
+    abs_sums = np.abs(deltas).sum(axis=1, dtype=np.int32)
     denom = spec.modulus * spec.n
     return DistortionProfile(
-        expected_abs_per_pixel=total_abs / denom,
-        expected_sq_per_pixel=total_sq / denom,
-        max_group_change=worst,
+        expected_abs_per_pixel=int(abs_sums.sum(dtype=np.int64)) / denom,
+        expected_sq_per_pixel=int((deltas * deltas).sum(dtype=np.int64)) / denom,
+        max_group_change=int(abs_sums.max()),
     )
 
 

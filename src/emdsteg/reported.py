@@ -14,26 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# Scheme tokens implemented by this package.
-IMPLEMENTED = frozenset(
-    {
-        "emd",
-        "iemd",
-        "pva",
-        "femd",
-        "de",
-        "mpemd",
-        "emd2",
-        "twoemd",
-        "gemd",
-        "egemd",
-        "mbe",
-        "msd",
-        "hemd",
-        "aemd",
-    }
-)
-
 
 @dataclass(frozen=True)
 class ReportedValue:

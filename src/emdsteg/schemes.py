@@ -1,11 +1,13 @@
 """Registry of EMD-family embedding schemes.
 
 Every scheme reads a hidden symbol out of a pixel group with a weighted sum
-modulo the symbol count M. Embedding picks a bounded change vector that
-steers that sum onto the wanted symbol. Where a method defines its own
-closed-form adjustment (EMD, IEMD, PVA, and the two split constructions)
-that procedure is used; every other method goes through an exhaustive
-minimal-distortion search over the scheme's change budget.
+modulo the symbol count M. Embedding adds the change vector that a
+residue-indexed table holds for r = (target - current) mod M; one numpy
+kernel embeds and extracts every group of an image this way. The tables
+come from an exhaustive minimal-distortion search over the scheme's change
+budget, except for EMD, IEMD and PVA, whose closed-form procedures only
+generate their tables (and serve tests as oracles). The two split
+constructions embed each part of the symbol with a sub-scheme's table.
 
 Feasibility (every residue reachable within the change budget) is checked
 once at construction, so embedding never fails at run time.
@@ -64,10 +66,6 @@ class SymbolOutOfRange(SchemeError):
     pass
 
 
-class SolverInfeasible(SchemeError):
-    """No feasible change vector for a residue; signals a hand-built spec."""
-
-
 class NoCaseMatches(SchemeError):
     """IEMD case list exhausted; cannot happen for a feasible spec."""
 
@@ -110,9 +108,10 @@ class SchemeSpec:
 
     solver_table / embed_table map a residue r = (target - current) mod M to
     a change vector: solver_table holds the distortion-optimal vector under
-    the scheme objective, embed_table the vector the scheme's own embedding
-    procedure produces (they coincide for solver-strategy schemes). Both are
-    None for the split constructions, which delegate to sub_specs.
+    the scheme objective, embed_table the vector embedding applies (for EMD,
+    IEMD and PVA the one their closed-form procedure produces, else the
+    solver's). Both are None for the split constructions, which embed each
+    part of the symbol through sub_specs.
     """
 
     id: str
@@ -220,36 +219,76 @@ def _optimal_delta_table(
 
 
 # ---------------------------------------------------------------------------
-# extraction
+# table kernel: the one embed/extract implementation
+
+
+def _parts(spec: SchemeSpec) -> tuple[tuple[SchemeSpec, int, int], ...]:
+    """(sub-spec, first pixel, place value) of each part of a split scheme.
+
+    The symbol is the sum of part symbols times their place values: the
+    paired-EMD split reads high * sub-M + low, the two-part GEMD split
+    carry * 2^(n1+1) + remainder.
+    """
+    if spec.strategy == EXPLICIT_2EMD:
+        (sub,) = spec.sub_specs
+        return ((sub, 0, sub.modulus), (sub, sub.n, 1))
+    low, high = spec.sub_specs
+    return ((low, 0, 1), (high, low.n, low.modulus))
+
+
+def _extract_groups(spec: SchemeSpec, groups: np.ndarray) -> np.ndarray:
+    if spec.is_composite:
+        return sum(
+            _extract_groups(sub, groups[:, first : first + sub.n]) * place
+            for sub, first, place in _parts(spec)
+        )
+    # int32 holds sum(pixel * weight) + key and M for 8-bit pixels unless the weights are huge
+    wide = max(255 * sum(map(abs, spec.base)) + abs(spec.key), spec.modulus) >= 2**31
+    acc = np.int64 if wide else np.int32
+    return (groups @ np.asarray(spec.base, dtype=acc) + acc(spec.key)) % acc(spec.modulus)
+
+
+def _embed_groups(
+    spec: SchemeSpec, groups: np.ndarray, symbols: np.ndarray
+) -> np.ndarray:
+    if spec.is_composite:
+        return np.hstack(
+            [
+                _embed_groups(
+                    sub, groups[:, first : first + sub.n], symbols // place % sub.modulus
+                )
+                for sub, first, place in _parts(spec)
+            ]
+        )
+    residues = (symbols - _extract_groups(spec, groups)) % spec.modulus
+    table = np.asarray(spec.embed_table, dtype=np.int16).reshape(spec.modulus, spec.n)
+    return groups + np.take(table, residues, axis=0)
 
 
 def extraction_value(spec: SchemeSpec, group: Sequence[int]) -> int:
-    """Symbol a receiver reads from a pixel group.
+    """Symbol a receiver reads from one pixel group: a one-row _extract_groups.
 
-    Plain schemes: (sum(g_i * b_i) + key) mod M. The split constructions
-    compose the sub-scheme values: high * sub-M + low for the paired-EMD
-    split, and carry * 2^(n1+1) + remainder for the two-part GEMD split.
+    Plain schemes read (sum(g_i * b_i) + key) mod M; split schemes compose
+    their parts' values.
     """
     if len(group) != spec.n:
         raise GroupSizeMismatch(
             f"group has {len(group)} pixels, {spec.id} expects {spec.n}"
         )
-    if spec.strategy == EXPLICIT_2EMD:
-        sub = spec.sub_specs[0]
-        h = spec.n // 2
-        f_hi = extraction_value(sub, group[:h])
-        f_lo = extraction_value(sub, group[h:])
-        return f_hi * sub.modulus + f_lo
-    if spec.strategy == EXPLICIT_EGEMD:
-        low, high = spec.sub_specs
-        n1 = low.n
-        r = extraction_value(low, group[:n1])
-        c = extraction_value(high, group[n1:])
-        return c * low.modulus + r
-    acc = spec.key
-    for g, b in zip(group, spec.base):
-        acc += g * b
-    return acc % spec.modulus
+    row = np.asarray(group, dtype=np.int64).reshape(1, spec.n)
+    return int(_extract_groups(spec, row)[0])
+
+
+def embed_group(spec: SchemeSpec, x: Sequence[int], s: int) -> tuple[int, ...]:
+    """Embed one symbol into one pre-clamped group: a one-row _embed_groups."""
+    if len(x) != spec.n:
+        raise GroupSizeMismatch(
+            f"group has {len(x)} pixels, {spec.id} expects {spec.n}"
+        )
+    if not 0 <= s < spec.modulus:
+        raise SymbolOutOfRange(f"symbol {s} outside [0, {spec.modulus})")
+    row = np.asarray(x, dtype=np.int64).reshape(1, spec.n)
+    return tuple(_embed_groups(spec, row, np.array([s]))[0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -315,108 +354,28 @@ def pva_embed_pixel(x: int, s: int, t: int) -> int:
     return x - r
 
 
-def twoemd_embed(x: Sequence[int], s: int) -> tuple[int, ...]:
-    """Embed into 2n pixels as two independent n-pixel EMD halves.
-
-    The symbol splits as s = s_hi * (2n+1) + s_lo; each half takes at most
-    one unit change.
-    """
-    if len(x) % 2 or len(x) < 4:
-        raise GroupSizeMismatch("needs an even group of at least 4 pixels")
-    h = len(x) // 2
-    m = 2 * h + 1
-    if not 0 <= s < m * m:
-        raise SymbolOutOfRange(f"symbol {s} outside [0, {m * m})")
-    s_hi, s_lo = divmod(s, m)
-    return emd_embed_group(x[:h], s_hi, h) + emd_embed_group(x[h:], s_lo, h)
-
-
-def egemd_embed(x: Sequence[int], s: int, n1: int) -> tuple[int, ...]:
-    """Split a group of n into n1 + (n - n1) pixels, each embedded by GEMD.
-
-    The symbol splits as s = 2^(n1+1) * c + r with r < 2^(n1+1); r goes
-    into the first n1 pixels, c into the rest.
-    """
-    n = len(x)
-    if n < 2:
-        raise GroupSizeMismatch("needs at least 2 pixels")
-    if not 1 <= n1 < n:
-        raise InvalidSplit(f"split size {n1} outside [1, {n - 1}]")
-    modulus = 1 << (n + 2)
-    if not 0 <= s < modulus:
-        raise SymbolOutOfRange(f"symbol {s} outside [0, {modulus})")
-    low = make_scheme("gemd", n=n1)
-    high = make_scheme("gemd", n=n - n1)
-    c, r = divmod(s, low.modulus)
-    return solver_embed_group(low, x[:n1], r) + solver_embed_group(
-        high, x[n1:], c
-    )
-
-
-def solver_embed_group(
-    spec: SchemeSpec, x: Sequence[int], s: int
-) -> tuple[int, ...]:
-    """Minimal-distortion embedding via the precomputed residue table.
-
-    Deterministic: cost ties were broken when the table was built. Pixels
-    must have been pre-clamped into [z, 255 - z].
-    """
-    if len(x) != spec.n:
-        raise GroupSizeMismatch(
-            f"group has {len(x)} pixels, {spec.id} expects {spec.n}"
-        )
-    if not 0 <= s < spec.modulus:
-        raise SymbolOutOfRange(f"symbol {s} outside [0, {spec.modulus})")
-    if spec.solver_table is None:
-        raise InvalidParameter(
-            f"{spec.id} embeds through sub-schemes; use embed_group"
-        )
-    residue = (s - extraction_value(spec, x)) % spec.modulus
-    deltas = spec.solver_table[residue]
-    if deltas is None:
-        raise SolverInfeasible(f"residue {residue} unreachable for {spec.id}")
-    return tuple(v + d for v, d in zip(x, deltas))
-
-
-def embed_group(spec: SchemeSpec, x: Sequence[int], s: int) -> tuple[int, ...]:
-    """Embed one symbol into one pre-clamped group using the scheme's strategy."""
-    if len(x) != spec.n:
-        raise GroupSizeMismatch(
-            f"group has {len(x)} pixels, {spec.id} expects {spec.n}"
-        )
-    if not 0 <= s < spec.modulus:
-        raise SymbolOutOfRange(f"symbol {s} outside [0, {spec.modulus})")
-    if spec.strategy == EXPLICIT_EMD:
-        return emd_embed_group(x, s, spec.n)
-    if spec.strategy == EXPLICIT_IEMD:
-        return iemd_embed_group(x, s)
-    if spec.strategy == EXPLICIT_PVA:
-        return (pva_embed_pixel(x[0], s, spec.params["t"]),)
-    if spec.strategy == EXPLICIT_2EMD:
-        return twoemd_embed(x, s)
-    if spec.strategy == EXPLICIT_EGEMD:
-        return egemd_embed(x, s, spec.params["n1"])
-    return solver_embed_group(spec, x, s)
-
-
 # ---------------------------------------------------------------------------
 # scheme construction
 
 
 def _explicit_delta_table(spec: SchemeSpec) -> tuple[tuple[int, ...], ...]:
-    """Tabulate the explicit procedure's change vector per residue.
+    """Tabulate the closed-form procedure's change vector per residue.
 
     All closed-form procedures here depend on the group only through
     (s - f) mod M, so the vectors measured on an interior reference group
     apply to every interior group.
     """
     ref = (128,) * spec.n
+    procedure = {
+        EXPLICIT_EMD: lambda s: emd_embed_group(ref, s, spec.n),
+        EXPLICIT_IEMD: lambda s: iemd_embed_group(ref, s),
+        EXPLICIT_PVA: lambda s: (pva_embed_pixel(128, s, spec.params["t"]),),
+    }[spec.strategy]
     f_ref = extraction_value(spec, ref)
-    rows = []
-    for r in range(spec.modulus):
-        g = embed_group(spec, ref, (f_ref + r) % spec.modulus)
-        rows.append(tuple(gv - rv for gv, rv in zip(g, ref)))
-    return tuple(rows)
+    return tuple(
+        tuple(g - 128 for g in procedure((f_ref + r) % spec.modulus))
+        for r in range(spec.modulus)
+    )
 
 
 def _finalize(
@@ -766,45 +725,6 @@ def group_capacity(img: GrayImage, spec: SchemeSpec) -> int:
 def operational_capacity(img: GrayImage, spec: SchemeSpec) -> int:
     """Embeddable bits under floor(log2 M)-bit symbols."""
     return group_capacity(img, spec) * spec.payload_bits_operational
-
-
-def _extract_groups(spec: SchemeSpec, groups: np.ndarray) -> np.ndarray:
-    if spec.strategy == EXPLICIT_2EMD:
-        sub = spec.sub_specs[0]
-        h = spec.n // 2
-        return _extract_groups(sub, groups[:, :h]) * sub.modulus + _extract_groups(
-            sub, groups[:, h:]
-        )
-    if spec.strategy == EXPLICIT_EGEMD:
-        low, high = spec.sub_specs
-        r = _extract_groups(low, groups[:, : low.n])
-        c = _extract_groups(high, groups[:, low.n :])
-        return c * low.modulus + r
-    # int32 holds sum(pixel * weight) + key and M for 8-bit pixels unless the weights are huge
-    wide = max(255 * sum(map(abs, spec.base)) + abs(spec.key), spec.modulus) >= 2**31
-    acc = np.int64 if wide else np.int32
-    return (groups @ np.asarray(spec.base, dtype=acc) + acc(spec.key)) % acc(spec.modulus)
-
-
-def _embed_groups(
-    spec: SchemeSpec, groups: np.ndarray, symbols: np.ndarray
-) -> np.ndarray:
-    if spec.strategy == EXPLICIT_2EMD:
-        sub = spec.sub_specs[0]
-        h = spec.n // 2
-        s_hi, s_lo = np.divmod(symbols, sub.modulus)
-        return np.hstack(
-            [_embed_groups(sub, groups[:, :h], s_hi), _embed_groups(sub, groups[:, h:], s_lo)]
-        )
-    if spec.strategy == EXPLICIT_EGEMD:
-        low, high = spec.sub_specs
-        c, r = np.divmod(symbols, low.modulus)
-        return np.hstack(
-            [_embed_groups(low, groups[:, : low.n], r), _embed_groups(high, groups[:, low.n :], c)]
-        )
-    residues = (symbols - _extract_groups(spec, groups)) % spec.modulus
-    table = np.asarray(spec.embed_table, dtype=np.int16).reshape(spec.modulus, spec.n)
-    return groups + np.take(table, residues, axis=0)
 
 
 def embed_message(

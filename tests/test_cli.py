@@ -239,6 +239,23 @@ class TestFitDistance:
         want = distance_to_curve(REFERENCE_BOUND_POLY, (1.5, 1.9))
         assert got == pytest.approx(want, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--x", "nan", "--y", 1),
+            ("--x", 1, "--y", "nan"),
+            ("--x", "inf", "--y", 1),
+            ("--x", 1, "--y", 1, "--domain", 0, "inf"),
+            ("--x", 1, "--y", 1, "--domain", "nan", 3),
+            ("--x", "inf", "--y", 1, "--mode", "vertical"),
+        ],
+    )
+    def test_distance_rejects_non_finite(self, args, capsys):
+        assert run("distance", "--eq43", *args) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
     def test_fit_recovers_reference_poly(self, tmp_path, capsys):
         from emdsteg.bound import REFERENCE_BOUND_POLY, cubic_eval
 

@@ -12,7 +12,6 @@ from emdsteg.image import (
     bits_to_symbols,
     clamp_for_scheme,
     load_pgm,
-    partition_groups,
     save_pgm,
     symbols_to_bits,
 )
@@ -88,31 +87,6 @@ class TestGrayImage:
         img = GrayImage.flat(2, 2, 10)
         with pytest.raises(ValueError):
             img.pixels[0] = 5
-
-
-class TestPartition:
-    def test_exact_split(self):
-        groups, tail = partition_groups(GrayImage(2, 2, [1, 2, 3, 4]), 2)
-        assert groups == [(1, 2), (3, 4)]
-        assert tail == ()
-
-    def test_tail_keeps_leftover(self):
-        groups, tail = partition_groups(GrayImage(5, 1, [1, 2, 3, 4, 5]), 2)
-        assert groups == [(1, 2), (3, 4)]
-        assert tail == (5,)
-
-    def test_unit_groups(self):
-        groups, tail = partition_groups(GrayImage(3, 1, [7, 8, 9]), 1)
-        assert groups == [(7,), (8,), (9,)]
-        assert tail == ()
-
-    @given(st.lists(st.integers(0, 255), min_size=1, max_size=60), st.integers(1, 9))
-    @settings(max_examples=50)
-    def test_concatenation_identity(self, pixels, n):
-        img = GrayImage(len(pixels), 1, pixels)
-        groups, tail = partition_groups(img, n)
-        rebuilt = [v for g in groups for v in g] + list(tail)
-        assert rebuilt == pixels
 
 
 class TestClamp:

@@ -1,10 +1,12 @@
 import itertools
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from emdsteg.image import GrayImage, bits_to_symbols
+from emdsteg.metrics import DistortionProfile, theoretical_distortion
 from emdsteg.schemes import (
     CapacityExceeded,
     GroupSizeMismatch,
@@ -13,7 +15,6 @@ from emdsteg.schemes import (
     InvalidSplit,
     SymbolOutOfRange,
     UnknownScheme,
-    egemd_embed,
     emd_embed_group,
     embed_group,
     embed_message,
@@ -24,8 +25,6 @@ from emdsteg.schemes import (
     make_scheme,
     operational_capacity,
     pva_embed_pixel,
-    solver_embed_group,
-    twoemd_embed,
 )
 
 # One canonical configuration per implemented scheme family.
@@ -47,6 +46,11 @@ CANONICAL_CONFIGS = [
 ]
 
 
+def plain_value(spec, group):
+    """(sum(g_i * b_i) + key) mod M of a plain scheme, computed without the kernel."""
+    return (sum(v * b for v, b in zip(group, spec.base)) + spec.key) % spec.modulus
+
+
 def brute_force_embed(spec, group, symbol):
     """Independent exhaustive reference for the minimal-distortion solver."""
     z = spec.constraint.per_pixel_max
@@ -56,7 +60,7 @@ def brute_force_embed(spec, group, symbol):
         if not spec.constraint.allows(deltas):
             continue
         candidate = tuple(v + d for v, d in zip(group, deltas))
-        if extraction_value(spec, candidate) != symbol:
+        if plain_value(spec, candidate) != symbol:
             continue
         sq = sum(d * d for d in deltas)
         ab = sum(abs(d) for d in deltas)
@@ -68,6 +72,46 @@ def brute_force_embed(spec, group, symbol):
             best_key = key
             best = candidate
     return best
+
+
+def reference_embed(spec, group, symbol):
+    """Per-group oracle that shares no code with the table kernel.
+
+    Closed-form schemes run their procedure, solver schemes the brute-force
+    search; the split schemes split the symbol as their docstrings state and
+    embed each part with those oracles.
+    """
+    if spec.id == "emd":
+        return emd_embed_group(group, symbol, spec.n)
+    if spec.id == "iemd":
+        return iemd_embed_group(group, symbol)
+    if spec.id == "pva":
+        return (pva_embed_pixel(group[0], symbol, spec.params["t"]),)
+    if spec.id == "twoemd":
+        # s = s_hi * (2h+1) + s_lo; each h-pixel half is an EMD group
+        h = spec.n // 2
+        s_hi, s_lo = divmod(symbol, 2 * h + 1)
+        return emd_embed_group(group[:h], s_hi, h) + emd_embed_group(group[h:], s_lo, h)
+    if spec.id == "egemd":
+        # s = 2^(n1+1) * c + r; GEMD puts r into the first n1 pixels, c into the rest
+        n1 = spec.params["n1"]
+        c, r = divmod(symbol, 1 << (n1 + 1))
+        low = make_scheme("gemd", n=n1)
+        high = make_scheme("gemd", n=spec.n - n1)
+        return brute_force_embed(low, group[:n1], r) + brute_force_embed(
+            high, group[n1:], c
+        )
+    return brute_force_embed(spec, group, symbol)
+
+
+def residue_deltas(spec, embed, group):
+    """Change vector embed(group, symbol) makes for each residue (symbol - f) mod M."""
+    f = plain_value(spec, group)
+    rows = []
+    for r in range(spec.modulus):
+        out = embed(group, (f + r) % spec.modulus)
+        rows.append(tuple(a - b for a, b in zip(out, group)))
+    return tuple(rows)
 
 
 class TestExtraction:
@@ -169,37 +213,38 @@ class TestExplicitEmbedders:
         assert pva_embed_pixel(100, 2, 2) == 98
 
     def test_paired_halves(self):
-        assert twoemd_embed((100, 100, 100, 100), 16) == (100, 99, 101, 100)
-        current = extraction_value(make_scheme("twoemd", n=2), (100, 100, 100, 100))
-        assert twoemd_embed((100, 100, 100, 100), current) == (100, 100, 100, 100)
+        spec = make_scheme("twoemd", n=2)
+        assert embed_group(spec, (100, 100, 100, 100), 16) == (100, 99, 101, 100)
+        current = extraction_value(spec, (100, 100, 100, 100))
+        assert embed_group(spec, (100, 100, 100, 100), current) == (100, 100, 100, 100)
 
     def test_split_group_decomposition(self):
-        out = egemd_embed((50, 60, 70, 80), 0b100101, 2)
-        spec = make_scheme("egemd", n=4)
+        spec = make_scheme("egemd", n=4, n1=2)
+        out = embed_group(spec, (50, 60, 70, 80), 0b100101)
         assert extraction_value(spec, out) == 0b100101
 
     def test_split_size_validated(self):
         with pytest.raises(InvalidSplit):
-            egemd_embed((50, 60, 70, 80), 1, 0)
+            make_scheme("egemd", n=4, n1=0)
 
 
 class TestSolver:
     def test_zero_change_optimum(self):
         spec = make_scheme("gemd", n=2)
-        assert solver_embed_group(spec, (10, 20), 6) == (10, 20)
+        assert embed_group(spec, (10, 20), 6) == (10, 20)
 
     def test_unit_change(self):
         spec = make_scheme("gemd", n=2)
-        assert solver_embed_group(spec, (10, 20), 7) == (11, 20)
+        assert embed_group(spec, (10, 20), 7) == (11, 20)
 
     def test_l1_objective(self):
         spec = make_scheme("de", k=1)
-        assert solver_embed_group(spec, (100, 100), 2) == (99, 100)
+        assert embed_group(spec, (100, 100), 2) == (99, 100)
 
     def test_symbol_range_checked(self):
         spec = make_scheme("gemd", n=2)
         with pytest.raises(SymbolOutOfRange):
-            solver_embed_group(spec, (10, 20), 8)
+            embed_group(spec, (10, 20), 8)
 
     @pytest.mark.parametrize(
         "name,params",
@@ -207,34 +252,35 @@ class TestSolver:
     )
     def test_matches_brute_force(self, name, params):
         spec = make_scheme(name, **params)
-        rng = np.random.default_rng(11)
+        oracle = partial(brute_force_embed, spec)
+        assert spec.solver_table == residue_deltas(spec, oracle, (128,) * spec.n)
+
+    @pytest.mark.parametrize(
+        "name,params", [("emd", {"n": 2}), ("emd", {"n": 5}), ("iemd", {}), ("pva", {"t": 3})]
+    )
+    def test_embed_table_matches_closed_form(self, name, params):
+        # the closed forms depend on the group only through the residue, so
+        # every interior group yields the table built on the reference group
+        spec = make_scheme(name, **params)
+        oracle = partial(reference_embed, spec)
         z = spec.constraint.per_pixel_max
-        for _ in range(25):
-            group = tuple(int(v) for v in rng.integers(z, 256 - z, spec.n))
-            symbol = int(rng.integers(0, spec.modulus))
-            assert solver_embed_group(spec, group, symbol) == brute_force_embed(
-                spec, group, symbol
-            )
+        rng = np.random.default_rng(5)
+        groups = [(128,) * spec.n]
+        groups += [tuple(int(v) for v in rng.integers(z, 256 - z, spec.n)) for _ in range(5)]
+        for group in groups:
+            assert spec.embed_table == residue_deltas(spec, oracle, group)
 
     def test_explicit_never_beats_solver(self):
         # the closed-form procedures satisfy the same feasibility predicate;
         # the solver's squared distortion is never larger, and matches for
         # the single-change scheme
-        for name in ("emd", "iemd"):
-            spec = make_scheme(name, n=2) if name == "emd" else make_scheme(name)
-            rng = np.random.default_rng(5)
-            for _ in range(50):
-                group = tuple(int(v) for v in rng.integers(1, 255, spec.n))
-                symbol = int(rng.integers(0, spec.modulus))
-                explicit = embed_group(spec, group, symbol)
-                solved = solver_embed_group(spec, group, symbol)
-                deltas_e = [a - b for a, b in zip(explicit, group)]
-                deltas_s = [a - b for a, b in zip(solved, group)]
-                assert spec.constraint.allows(deltas_e)
-                cost_e = sum(d * d for d in deltas_e)
-                cost_s = sum(d * d for d in deltas_s)
+        for spec in (make_scheme("emd", n=2), make_scheme("iemd"), make_scheme("pva", t=3)):
+            for explicit, solved in zip(spec.embed_table, spec.solver_table):
+                assert spec.constraint.allows(explicit)
+                cost_e = sum(d * d for d in explicit)
+                cost_s = sum(d * d for d in solved)
                 assert cost_s <= cost_e
-                if name == "emd":
+                if spec.id == "emd":
                     assert cost_s == cost_e
 
 
@@ -316,7 +362,7 @@ class TestMessagePipeline:
         flat = clamped.pixels.astype(int)
         for index in range(used):
             group = tuple(int(v) for v in flat[index * spec.n : (index + 1) * spec.n])
-            expected = embed_group(spec, group, symbols[index])
+            expected = reference_embed(spec, group, int(symbols[index]))
             got = tuple(
                 int(v) for v in stego.pixels[index * spec.n : (index + 1) * spec.n]
             )
@@ -344,3 +390,22 @@ class TestMessagePipeline:
         stego, used = embed_message(img, wide, bits)
         assert (stego, used) == embed_message(img, narrow, bits)
         assert np.array_equal(extract_bits(stego, wide, nbits), bits)
+
+
+class TestDistortionProfile:
+    @pytest.mark.parametrize("name,params", CANONICAL_CONFIGS)
+    def test_matches_scalar_loop(self, name, params):
+        # the per-symbol loop over Python ints that the batch computation
+        # replaced; equal reprs also keep numpy scalars out of the profile
+        spec = make_scheme(name, **params)
+        ref = (128,) * spec.n
+        total_abs = total_sq = worst = 0
+        for s in range(spec.modulus):
+            g = reference_embed(spec, ref, s)
+            abs_sum = sum(abs(a - b) for a, b in zip(g, ref))
+            total_abs += abs_sum
+            total_sq += sum((a - b) ** 2 for a, b in zip(g, ref))
+            worst = max(worst, abs_sum)
+        denom = spec.modulus * spec.n
+        expected = DistortionProfile(total_abs / denom, total_sq / denom, worst)
+        assert repr(theoretical_distortion(spec)) == repr(expected)
