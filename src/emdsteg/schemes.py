@@ -15,8 +15,10 @@ once at construction, so embedding never fails at run time.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -238,9 +240,13 @@ def _parts(spec: SchemeSpec) -> tuple[tuple[SchemeSpec, int, int], ...]:
 
 def _extract_groups(spec: SchemeSpec, groups: np.ndarray) -> np.ndarray:
     if spec.is_composite:
-        return sum(
-            _extract_groups(sub, groups[:, first : first + sub.n]) * place
-            for sub, first, place in _parts(spec)
+        # iadd sums the parts in place, without one more group-sized array
+        return functools.reduce(
+            operator.iadd,
+            (
+                _extract_groups(sub, groups[:, first : first + sub.n]) * place
+                for sub, first, place in _parts(spec)
+            ),
         )
     # int32 holds sum(pixel * weight) + key and M for 8-bit pixels unless the weights are huge
     wide = max(255 * sum(map(abs, spec.base)) + abs(spec.key), spec.modulus) >= 2**31
@@ -252,11 +258,11 @@ def _embed_groups(
     spec: SchemeSpec, groups: np.ndarray, symbols: np.ndarray
 ) -> np.ndarray:
     if spec.is_composite:
+        # a part's digit is symbols // place % sub-M; the sub-kernel's own
+        # residue step takes the mod, which saves a slow int64 remainder
         return np.hstack(
             [
-                _embed_groups(
-                    sub, groups[:, first : first + sub.n], symbols // place % sub.modulus
-                )
+                _embed_groups(sub, groups[:, first : first + sub.n], symbols // place)
                 for sub, first, place in _parts(spec)
             ]
         )
