@@ -330,9 +330,12 @@ def cubic_fit(points: Sequence[tuple[float, float]]) -> CubicPoly:
 
     Needs at least four distinct x values; solved with numpy's QR-based
     least squares, so exact samples of a cubic are recovered to rounding.
+    Raises InvalidDomain for a non-finite sample, which LAPACK cannot fit.
     """
     xs = np.asarray([p[0] for p in points], dtype=float)
     ys = np.asarray([p[1] for p in points], dtype=float)
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise InvalidDomain("fit samples must be finite")
     if len(set(xs.tolist())) < 4:
         raise RankDeficient("need at least 4 distinct x values")
     design = np.vander(xs, 4)

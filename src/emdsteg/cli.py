@@ -250,11 +250,13 @@ def _read_poly(path: str) -> bound_mod.CubicPoly:
     except json.JSONDecodeError as exc:
         raise CliDataError(f"{path}: not valid JSON: {exc}") from None
     try:
-        return bound_mod.CubicPoly(
-            float(raw["c3"]), float(raw["c2"]), float(raw["c1"]), float(raw["c0"])
-        )
+        coeffs = [float(raw[name]) for name in ("c3", "c2", "c1", "c0")]
     except (KeyError, TypeError, ValueError) as exc:
         raise CliDataError(f"{path}: bad polynomial record: {exc}") from None
+    # json reads NaN and Infinity, which no curve can use
+    if not all(math.isfinite(c) for c in coeffs):
+        raise CliDataError(f"{path}: polynomial coefficients must be finite")
+    return bound_mod.CubicPoly(*coeffs)
 
 
 def _read_points_csv(path: str) -> list[tuple[float, float]]:
@@ -263,14 +265,17 @@ def _read_points_csv(path: str) -> list[tuple[float, float]]:
     except OSError as exc:
         raise CliDataError(f"cannot read {path}: {exc}") from None
     points = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         parts = [p.strip() for p in line.replace(";", ",").split(",") if p.strip()]
         if len(parts) < 2:
             continue
         try:
-            points.append((float(parts[0]), float(parts[1])))
+            point = (float(parts[0]), float(parts[1]))
         except ValueError:
             continue  # header or annotation line
+        if not all(math.isfinite(v) for v in point):
+            raise CliDataError(f"{path}:{number}: point {line.strip()!r} is not finite")
+        points.append(point)
     return points
 
 

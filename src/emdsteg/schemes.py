@@ -36,8 +36,10 @@ SOLVER = "solver"
 OBJECTIVE_L2 = "L2-then-L1"
 OBJECTIVE_L1 = "L1-then-L2"
 
-# Exhaustive search space guard: (2z+1)^n candidate change vectors.
+# Exhaustive search guard, compared with _search_size.
 _MAX_SEARCH_STATES = 10_000_000
+# Rows per candidate block of the table search; bounds its working memory.
+_SEARCH_BLOCK_ROWS = 2**15
 
 
 class SchemeError(ValueError):
@@ -153,43 +155,65 @@ class SchemeSpec:
     def is_composite(self) -> bool:
         return bool(self.sub_specs)
 
-
-def _cost_key(deltas: tuple[int, ...], objective: str):
-    sq = sum(d * d for d in deltas)
-    ab = sum(abs(d) for d in deltas)
-    if objective == OBJECTIVE_L1:
-        return (ab, sq, deltas)
-    return (sq, ab, deltas)
-
-
-def _feasible_vectors(n: int, constraint: ChangeConstraint):
-    """Yield every change vector the constraint admits.
-
-    Walks subsets of changed positions and nonzero values rather than the
-    whole (2z+1)^n cube, so schemes that touch few pixels stay cheap at
-    large n.
-    """
-    z = constraint.per_pixel_max
-    limit = constraint.l1_radius
-    yield (0,) * n
-    nonzero = [v for v in range(-z, z + 1) if v]
-    for count in range(1, min(constraint.max_changed_pixels, n) + 1):
-        for positions in itertools.combinations(range(n), count):
-            for values in itertools.product(nonzero, repeat=count):
-                if limit is not None and sum(abs(v) for v in values) > limit:
-                    continue
-                delta = [0] * n
-                for pos, value in zip(positions, values):
-                    delta[pos] = value
-                yield tuple(delta)
+    @functools.cached_property
+    def embed_array(self) -> np.ndarray:
+        """embed_table as an (M, n) int16 array, converted once per spec."""
+        return np.asarray(self.embed_table, dtype=np.int16).reshape(self.modulus, self.n)
 
 
 def _search_size(n: int, constraint: ChangeConstraint) -> int:
+    """Count of change vectors with at most k nonzero entries in [-z, z].
+
+    The L1 radius is ignored, so this bounds the search from above.
+    """
     z = constraint.per_pixel_max
     return 1 + sum(
         math.comb(n, j) * (2 * z) ** j
         for j in range(1, min(constraint.max_changed_pixels, n) + 1)
     )
+
+
+def _value_grid(count: int, z: int, limit: int | None, dtype) -> np.ndarray:
+    """Every row of count nonzero values in [-z, z] with absolute sum <= limit (if set)."""
+    values = np.array([v for v in range(-z, z + 1) if v], dtype=dtype)
+    grid = np.zeros((1, 0), dtype=dtype)
+    for _ in range(count):
+        # the absolute sum only grows with more columns, so pruning early is exact
+        grid = np.column_stack(
+            (np.repeat(grid, len(values), axis=0), np.tile(values, len(grid)))
+        )
+        if limit is not None:
+            grid = grid[np.abs(grid).sum(axis=1) <= limit]
+    return grid
+
+
+def _update_winners(
+    table, best_primary, best_secondary, deltas, residues, primary, secondary
+) -> None:
+    """Store each residue's best candidate where it beats the winner so far.
+
+    Candidates rank by (primary, secondary, deltas); a residue without a
+    winner has max costs. Updates table and the two cost arrays in place.
+    """
+    # lexsort reads its last key first: residue, costs, then deltas left to right
+    order = np.lexsort((*deltas.T[::-1], secondary, primary, residues))
+    ranked = residues[order]
+    lead = np.ones(len(order), dtype=bool)
+    lead[1:] = ranked[1:] != ranked[:-1]
+    pick = order[lead]
+    deltas, r, p, s = deltas[pick], residues[pick], primary[pick], secondary[pick]
+    held = table[r]
+    # on a cost tie the first entry where the two vectors differ decides
+    col = (deltas != held).argmax(axis=1)
+    at = np.arange(len(pick))
+    bp, bs = best_primary[r], best_secondary[r]
+    beats = (p < bp) | (p == bp) & (
+        (s < bs) | (s == bs) & (deltas[at, col] < held[at, col])
+    )
+    won = r[beats]
+    table[won] = deltas[beats]
+    best_primary[won] = p[beats]
+    best_secondary[won] = s[beats]
 
 
 def _optimal_delta_table(
@@ -204,20 +228,72 @@ def _optimal_delta_table(
     Returns None when some residue is unreachable. Ties break by squared
     then absolute change then lexicographic order (or L1-first for schemes
     with an L1 objective), which makes the table deterministic.
+
+    Candidates come in numpy blocks of at most _SEARCH_BLOCK_ROWS rows, cut
+    from one count of changed pixels and a run of changed-position subsets.
+    Each block drops the rows whose cost already loses to their residue's
+    winner, lexsorts the rest, and replaces the winners its best rows beat,
+    so memory stays bounded by the block and the (M, n) table.
     """
-    if _search_size(n, constraint) > _MAX_SEARCH_STATES:
+    size = _search_size(n, constraint)
+    if size > _MAX_SEARCH_STATES:
         raise InvalidParameter(
             f"change budget enumeration too large for group size {n}"
         )
-    best: list[tuple | None] = [None] * modulus
-    for deltas in _feasible_vectors(n, constraint):
-        r = sum(b * d for b, d in zip(base, deltas)) % modulus
-        key = _cost_key(deltas, objective)
-        if best[r] is None or key < best[r][0]:
-            best[r] = (key, deltas)
-    if any(entry is None for entry in best):
+    if modulus > size:
+        return None  # pigeonhole: fewer change vectors than residues
+    z = constraint.per_pixel_max
+    delta_type = np.int8 if z < 2**7 else np.int16 if z < 2**15 else np.int32
+    cost_type = np.int32 if n * z * z < 2**31 else np.int64
+    # weights mod M keep the int64 residue sums far from overflow: M <= size
+    weights = np.array([b % modulus for b in base], dtype=np.int64)
+    block = _SEARCH_BLOCK_ROWS
+    table = np.zeros((modulus, n), dtype=delta_type)
+    # (primary, secondary) cost of each residue's winner; none yet reads as max
+    unreached = np.iinfo(cost_type).max
+    best_primary = np.full(modulus, unreached, dtype=cost_type)
+    best_secondary = best_primary.copy()
+    for count in range(min(constraint.max_changed_pixels, n) + 1):
+        grid = _value_grid(count, z, constraint.l1_radius, delta_type)
+        subsets = np.array(
+            list(itertools.combinations(range(n), count)), dtype=np.intp
+        )
+        for start in range(0, len(grid), block):
+            part = grid[start : start + block]
+            sq = np.zeros(len(part), dtype=cost_type)
+            ab = np.zeros(len(part), dtype=cost_type)
+            for column in part.T.astype(cost_type):
+                sq += column * column
+                ab += np.abs(column)
+            primary, secondary = (ab, sq) if objective == OBJECTIVE_L1 else (sq, ab)
+            step = max(1, block // len(part))
+            for first in range(0, len(subsets), step):
+                chosen = subsets[first : first + step]
+                residues = np.zeros((len(chosen), len(part)), dtype=np.int64)
+                for i, column in enumerate(part.T):
+                    residues += weights[chosen[:, i], None] * column
+                residues %= modulus
+                bar = best_primary[residues]
+                keep = (primary < bar) | (
+                    (primary == bar) & (secondary <= best_secondary[residues])
+                )
+                which, rows = np.nonzero(keep)
+                if not len(rows):
+                    continue
+                deltas = np.zeros((len(rows), n), dtype=delta_type)
+                deltas[np.arange(len(rows))[:, None], chosen[which]] = part[rows]
+                _update_winners(
+                    table,
+                    best_primary,
+                    best_secondary,
+                    deltas,
+                    residues[keep],
+                    primary[rows],
+                    secondary[rows],
+                )
+    if (best_primary == unreached).any():
         return None
-    return tuple(entry[1] for entry in best)  # type: ignore[index]
+    return tuple(zip(*table.T.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +343,7 @@ def _embed_groups(
             ]
         )
     residues = (symbols - _extract_groups(spec, groups)) % spec.modulus
-    table = np.asarray(spec.embed_table, dtype=np.int16).reshape(spec.modulus, spec.n)
-    return groups + np.take(table, residues, axis=0)
+    return groups + np.take(spec.embed_array, residues, axis=0)
 
 
 def extraction_value(spec: SchemeSpec, group: Sequence[int]) -> int:

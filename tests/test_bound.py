@@ -7,6 +7,7 @@ from emdsteg.bound import (
     BoundQuery,
     DegenerateQuery,
     EmptyRange,
+    InvalidDomain,
     InvalidQuery,
     QueryTooLarge,
     RankDeficient,
@@ -166,6 +167,12 @@ class TestCubic:
     def test_rank_deficient(self):
         with pytest.raises(RankDeficient):
             cubic_fit([(1.0, 2.0), (1.0, 3.0), (2.0, 4.0), (2.0, 5.0)])
+
+    @pytest.mark.parametrize("bad", [(0.5, math.nan), (math.inf, 1.0), (1.0, -math.inf)])
+    def test_fit_rejects_non_finite_samples(self, bad):
+        points = [(0.0, 0.0), (1.0, 1.0), (2.0, 8.0), (3.0, 27.0), bad]
+        with pytest.raises(InvalidDomain):
+            cubic_fit(points)
 
     def test_on_curve_distance_is_zero(self):
         rng = np.random.default_rng(21)

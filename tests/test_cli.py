@@ -271,6 +271,35 @@ class TestFitDistance:
         assert record["c3"] == pytest.approx(2.994, abs=1e-9)
         assert record["residual"] < 1e-18
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_poly_rejects_non_finite(self, tmp_path, value, capsys):
+        # Python's json reads these tokens as floats
+        poly = tmp_path / "poly.json"
+        poly.write_text(f'{{"c3": {value}, "c2": 0.0, "c1": 0.0, "c0": 0.0}}')
+        cover = tmp_path / "c.pgm"
+        stego = tmp_path / "s.pgm"
+        cover.write_bytes(save_pgm(GrayImage(2, 1, [100, 100])))
+        stego.write_bytes(save_pgm(GrayImage(2, 1, [101, 100])))
+        for args in (
+            ("distance", "--poly", poly, "--x", 1, "--y", 1),
+            ("analyze", "--scheme", "emd", "--n", 2, "--cover", cover,
+             "--stego", stego, "--bound-poly", poly),
+        ):
+            assert run(*args) == 3
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+    @pytest.mark.parametrize("row", ["0.5,nan", "inf,1", "1,-inf"])
+    def test_fit_rejects_non_finite_points(self, tmp_path, row, capsys):
+        # a NaN row used to print NaN coefficients, an infinite one to hang in LAPACK
+        points = tmp_path / "pts.csv"
+        points.write_text("x,y\n0,0\n1,1\n2,8\n3,27\n" + row + "\n")
+        assert run("fit", "--points", points) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
     def test_fit_rank_deficient(self, tmp_path):
         points = tmp_path / "pts.csv"
         points.write_text("1,1\n1,2\n2,1\n2,2\n")

@@ -1,14 +1,21 @@
 import itertools
 from dataclasses import replace
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from emdsteg import schemes
 from emdsteg.image import GrayImage, bits_to_symbols
 from emdsteg.metrics import DistortionProfile, theoretical_distortion
 from emdsteg.schemes import (
+    OBJECTIVE_L1,
+    OBJECTIVE_L2,
     CapacityExceeded,
+    ChangeConstraint,
     GroupSizeMismatch,
     InfeasibleScheme,
     InvalidParameter,
@@ -102,6 +109,51 @@ def reference_embed(spec, group, symbol):
             high, group[n1:], c
         )
     return brute_force_embed(spec, group, symbol)
+
+
+def _cost_key(deltas, objective):
+    sq = sum(d * d for d in deltas)
+    ab = sum(abs(d) for d in deltas)
+    if objective == OBJECTIVE_L1:
+        return (ab, sq, deltas)
+    return (sq, ab, deltas)
+
+
+def _feasible_vectors(n, constraint):
+    z = constraint.per_pixel_max
+    limit = constraint.l1_radius
+    yield (0,) * n
+    nonzero = [v for v in range(-z, z + 1) if v]
+    for count in range(1, min(constraint.max_changed_pixels, n) + 1):
+        for positions in itertools.combinations(range(n), count):
+            for values in itertools.product(nonzero, repeat=count):
+                if limit is not None and sum(abs(v) for v in values) > limit:
+                    continue
+                delta = [0] * n
+                for pos, value in zip(positions, values):
+                    delta[pos] = value
+                yield tuple(delta)
+
+
+def enumeration_table(n, base, modulus, constraint, objective):
+    """The pure-Python search the numpy table search replaced: one pass over
+    every feasible vector, keeping the smallest cost key per residue."""
+    best = [None] * modulus
+    for deltas in _feasible_vectors(n, constraint):
+        r = sum(b * d for b, d in zip(base, deltas)) % modulus
+        key = _cost_key(deltas, objective)
+        if best[r] is None or key < best[r][0]:
+            best[r] = (key, deltas)
+    if any(entry is None for entry in best):
+        return None
+    return tuple(entry[1] for entry in best)
+
+
+def plain_specs(spec):
+    """The spec itself, or the sub-specs that carry the tables of a split scheme."""
+    if spec.is_composite:
+        return [leaf for sub in spec.sub_specs for leaf in plain_specs(sub)]
+    return [spec]
 
 
 def residue_deltas(spec, embed, group):
@@ -282,6 +334,114 @@ class TestSolver:
                 assert cost_s <= cost_e
                 if spec.id == "emd":
                     assert cost_s == cost_e
+
+
+def _no_enumeration(*args):
+    raise AssertionError("the change budget was enumerated")
+
+
+class TestTableSearch:
+    @pytest.mark.parametrize(
+        "name,params",
+        CANONICAL_CONFIGS
+        + [
+            ("gemd", {"n": 10}),
+            # five changed pixels span 46656 rows: more than one block
+            ("aemd", {"n": 6, "m": 6}),
+            # per-pixel budgets of 255, 150 and 200 need int16 deltas, and
+            # their grids of two changed values are cut into several blocks
+            ("mbe", {"n": 2, "k": 8}),
+            ("femd", {"t": 300}),
+            ("de", {"k": 200}),
+        ],
+    )
+    def test_matches_enumeration(self, name, params):
+        for spec in plain_specs(make_scheme(name, **params)):
+            expected = enumeration_table(
+                spec.n, spec.base, spec.modulus, spec.constraint, spec.objective
+            )
+            assert spec.solver_table == expected
+
+    @given(
+        base=st.lists(st.integers(1, 10**6), min_size=1, max_size=5).map(tuple),
+        z=st.integers(0, 3),
+        k=st.integers(0, 5),
+        l1_radius=st.none() | st.integers(0, 8),
+        modulus=st.integers(2, 200),
+        objective=st.sampled_from([OBJECTIVE_L2, OBJECTIVE_L1]),
+        block=st.sampled_from([2**15, 7]),
+    )
+    @settings(max_examples=150, deadline=None)
+    # infeasible past the pigeonhole check: only even residues are reachable
+    @example(base=(2, 4), z=1, k=2, l1_radius=None, modulus=8,
+             objective=OBJECTIVE_L2, block=2**15)
+    # feasible, with cost ties that only the lexicographic order breaks
+    @example(base=(1, 1, 1), z=2, k=3, l1_radius=3, modulus=5,
+             objective=OBJECTIVE_L1, block=7)
+    def test_matches_enumeration_on_random_budgets(
+        self, base, z, k, l1_radius, modulus, objective, block
+    ):
+        # small blocks make winners meet their cost ties across blocks
+        n = len(base)
+        constraint = ChangeConstraint(z, k, l1_radius)
+        with mock.patch.object(schemes, "_SEARCH_BLOCK_ROWS", block):
+            got = schemes._optimal_delta_table(n, base, modulus, constraint, objective)
+        assert got == enumeration_table(n, base, modulus, constraint, objective)
+
+    def test_objectives_rank_differently(self):
+        # weights (24, 26) mod 19: some residues have an L1 optimum that a
+        # vector of smaller squared change beats under L2
+        constraint = ChangeConstraint(3, 2)
+        tables = {
+            objective: schemes._optimal_delta_table(2, (24, 26), 19, constraint, objective)
+            for objective in (OBJECTIVE_L2, OBJECTIVE_L1)
+        }
+        assert tables[OBJECTIVE_L2] != tables[OBJECTIVE_L1]
+        for objective, table in tables.items():
+            assert table == enumeration_table(2, (24, 26), 19, constraint, objective)
+
+    def test_rows_are_tuples_of_ints(self):
+        table = make_scheme("gemd", n=3).solver_table
+        assert type(table) is tuple
+        assert all(type(row) is tuple for row in table)
+        assert all(type(d) is int for row in table for d in row)
+
+    def test_guard_rejects_before_enumerating(self, monkeypatch):
+        monkeypatch.setattr(schemes, "_value_grid", _no_enumeration)
+        with pytest.raises(InvalidParameter):
+            make_scheme("gemd", n=16)
+        # the guard also wins over the pigeonhole exit
+        with pytest.raises(InvalidParameter):
+            schemes._optimal_delta_table(
+                16, (1,) * 16, 2**40, ChangeConstraint(1, 16), OBJECTIVE_L2
+            )
+
+    def test_pigeonhole_exit_skips_enumeration(self, monkeypatch):
+        monkeypatch.setattr(schemes, "_value_grid", _no_enumeration)
+        # 9 change vectors cannot reach 10 residues
+        constraint = ChangeConstraint(1, 2)
+        assert schemes._search_size(2, constraint) == 9
+        assert schemes._optimal_delta_table(2, (1, 3), 10, constraint, OBJECTIVE_L2) is None
+        # gemd n=1: three vectors, four residues
+        with pytest.raises(InfeasibleScheme):
+            make_scheme("gemd", n=1)
+
+    def test_embed_table_converted_once(self, monkeypatch):
+        spec = make_scheme("aemd", n=8, m=4)
+        conversions = []
+        asarray = np.asarray
+
+        def spy(a, *args, **kwargs):
+            if a is spec.embed_table:
+                conversions.append(1)
+            return asarray(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "asarray", spy)
+        group = (128,) * spec.n
+        for symbol in range(10):
+            out = embed_group(spec, group, symbol)
+            assert extraction_value(spec, out) == symbol
+        assert len(conversions) == 1
 
 
 class TestRoundTrip:
