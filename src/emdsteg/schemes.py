@@ -342,7 +342,9 @@ def _embed_groups(
                 for sub, first, place in _parts(spec)
             ]
         )
-    residues = (symbols - _extract_groups(spec, groups)) % spec.modulus
+    # in place: one group-sized int64 array fewer at the kernel's peak
+    residues = symbols - _extract_groups(spec, groups)
+    residues %= spec.modulus
     return groups + np.take(spec.embed_array, residues, axis=0)
 
 
