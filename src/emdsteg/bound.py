@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -107,84 +106,52 @@ class BoundPoint:
         raise ValueError(f"metric {metric!r} not one of {_METRICS}")
 
 
-@cache
-def _count(n: int, z: int, q: int) -> int:
-    if q == 0:
-        return (2 * z - 1) ** n
-    if q == n:
-        return (2 * z + 1) ** n
-    return 2 * _count(n - 1, z, q - 1) + (2 * z - 1) * _count(n - 1, z, q)
+def bound_counts(query: BoundQuery) -> BoundResult:
+    """States, sum |delta| and sum delta^2 as one closed-form sum, exactly.
 
-
-@cache
-def _sum_full_cube(n: int, z: int, squared: bool) -> int:
-    """Total change over every state of [-z, z]^n.
-
-    Splits the group in two; the product state space turns the sum into
-    count(left) * sum(right) + count(right) * sum(left). Any split yields
-    the same value; floor(n/2) keeps recursion shallow.
+    Sums over j, the number of pixels at +/-z (0..q). comb(n, j) * 2^j
+    placements and signs put j pixels at the cap; each of the other n - j
+    pixels takes one of the 2z - 1 values in [-(z-1), z-1]. Per state the
+    capped pixels add j * z (or j * z^2); one inner pixel's values total
+    z(z-1) (or z(z-1)(2z-1)/3), times the states of the other n - j - 1.
     """
-    if n == 0 or z == 0:
-        return 0
-    if n == 1:
-        return 2 * sum(i * i if squared else i for i in range(1, z + 1))
-    a = n // 2
-    b = n - a
-    return (2 * z + 1) ** a * _sum_full_cube(b, z, squared) + (
-        2 * z + 1
-    ) ** b * _sum_full_cube(a, z, squared)
-
-
-def _shell_sum(n: int, z: int, q: int, squared: bool) -> int:
-    """Total change over states with exactly q pixels at magnitude z.
-
-    2^q sign choices and comb(n, q) positions for the capped pixels; the
-    capped pixels contribute q * z (or q * z^2) per state of the remaining
-    cube, the rest contribute the full-cube sum at cap z - 1.
-    """
-    unit = z * z if squared else z
-    rest_states = (2 * (z - 1) + 1) ** (n - q)
-    return (2**q) * math.comb(n, q) * (
-        q * unit * rest_states + _sum_full_cube(n - q, z - 1, squared)
-    )
-
-
-def _sum_changes(n: int, z: int, q: int, squared: bool) -> int:
-    if q == n:
-        return _sum_full_cube(n, z, squared)
-    return _sum_full_cube(n, z - 1, squared) + sum(
-        _shell_sum(n, z, i, squared) for i in range(1, q + 1)
-    )
+    n, z, q = query.n, query.z, query.q
+    inner = 2 * z - 1
+    inner_lin = z * (z - 1)
+    inner_sq = inner_lin * inner // 3
+    states = lin = sq = 0
+    for j in range(q + 1):
+        ways = math.comb(n, j) * 2**j
+        rest = n - j
+        count = ways * inner**rest
+        # rest pixels, each with the states of the other rest - 1 pixels
+        spread = ways * rest * inner ** max(rest - 1, 0)
+        states += count
+        lin += j * z * count + inner_lin * spread
+        sq += j * z * z * count + inner_sq * spread
+    return BoundResult(states, lin, sq)
 
 
 def count_states(query: BoundQuery) -> int:
     """Number of admissible change states, exactly."""
-    return _count(query.n, query.z, query.q)
+    return bound_counts(query).state_count
 
 
 def sum_changes_linear(query: BoundQuery) -> int:
     """Sum of |delta_i| over every admissible state, exactly."""
-    return _sum_changes(query.n, query.z, query.q, squared=False)
+    return bound_counts(query).change_sum_linear
 
 
 def sum_changes_squared(query: BoundQuery) -> int:
     """Sum of delta_i^2 over every admissible state, exactly."""
-    return _sum_changes(query.n, query.z, query.q, squared=True)
-
-
-def bound_counts(query: BoundQuery) -> BoundResult:
-    return BoundResult(
-        state_count=count_states(query),
-        change_sum_linear=sum_changes_linear(query),
-        change_sum_squared=sum_changes_squared(query),
-    )
+    return bound_counts(query).change_sum_squared
 
 
 def enumerate_oracle(query: BoundQuery) -> BoundResult:
     """Brute-force re-count by walking every vector in [-z, z]^n.
 
-    Independent of the recurrences above on purpose; guarded so a desk run
-    stays bounded.
+    Independent of the closed-form sum above on purpose; guarded so a desk
+    run stays bounded.
     """
     n, z, q = query.n, query.z, query.q
     if (2 * z + 1) ** n > _ORACLE_LIMIT:
@@ -356,44 +323,37 @@ def distance_to_curve(
 ) -> float:
     """Distance from a point to the curve.
 
-    vertical is |poly(x0) - y0|. euclidean minimizes the straight-line
-    distance over the domain: a 10^4-sample scan brackets the minimum and
-    golden-section refines it, so the result is deterministic. Raises
-    InvalidDomain when the point or the domain is not finite, or the domain
-    is empty.
+    vertical is |poly(x0) - y0|. euclidean is the exact minimum of the
+    straight-line distance over the domain: the nearest point is an endpoint
+    or a root of the quintic (x - x0) + (poly(x) - y0) * poly'(x). Complex
+    roots only add their clipped real parts as harmless extra candidates.
+    Raises InvalidDomain when the polynomial, the point or the domain is not
+    finite, or the domain is empty.
     """
-    if not all(math.isfinite(v) for v in (*point, *domain)):
-        raise InvalidDomain(f"point {point} and domain {domain} must be finite")
-    x0, y0 = point
+    if not all(math.isfinite(v) for v in (*poly.coefficients(), *point, *domain)):
+        raise InvalidDomain(
+            f"polynomial {poly}, point {point} and domain {domain} must be finite"
+        )
+    x0, y0 = map(float, point)
     if mode == "vertical":
         return abs(cubic_eval(poly, x0) - y0)
     if mode != "euclidean":
         raise ValueError(f"mode {mode!r} not one of vertical/euclidean")
-    lo, hi = domain
+    lo, hi = map(float, domain)
     if not lo < hi:
         raise InvalidDomain(f"domain [{lo}, {hi}] is empty")
 
-    def dist_sq(x: float) -> float:
-        dy = cubic_eval(poly, x) - y0
-        dx = x - x0
-        return dx * dx + dy * dy
-
-    xs = np.linspace(lo, hi, 10_001)
-    values = (xs - x0) ** 2 + (
-        ((poly.c3 * xs + poly.c2) * xs + poly.c1) * xs + poly.c0 - y0
-    ) ** 2
-    idx = int(np.argmin(values))
-    a = xs[max(idx - 1, 0)]
-    b = xs[min(idx + 1, len(xs) - 1)]
-    # Golden-section search on the bracketing interval.
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - ratio * (b - a)
-    d = a + ratio * (b - a)
-    while b - a > 1e-12:
-        if dist_sq(c) < dist_sq(d):
-            b = d
-        else:
-            a = c
-        c = b - ratio * (b - a)
-        d = a + ratio * (b - a)
-    return math.sqrt(min(dist_sq((a + b) / 2.0), float(values[idx])))
+    shifted = (poly.c3, poly.c2, poly.c1, poly.c0 - y0)
+    quintic = np.convolve(shifted, (3.0 * poly.c3, 2.0 * poly.c2, poly.c1))
+    quintic[-2:] += (1.0, -x0)
+    slope = quintic[:-1] * np.arange(5, 0, -1)
+    # Leading terms under rounding on the whole domain only add huge roots,
+    # which cost the eigenvalue solver accuracy on all the others: drop them,
+    # and polish the roots that are left with one Newton step.
+    with np.errstate(all="ignore"):
+        sizes = np.abs(quintic) * max(abs(lo), abs(hi)) ** np.arange(5, -1, -1)
+        first = int(np.argmax(sizes > np.finfo(float).eps * sizes.max()))
+        xs = np.clip(np.roots(quintic[first:]).real, lo, hi)
+        polished = np.clip(xs - np.polyval(quintic, xs) / np.polyval(slope, xs), lo, hi)
+    xs = np.concatenate(((lo, hi), xs, polished[np.isfinite(polished)]))
+    return math.sqrt(np.min((xs - x0) ** 2 + (cubic_eval(poly, xs) - y0) ** 2))

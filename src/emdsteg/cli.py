@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bound as bound_mod
 from . import metrics
-from .bench import BenchConfig, BenchConfigError, run_bench
+from .bench import BenchConfig, BenchConfigError, _fmt, run_bench
 from .image import GrayImage, PgmError, load_pgm, save_pgm
 from .metrics import DimensionMismatch
 from .rng import seeded_bits
@@ -189,27 +189,25 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _bound_row(query, counts, point, args) -> list[str]:
-    def fmt(x):
-        return "" if x is None else (f"{x:.10g}" if isinstance(x, float) else str(x))
-
     alpha = inv_alpha = eff = None
     if point is not None:
         alpha = point.alpha
         inv_alpha = point.inv_alpha
         eff = point.efficiency(args.metric)
-    return [
-        str(query.n),
-        str(query.z),
-        str(query.q),
-        str(counts.state_count),
-        str(counts.change_sum_linear),
-        str(counts.change_sum_squared),
-        fmt(alpha),
-        fmt(inv_alpha),
-        fmt(eff),
+    cells = (
+        query.n,
+        query.z,
+        query.q,
+        counts.state_count,
+        counts.change_sum_linear,
+        counts.change_sum_squared,
+        alpha,
+        inv_alpha,
+        eff,
         args.metric,
         args.normalization,
-    ]
+    )
+    return [_fmt(cell) for cell in cells]
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -264,15 +262,19 @@ def _read_points_csv(path: str) -> list[tuple[float, float]]:
         text = Path(path).read_text()
     except OSError as exc:
         raise CliDataError(f"cannot read {path}: {exc}") from None
+    lines = enumerate(text.splitlines(), 1)
+    rows = [(number, line) for number, line in lines if line.strip()]
     points = []
-    for number, line in enumerate(text.splitlines(), 1):
+    for index, (number, line) in enumerate(rows):
         parts = [p.strip() for p in line.replace(";", ",").split(",") if p.strip()]
-        if len(parts) < 2:
-            continue
         try:
             point = (float(parts[0]), float(parts[1]))
-        except ValueError:
-            continue  # header or annotation line
+        except (IndexError, ValueError):
+            if index == 0:
+                continue  # header line
+            raise CliDataError(
+                f"{path}:{number}: row {line.strip()!r} needs two numeric fields"
+            ) from None
         if not all(math.isfinite(v) for v in point):
             raise CliDataError(f"{path}:{number}: point {line.strip()!r} is not finite")
         points.append(point)

@@ -1,10 +1,15 @@
 import math
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from emdsteg.bound import (
     BoundQuery,
+    BoundResult,
+    CubicPoly,
     DegenerateQuery,
     EmptyRange,
     InvalidDomain,
@@ -26,6 +31,91 @@ from emdsteg.bound import (
 )
 from emdsteg.metrics import theoretical_distortion
 from emdsteg.schemes import make_scheme
+
+
+# Reference for bound_counts: the same three totals by cached recursions
+# (count by the first pixel, full-cube sums by halving the group, one shell
+# per number of capped pixels). Large q overflows Python's stack.
+@cache
+def _count(n: int, z: int, q: int) -> int:
+    if q == 0:
+        return (2 * z - 1) ** n
+    if q == n:
+        return (2 * z + 1) ** n
+    return 2 * _count(n - 1, z, q - 1) + (2 * z - 1) * _count(n - 1, z, q)
+
+
+@cache
+def _sum_full_cube(n: int, z: int, squared: bool) -> int:
+    """Total change over every state of [-z, z]^n, splitting the group in two."""
+    if n == 0 or z == 0:
+        return 0
+    if n == 1:
+        return 2 * sum(i * i if squared else i for i in range(1, z + 1))
+    a = n // 2
+    b = n - a
+    return (2 * z + 1) ** a * _sum_full_cube(b, z, squared) + (
+        2 * z + 1
+    ) ** b * _sum_full_cube(a, z, squared)
+
+
+def _shell_sum(n: int, z: int, q: int, squared: bool) -> int:
+    """Total change over states with exactly q pixels at magnitude z."""
+    unit = z * z if squared else z
+    rest_states = (2 * (z - 1) + 1) ** (n - q)
+    return (2**q) * math.comb(n, q) * (
+        q * unit * rest_states + _sum_full_cube(n - q, z - 1, squared)
+    )
+
+
+def _sum_changes(n: int, z: int, q: int, squared: bool) -> int:
+    if q == n:
+        return _sum_full_cube(n, z, squared)
+    return _sum_full_cube(n, z - 1, squared) + sum(
+        _shell_sum(n, z, i, squared) for i in range(1, q + 1)
+    )
+
+
+def recursive_counts(query: BoundQuery) -> BoundResult:
+    n, z, q = query.n, query.z, query.q
+    return BoundResult(
+        _count(n, z, q),
+        _sum_changes(n, z, q, squared=False),
+        _sum_changes(n, z, q, squared=True),
+    )
+
+
+def scan_golden_distance(poly, point, domain):
+    """Reference euclidean distance for distance_to_curve.
+
+    A 10^4-sample scan brackets the minimum and golden-section search
+    refines it. Every value it takes is the distance to a curve point in
+    the domain, so up to rounding it never falls below the exact minimum.
+    """
+    x0, y0 = point
+    lo, hi = domain
+
+    def dist_sq(x):
+        dy = cubic_eval(poly, x) - y0
+        dx = x - x0
+        return dx * dx + dy * dy
+
+    xs = np.linspace(lo, hi, 10_001)
+    values = (xs - x0) ** 2 + (cubic_eval(poly, xs) - y0) ** 2
+    idx = int(np.argmin(values))
+    a = xs[max(idx - 1, 0)]
+    b = xs[min(idx + 1, len(xs) - 1)]
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - ratio * (b - a)
+    d = a + ratio * (b - a)
+    while b - a > 1e-12:
+        if dist_sq(c) < dist_sq(d):
+            b = d
+        else:
+            a = c
+        c = b - ratio * (b - a)
+        d = a + ratio * (b - a)
+    return math.sqrt(min(dist_sq((a + b) / 2.0), float(values[idx])))
 
 
 class TestCounts:
@@ -70,6 +160,33 @@ class TestCounts:
                 for q in range(n + 1):
                     query = BoundQuery(n, z, q)
                     assert bound_counts(query) == enumerate_oracle(query)
+
+    def test_matches_recursions(self):
+        for n in range(1, 41):
+            for z in range(1, 11):
+                for q in range(n + 1):
+                    query = BoundQuery(n, z, q)
+                    assert bound_counts(query) == recursive_counts(query), query
+
+    def test_deep_quota_obeys_first_pixel_recurrence(self):
+        # beyond recursive_counts' reach (RecursionError); split on the first
+        # pixel: at +/-z (2 ways, quota q - 1 left) or inside the cap
+        n, z, q = 1500, 2, 700
+        inner = range(-(z - 1), z)
+        capped = bound_counts(BoundQuery(n - 1, z, q - 1))
+        free = bound_counts(BoundQuery(n - 1, z, q))
+        got = bound_counts(BoundQuery(n, z, q))
+        assert got.state_count == 2 * capped.state_count + len(inner) * free.state_count
+        assert got.change_sum_linear == (
+            2 * (capped.change_sum_linear + z * capped.state_count)
+            + len(inner) * free.change_sum_linear
+            + sum(abs(v) for v in inner) * free.state_count
+        )
+        assert got.change_sum_squared == (
+            2 * (capped.change_sum_squared + z * z * capped.state_count)
+            + len(inner) * free.change_sum_squared
+            + sum(v * v for v in inner) * free.state_count
+        )
 
     def test_arbitrary_precision(self):
         big = count_states(BoundQuery(48, 3, 20))
@@ -208,3 +325,60 @@ class TestCubic:
         points = [(p.inv_alpha, p.eff_proposed) for p in envelope]
         fit = cubic_fit(points)
         assert all(math.isfinite(c) for c in fit.coefficients())
+
+
+coefficient = st.floats(-5.0, 5.0)
+
+
+class TestDistance:
+    @given(
+        coefficient,
+        coefficient,
+        coefficient,
+        coefficient,
+        st.floats(-3.0, 4.0),
+        st.floats(-10.0, 10.0),
+        st.floats(-2.0, 2.0),
+        st.floats(0.01, 4.0),
+    )
+    # tiny leading coefficients: huge roots cost the eigenvalue solver
+    # accuracy (the first two) or overflow its companion matrix (the third)
+    @example(2.0**-52, 3.0, 0.0, 0.0, 1.0, 0.0, 0.0, 2.0)
+    @example(2.0**-126, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0)
+    @example(0.0, 8.864765692158108e-156, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+    # a triple root at the minimum: the Newton step divides 0 by 0
+    @example(0.0, 1.0, 0.0, 0.0, 0.0, 0.5, -1.0, 2.0)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scan_and_golden_section(self, c3, c2, c1, c0, x0, y0, lo, width):
+        poly = CubicPoly(c3, c2, c1, c0)
+        domain = (lo, lo + width)
+        want = scan_golden_distance(poly, (x0, y0), domain)
+        got = distance_to_curve(poly, (x0, y0), "euclidean", domain)
+        assert got <= want + 1e-12 * max(1.0, want)
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    def test_minimum_at_domain_endpoint(self):
+        line = CubicPoly(0.0, 0.0, 1.0, 0.0)
+        domain = (1.0, 2.0)
+        # the nearest points of the whole line, x = 0 and x = 2.5, lie outside
+        assert distance_to_curve(line, (0.0, 0.0), "euclidean", domain) == math.sqrt(2.0)
+        assert distance_to_curve(line, (5.0, 0.0), "euclidean", domain) == math.sqrt(13.0)
+
+    def test_constant_polynomial(self):
+        flat = CubicPoly(0.0, 0.0, 0.0, 2.5)
+        assert distance_to_curve(flat, (1.25, -1.0)) == 3.5
+        assert distance_to_curve(flat, (4.0, 0.0)) == math.sqrt(7.25)
+
+    def test_point_on_curve(self):
+        rng = np.random.default_rng(5)
+        for coefficients in (REFERENCE_BOUND_POLY.coefficients(), (1.0, -2.0, 0.5, 3.0)):
+            poly = CubicPoly(*coefficients)
+            for x in rng.uniform(0.0, 3.0, 50):
+                point = (float(x), cubic_eval(poly, float(x)))
+                assert distance_to_curve(poly, point) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_polynomial(self, bad):
+        for mode in ("vertical", "euclidean"):
+            with pytest.raises(InvalidDomain):
+                distance_to_curve(CubicPoly(bad, 0.0, 0.0, 0.0), (1.0, 1.0), mode)

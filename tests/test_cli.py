@@ -300,6 +300,30 @@ class TestFitDistance:
         assert out.out == ""
         assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
+    def test_fit_rejects_bad_data_row(self, tmp_path, capsys):
+        # only the first non-blank line may be a header: a typo in the data
+        # must stop the fit, not leave it to the other five rows
+        points = tmp_path / "pts.csv"
+        points.write_text("x,y\n0,0\n1,1\n2,8\n3,27\n4,6x4\n5,125\n")
+        assert run("fit", "--points", points) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {points}:6: row '4,6x4' needs two numeric fields\n"
+
+    @pytest.mark.parametrize("row", ["4", "4;", "four,64"])
+    def test_fit_rejects_short_or_text_row(self, tmp_path, row, capsys):
+        points = tmp_path / "pts.csv"
+        points.write_text("0,0\n1,1\n2,8\n3,27\n" + row + "\n")
+        assert run("fit", "--points", points) == 3
+        assert capsys.readouterr().err.startswith(f"error: {points}:5: ")
+
+    def test_fit_skips_blank_lines_around_header(self, tmp_path, capsys):
+        points = tmp_path / "pts.csv"
+        points.write_text("\n  \nx,y\n\n0,0\n1,1\n\n2,8\n3,27\n4,64\n\n")
+        assert run("fit", "--points", points) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["c3"] == pytest.approx(1.0, abs=1e-9)
+
     def test_fit_rank_deficient(self, tmp_path):
         points = tmp_path / "pts.csv"
         points.write_text("1,1\n1,2\n2,1\n2,2\n")
