@@ -60,7 +60,7 @@ class InvalidDomain(BoundError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundQuery:
     """State-family query: n pixels, cap z, at most q pixels at the full cap."""
 
@@ -73,7 +73,7 @@ class BoundQuery:
             raise InvalidQuery(f"bad query n={self.n} z={self.z} q={self.q}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundResult:
     """Exact counts for one query: states, sum |delta|, sum delta^2."""
 
@@ -82,16 +82,18 @@ class BoundResult:
     change_sum_squared: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundPoint:
     """One chart point: payload and efficiencies derived from the counts.
 
     Under the mean-per-pixel normalization the standard efficiency equals
     its mean value (the per-pixel factors cancel), so eff_standard is
     always populated; eff_proposed carries the requested normalization.
+    counts holds the exact sums the point was derived from.
     """
 
     query: BoundQuery
+    counts: BoundResult
     alpha: float
     inv_alpha: float
     eff_standard: float
@@ -208,6 +210,7 @@ def bound_point(
         eff_prop = alpha / math.sqrt(sq / (states * query.n))
     return BoundPoint(
         query=query,
+        counts=counts,
         alpha=alpha,
         inv_alpha=1.0 / alpha,
         eff_standard=eff_std,
@@ -238,7 +241,10 @@ def frontier(
         for z in zs
         for q in range(1, n + 1)
     ]
-    points.sort(key=lambda p: (p.inv_alpha, -p.efficiency(metric)))
+    # two stable sorts give the (inv_alpha, -efficiency) order; their keys are
+    # the points' own floats, so the sweep's peak holds no key tuple per point
+    points.sort(key=lambda p: p.efficiency(metric), reverse=True)
+    points.sort(key=lambda p: p.inv_alpha)
     envelope: list[BoundPoint] = []
     best = -math.inf
     for point in points:
@@ -297,7 +303,8 @@ def cubic_fit(points: Sequence[tuple[float, float]]) -> CubicPoly:
 
     Needs at least four distinct x values; solved with numpy's QR-based
     least squares, so exact samples of a cubic are recovered to rounding.
-    Raises InvalidDomain for a non-finite sample, which LAPACK cannot fit.
+    Raises InvalidDomain for a non-finite sample, or for an x whose cube
+    overflows: LAPACK cannot fit either, and may not return on an inf.
     """
     xs = np.asarray([p[0] for p in points], dtype=float)
     ys = np.asarray([p[1] for p in points], dtype=float)
@@ -305,7 +312,10 @@ def cubic_fit(points: Sequence[tuple[float, float]]) -> CubicPoly:
         raise InvalidDomain("fit samples must be finite")
     if len(set(xs.tolist())) < 4:
         raise RankDeficient("need at least 4 distinct x values")
-    design = np.vander(xs, 4)
+    with np.errstate(over="ignore"):
+        design = np.vander(xs, 4)
+    if not np.isfinite(design).all():
+        raise InvalidDomain("fit samples overflow: some x^3 is not finite")
     coeffs, *_ = np.linalg.lstsq(design, ys, rcond=None)
     return CubicPoly(*(float(c) for c in coeffs))
 
@@ -328,7 +338,8 @@ def distance_to_curve(
     or a root of the quintic (x - x0) + (poly(x) - y0) * poly'(x). Complex
     roots only add their clipped real parts as harmless extra candidates.
     Raises InvalidDomain when the polynomial, the point or the domain is not
-    finite, or the domain is empty.
+    finite, the domain is empty, or a value on the way overflows: the
+    quintic's coefficients or the distance itself.
     """
     if not all(math.isfinite(v) for v in (*poly.coefficients(), *point, *domain)):
         raise InvalidDomain(
@@ -336,16 +347,29 @@ def distance_to_curve(
         )
     x0, y0 = map(float, point)
     if mode == "vertical":
-        return abs(cubic_eval(poly, x0) - y0)
-    if mode != "euclidean":
+        distance = abs(cubic_eval(poly, x0) - y0)
+    elif mode == "euclidean":
+        distance = _euclidean_distance(poly, x0, y0, domain)
+    else:
         raise ValueError(f"mode {mode!r} not one of vertical/euclidean")
+    if not math.isfinite(distance):
+        raise InvalidDomain(f"distance from {point} to {poly} overflows")
+    return distance
+
+
+def _euclidean_distance(
+    poly: CubicPoly, x0: float, y0: float, domain: tuple[float, float]
+) -> float:
     lo, hi = map(float, domain)
     if not lo < hi:
         raise InvalidDomain(f"domain [{lo}, {hi}] is empty")
 
     shifted = (poly.c3, poly.c2, poly.c1, poly.c0 - y0)
-    quintic = np.convolve(shifted, (3.0 * poly.c3, 2.0 * poly.c2, poly.c1))
-    quintic[-2:] += (1.0, -x0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        quintic = np.convolve(shifted, (3.0 * poly.c3, 2.0 * poly.c2, poly.c1))
+        quintic[-2:] += (1.0, -x0)
+    if not np.isfinite(quintic).all():
+        raise InvalidDomain(f"polynomial {poly} overflows the distance equation")
     slope = quintic[:-1] * np.arange(5, 0, -1)
     # Leading terms under rounding on the whole domain only add huge roots,
     # which cost the eigenvalue solver accuracy on all the others: drop them,
@@ -356,4 +380,5 @@ def distance_to_curve(
         xs = np.clip(np.roots(quintic[first:]).real, lo, hi)
         polished = np.clip(xs - np.polyval(quintic, xs) / np.polyval(slope, xs), lo, hi)
     xs = np.concatenate(((lo, hi), xs, polished[np.isfinite(polished)]))
-    return math.sqrt(np.min((xs - x0) ** 2 + (cubic_eval(poly, xs) - y0) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return math.sqrt(np.min((xs - x0) ** 2 + (cubic_eval(poly, xs) - y0) ** 2))

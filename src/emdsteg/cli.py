@@ -159,7 +159,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_bound(args: argparse.Namespace) -> int:
     if args.max_n < 1 or args.max_z < 1:
         raise ValueError("--max-n and --max-z must be >= 1")
-    rows = []
+    lines = ["n,z,q,f_M,f_rho_lin,f_rho_sq,alpha,inv_alpha,eff,metric,normalization"]
     if args.frontier:
         points = bound_mod.frontier(
             range(1, args.max_n + 1),
@@ -168,27 +168,23 @@ def _cmd_bound(args: argparse.Namespace) -> int:
             args.normalization,
         )
         for point in points:
-            counts = bound_mod.bound_counts(point.query)
-            rows.append(_bound_row(point.query, counts, point, args))
+            lines.append(_bound_line(point.query, point.counts, point, args))
     else:
         for n in range(1, args.max_n + 1):
             for z in range(1, args.max_z + 1):
                 for q in range(0, n + 1):
                     query = bound_mod.BoundQuery(n, z, q)
-                    counts = bound_mod.bound_counts(query)
                     try:
                         point = bound_mod.bound_point(query, args.metric, args.normalization)
+                        counts = point.counts
                     except bound_mod.DegenerateQuery:
-                        point = None
-                    rows.append(_bound_row(query, counts, point, args))
-    lines = ["n,z,q,f_M,f_rho_lin,f_rho_sq,alpha,inv_alpha,eff,metric,normalization"]
-    for row in rows:
-        lines.append(",".join(row))
+                        point, counts = None, bound_mod.bound_counts(query)
+                    lines.append(_bound_line(query, counts, point, args))
     _write_bytes(args.out, ("\n".join(lines) + "\n").encode())
     return EXIT_OK
 
 
-def _bound_row(query, counts, point, args) -> list[str]:
+def _bound_line(query, counts, point, args) -> str:
     alpha = inv_alpha = eff = None
     if point is not None:
         alpha = point.alpha
@@ -207,7 +203,7 @@ def _bound_row(query, counts, point, args) -> list[str]:
         args.metric,
         args.normalization,
     )
-    return [_fmt(cell) for cell in cells]
+    return ",".join(_fmt(cell) for cell in cells)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -234,7 +230,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     elif args.cover:
         cfg.cover = {"kind": "file", "path": args.cover}
     cfg.validate()
-    paths = run_bench(cfg, args.out_dir)
+    try:
+        paths = run_bench(cfg, args.out_dir)
+    except OSError as exc:
+        # the cover was read by then, so this is the output directory or a CSV
+        raise CliDataError(f"cannot write to {args.out_dir}: {exc}") from None
     for name in sorted(paths):
         print(f"{name}: {paths[name]}")
     return EXIT_OK
@@ -245,6 +245,8 @@ def _read_poly(path: str) -> bound_mod.CubicPoly:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
         raise CliDataError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CliDataError(f"{path}: undecodable text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CliDataError(f"{path}: not valid JSON: {exc}") from None
     try:
@@ -262,6 +264,8 @@ def _read_points_csv(path: str) -> list[tuple[float, float]]:
         text = Path(path).read_text()
     except OSError as exc:
         raise CliDataError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CliDataError(f"{path}: undecodable text: {exc}") from None
     lines = enumerate(text.splitlines(), 1)
     rows = [(number, line) for number, line in lines if line.strip()]
     points = []

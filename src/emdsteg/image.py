@@ -169,12 +169,16 @@ def bits_to_symbols(bits: Sequence[int] | np.ndarray, modulus: int) -> np.ndarra
     bad = (arr != 0) & (arr != 1)
     if bad.any():
         raise ValueError(f"bit stream contains {arr[bad].tolist()[0]!r}")
-    # the narrowest unsigned type that holds a symbol holds every partial sum
-    dtype = np.min_scalar_type((1 << width) - 1)
-    padded = np.zeros(-(-arr.size // width) * width, dtype=dtype)
+    count = -(-arr.size // width)
+    padded = np.zeros(count * width, dtype=np.uint8)
     padded[: arr.size] = arr
-    weights = (1 << np.arange(width - 1, -1, -1)).astype(dtype)
-    return (padded.reshape(-1, width) @ weights).astype(np.int64)
+    # shift-or MSB first in the narrowest unsigned type that holds a symbol;
+    # the doubling add is the one-bit shift, and runs faster in numpy
+    symbols = np.zeros(count, dtype=np.min_scalar_type((1 << width) - 1))
+    for column in padded.reshape(count, width).T:
+        symbols += symbols
+        symbols |= column
+    return symbols.astype(np.int64)
 
 
 def symbols_to_bits(
@@ -198,7 +202,8 @@ def symbols_to_bits(
     bad = (used < 0) | (used >= 1 << width)
     if bad.any():
         raise ValueError(f"symbol {used[bad][0]} wider than {width} bits")
-    dtype = np.min_scalar_type((1 << width) - 1)
-    bits = used.astype(dtype)[:, None] >> np.arange(width - 1, -1, -1, dtype=dtype)
-    bits &= 1
-    return bits.astype(np.uint8, copy=False).ravel()[:bit_length]
+    narrow = used.astype(np.min_scalar_type((1 << width) - 1))
+    bits = np.empty((len(used), width), dtype=np.uint8)
+    for shift, column in zip(range(width - 1, -1, -1), bits.T):
+        np.bitwise_and(narrow >> shift, 1, out=column)
+    return bits.ravel()[:bit_length]

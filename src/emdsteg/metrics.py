@@ -135,8 +135,11 @@ def theoretical_distortion(spec: SchemeSpec) -> DistortionProfile:
     interior (pre-clamped) pixels. The sums are Python ints, so the profile
     holds plain floats.
     """
-    ref = np.full((spec.modulus, spec.n), 128, dtype=np.int16)
-    deltas = _embed_groups(spec, ref, np.arange(spec.modulus)) - ref
+    # one reference group per symbol; the kernel embeds in place, and less
+    # the reference value the groups hold the changes
+    deltas = np.full((spec.modulus, spec.n), 128, dtype=np.int16)
+    _embed_groups(spec, deltas, np.arange(spec.modulus))
+    deltas -= 128
     abs_sums = np.abs(deltas).sum(axis=1, dtype=np.int32)
     denom = spec.modulus * spec.n
     return DistortionProfile(

@@ -314,6 +314,32 @@ def _parts(spec: SchemeSpec) -> tuple[tuple[SchemeSpec, int, int], ...]:
     return ((low, 0, 1), (high, low.n, low.modulus))
 
 
+def _weighted_sums(spec: SchemeSpec, groups: np.ndarray) -> np.ndarray:
+    """key + sum(pixel * weight) of every group of a plain scheme, not yet reduced.
+
+    Built one column at a time in the accumulator dtype, which is never
+    narrower than the groups' own dtype.
+    """
+    # int32 holds sum(pixel * weight) + key and M for 8-bit pixels unless the weights are huge
+    wide = max(255 * sum(map(abs, spec.base)) + abs(spec.key), spec.modulus) >= 2**31
+    acc = np.promote_types(np.int64 if wide else np.int32, groups.dtype).type
+    sums = np.full(len(groups), spec.key, dtype=acc)
+    for column, weight in zip(groups.T, spec.base):
+        sums += column * acc(weight)
+    return sums
+
+
+def _reduce(values: np.ndarray, modulus: int) -> None:
+    """values %= modulus in place, as values - floor(values / modulus) * modulus.
+
+    Equal to numpy's %, whose remainder loop is several times slower on
+    negative values than its floor division by a scalar.
+    """
+    quotients = values // modulus
+    quotients *= modulus
+    values -= quotients
+
+
 def _extract_groups(spec: SchemeSpec, groups: np.ndarray) -> np.ndarray:
     if spec.is_composite:
         # iadd sums the parts in place, without one more group-sized array
@@ -324,28 +350,27 @@ def _extract_groups(spec: SchemeSpec, groups: np.ndarray) -> np.ndarray:
                 for sub, first, place in _parts(spec)
             ),
         )
-    # int32 holds sum(pixel * weight) + key and M for 8-bit pixels unless the weights are huge
-    wide = max(255 * sum(map(abs, spec.base)) + abs(spec.key), spec.modulus) >= 2**31
-    acc = np.int64 if wide else np.int32
-    return (groups @ np.asarray(spec.base, dtype=acc) + acc(spec.key)) % acc(spec.modulus)
+    values = _weighted_sums(spec, groups)
+    _reduce(values, spec.modulus)
+    return values
 
 
-def _embed_groups(
-    spec: SchemeSpec, groups: np.ndarray, symbols: np.ndarray
-) -> np.ndarray:
+def _embed_groups(spec: SchemeSpec, groups: np.ndarray, symbols: np.ndarray) -> None:
+    """Add each group's change vector for its symbol to groups, in place."""
     if spec.is_composite:
         # a part's digit is symbols // place % sub-M; the sub-kernel's own
-        # residue step takes the mod, which saves a slow int64 remainder
-        return np.hstack(
-            [
-                _embed_groups(sub, groups[:, first : first + sub.n], symbols // place)
-                for sub, first, place in _parts(spec)
-            ]
-        )
-    # in place: one group-sized int64 array fewer at the kernel's peak
-    residues = symbols - _extract_groups(spec, groups)
-    residues %= spec.modulus
-    return groups + np.take(spec.embed_array, residues, axis=0)
+        # residue step takes the mod
+        for sub, first, place in _parts(spec):
+            _embed_groups(sub, groups[:, first : first + sub.n], symbols // place)
+        return
+    # r = (s - key - sum) mod M, with one remainder in the accumulator dtype
+    residues = _weighted_sums(spec, groups)
+    np.subtract(symbols, residues, out=residues)
+    _reduce(residues, spec.modulus)
+    # the int16 sum casts back into uint8 groups exactly: clamped pixels plus
+    # their bounded change stay in 0..255
+    changes = np.take(spec.embed_array, residues, axis=0)
+    np.add(groups, changes, out=groups, casting="unsafe")
 
 
 def extraction_value(spec: SchemeSpec, group: Sequence[int]) -> int:
@@ -370,8 +395,9 @@ def embed_group(spec: SchemeSpec, x: Sequence[int], s: int) -> tuple[int, ...]:
         )
     if not 0 <= s < spec.modulus:
         raise SymbolOutOfRange(f"symbol {s} outside [0, {spec.modulus})")
-    row = np.asarray(x, dtype=np.int64).reshape(1, spec.n)
-    return tuple(_embed_groups(spec, row, np.array([s]))[0].tolist())
+    row = np.array(x, dtype=np.int64).reshape(1, spec.n)
+    _embed_groups(spec, row, np.array([s]))
+    return tuple(row[0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -826,10 +852,8 @@ def embed_message(
     symbols = bits_to_symbols(bits, spec.modulus)
     pixels = clamped.pixels.copy()
     used = len(symbols)
-    if used:
-        # int16 holds every clamped pixel plus its bounded change
-        head = pixels[: used * spec.n].reshape(used, spec.n).astype(np.int16)
-        pixels[: used * spec.n] = _embed_groups(spec, head, symbols).reshape(-1)
+    # a writable uint8 view of the copy: the kernel embeds into it in place
+    _embed_groups(spec, pixels[: used * spec.n].reshape(used, spec.n), symbols)
     return GrayImage(img.width, img.height, pixels), used
 
 
@@ -842,7 +866,7 @@ def extract_bits(img: GrayImage, spec: SchemeSpec, bit_length: int) -> np.ndarra
             f"{bit_length} bits > capacity {operational_capacity(img, spec)}"
         )
     used = -(-bit_length // spec.payload_bits_operational)
-    groups = img.pixels[: used * spec.n].reshape(used, spec.n).astype(np.int16)
+    groups = img.pixels[: used * spec.n].reshape(used, spec.n)
     return symbols_to_bits(_extract_groups(spec, groups), spec.modulus, bit_length)
 
 

@@ -211,6 +211,10 @@ class TestBoundPoint:
         point = bound_point(BoundQuery(2, 1, 2), "standard", "literal")
         assert point.eff_standard == pytest.approx(math.log2(9) / 12)
 
+    def test_carries_its_counts(self):
+        for query in (BoundQuery(5, 3, 2), BoundQuery(30, 10, 30)):
+            assert bound_point(query).counts == bound_counts(query)
+
     def test_degenerate_query(self):
         with pytest.raises(DegenerateQuery):
             bound_point(BoundQuery(3, 1, 0))
@@ -290,6 +294,15 @@ class TestCubic:
         points = [(0.0, 0.0), (1.0, 1.0), (2.0, 8.0), (3.0, 27.0), bad]
         with pytest.raises(InvalidDomain):
             cubic_fit(points)
+
+    def test_fit_rejects_overflowing_design(self, monkeypatch):
+        # x^3 overflows to inf, on which LAPACK does not return
+        def no_lstsq(*args, **kwargs):
+            raise AssertionError("least squares ran on an overflowed design")
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+        with pytest.raises(InvalidDomain):
+            cubic_fit([(k * 1e200, float(k)) for k in range(1, 5)])
 
     def test_on_curve_distance_is_zero(self):
         rng = np.random.default_rng(21)
@@ -382,3 +395,13 @@ class TestDistance:
         for mode in ("vertical", "euclidean"):
             with pytest.raises(InvalidDomain):
                 distance_to_curve(CubicPoly(bad, 0.0, 0.0, 0.0), (1.0, 1.0), mode)
+
+    def test_rejects_overflowing_quintic(self):
+        with pytest.raises(InvalidDomain):
+            distance_to_curve(CubicPoly(1e200, 1e200, 0.0, 0.0), (1.0, 1.0))
+
+    @pytest.mark.parametrize("mode", ["vertical", "euclidean"])
+    def test_rejects_overflowing_distance(self, mode):
+        # the true distance is about 1e200, but its square overflows
+        with pytest.raises(InvalidDomain):
+            distance_to_curve(CubicPoly(1.0, 0.0, 0.0, 0.0), (1e200, 1.0), mode)

@@ -1,8 +1,10 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
+from emdsteg import bound as bound_mod
 from emdsteg.cli import main
 from emdsteg.image import GrayImage, save_pgm
 from emdsteg.rng import seeded_bits
@@ -153,6 +155,23 @@ class TestExitCodes:
     def test_bad_usage(self):
         assert run("embed", "--scheme") == 2
 
+    @pytest.mark.parametrize("target", ["existing-file", "under-a-file", "csv-is-a-directory"])
+    def test_unwritable_bench_out_dir_is_data_error(self, tmp_path, target, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out_dir = {
+            "existing-file": blocker,
+            "under-a-file": blocker / "out",
+            "csv-is-a-directory": tmp_path / "out",
+        }[target]
+        if target == "csv-is-a-directory":
+            (out_dir / "table3.csv").mkdir(parents=True)
+        assert run("bench", "--synthetic", "16x16:128", "--out-dir", out_dir) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"error: cannot write to {out_dir}: ")
+        assert out.err.count("\n") == 1
+
     def test_bad_bound_range(self, tmp_path):
         assert run("bound", "--max-n", 0, "--max-z", 1,
                    "--out", tmp_path / "b.csv") == 2
@@ -223,6 +242,25 @@ class TestBoundCommand:
             for r in csv.DictReader(table.read_text().splitlines())
         }
         assert all((r["n"], r["z"], r["q"]) in table_keys for r in env_rows)
+
+
+    def test_counts_computed_once_per_query(self, tmp_path, monkeypatch):
+        calls = []
+        counts = bound_mod.bound_counts
+        monkeypatch.setattr(
+            bound_mod, "bound_counts", lambda query: calls.append(query) or counts(query)
+        )
+        out = tmp_path / "bound.csv"
+        assert run("bound", "--max-n", 3, "--max-z", 2, "--out", out) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        # bound_point counts every query; only degenerate rows count again
+        degenerate = sum(r["eff"] == "" for r in rows)
+        assert degenerate == 3
+        assert len(calls) == len(rows) + degenerate
+        calls.clear()
+        assert run("bound", "--max-n", 3, "--max-z", 2, "--frontier", "--out", out) == 0
+        # one count per swept (n, z, q) with q in 1..n
+        assert len(calls) == 2 * (1 + 2 + 3)
 
 
 class TestFitDistance:
@@ -328,3 +366,54 @@ class TestFitDistance:
         points = tmp_path / "pts.csv"
         points.write_text("1,1\n1,2\n2,1\n2,2\n")
         assert run("fit", "--points", points) == 2
+
+    @pytest.mark.parametrize(
+        "poly,args",
+        [
+            # the distance equation's quintic overflows
+            ({"c3": 1e200, "c2": 1e200, "c1": 0, "c0": 0}, ("--x", 1, "--y", 1)),
+            # the squared distance overflows
+            ({"c3": 1, "c2": 0, "c1": 0, "c0": 0}, ("--x", 1e200, "--y", 1)),
+            ({"c3": 1, "c2": 0, "c1": 0, "c0": 0},
+             ("--x", 1e200, "--y", 1, "--mode", "vertical")),
+        ],
+        ids=["quintic", "euclidean", "vertical"],
+    )
+    def test_distance_rejects_overflow(self, tmp_path, poly, args, capsys):
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(poly))
+        assert run("distance", "--poly", path, *args) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+        assert "overflows" in out.err
+
+    def test_fit_rejects_overflowing_points(self, tmp_path, monkeypatch, capsys):
+        # x^3 overflows in the design matrix, on which LAPACK does not return
+        def no_lstsq(*args, **kwargs):
+            raise AssertionError("least squares ran on an overflowed design")
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+        points = tmp_path / "pts.csv"
+        points.write_text("x,y\n1e200,1\n2e200,2\n3e200,3\n4e200,5\n")
+        assert run("fit", "--points", points) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "name,data,args",
+        [
+            ("pts.csv", b"x,y\n0,0\n\xff,1\n", ("fit", "--points")),
+            ("poly.json", b'{"c3": 1, "c2": 0, "c1": 0, "c0": 0, "note": "\xff"}',
+             ("distance", "--x", 1, "--y", 1, "--poly")),
+        ],
+        ids=["points-csv", "poly-json"],
+    )
+    def test_undecodable_text_is_data_error(self, tmp_path, name, data, args, capsys):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert run(*args, path) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"error: {path}: ") and out.err.count("\n") == 1

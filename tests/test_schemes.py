@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emdsteg import schemes
-from emdsteg.image import GrayImage, bits_to_symbols
+from emdsteg.image import GrayImage, bits_to_symbols, clamp_for_scheme
 from emdsteg.metrics import DistortionProfile, theoretical_distortion
 from emdsteg.schemes import (
     OBJECTIVE_L1,
@@ -569,3 +569,123 @@ class TestDistortionProfile:
         denom = spec.modulus * spec.n
         expected = DistortionProfile(total_abs / denom, total_sq / denom, worst)
         assert repr(theoretical_distortion(spec)) == repr(expected)
+
+
+# ---------------------------------------------------------------------------
+# The matmul kernel and codec that the column-accumulated in-place kernel
+# replaced, kept as its reference: (g @ base + key) % M, then (s - f) % M,
+# then an int16 add; bits pack by a matmul and unpack by a broadcast shift.
+
+
+def matmul_values(spec, groups):
+    if spec.is_composite:
+        return sum(
+            matmul_values(sub, groups[:, first : first + sub.n]) * place
+            for sub, first, place in schemes._parts(spec)
+        )
+    wide = max(255 * sum(map(abs, spec.base)) + abs(spec.key), spec.modulus) >= 2**31
+    acc = np.int64 if wide else np.int32
+    return (groups @ np.asarray(spec.base, dtype=acc) + acc(spec.key)) % acc(spec.modulus)
+
+
+def matmul_embed(spec, groups, symbols):
+    if spec.is_composite:
+        return np.hstack(
+            [
+                matmul_embed(sub, groups[:, first : first + sub.n], symbols // place)
+                for sub, first, place in schemes._parts(spec)
+            ]
+        )
+    residues = (symbols - matmul_values(spec, groups)) % spec.modulus
+    table = np.asarray(spec.embed_table, dtype=np.int16).reshape(spec.modulus, spec.n)
+    return groups + table[residues]
+
+
+def matmul_embed_message(img, spec, bits):
+    width = spec.payload_bits_operational
+    padded = np.zeros(-(-len(bits) // width) * width, dtype=np.int64)
+    padded[: len(bits)] = bits
+    symbols = padded.reshape(-1, width) @ (1 << np.arange(width - 1, -1, -1))
+    pixels = clamp_for_scheme(img, spec.constraint.per_pixel_max).pixels.copy()
+    used = len(symbols)
+    head = pixels[: used * spec.n].reshape(used, spec.n).astype(np.int16)
+    pixels[: used * spec.n] = matmul_embed(spec, head, symbols).reshape(-1)
+    return GrayImage(img.width, img.height, pixels), used
+
+
+def matmul_extract_bits(img, spec, bit_length):
+    width = spec.payload_bits_operational
+    used = -(-bit_length // width)
+    groups = img.pixels[: used * spec.n].reshape(used, spec.n).astype(np.int16)
+    symbols = matmul_values(spec, groups).astype(np.int64)
+    bits = (symbols[:, None] >> np.arange(width - 1, -1, -1)) & 1
+    return bits.astype(np.uint8).ravel()[:bit_length]
+
+
+KERNEL_CONFIGS = CANONICAL_CONFIGS + [
+    ("twoemd", {"n": 3}),
+    ("egemd", {"n": 6, "n1": 2}),
+    ("mpemd", {"n": 3, "key": 5}),
+]
+
+def kernel_spec(index):
+    """KERNEL_CONFIGS[index], or past its end the int64-accumulator spec."""
+    if index == len(KERNEL_CONFIGS):
+        # 255 * sum(base) >= 2**31; the weights agree with emd n=2 mod 5
+        return replace(make_scheme("emd", n=2), base=(1, 2 + 5 * 10**9))
+    name, params = KERNEL_CONFIGS[index]
+    return make_scheme(name, **params)
+
+
+# each pixel is uniform, or an edge of the 0..255 range or of a clamp to [z, 255 - z]
+pixel_values = st.integers(0, 255) | st.sampled_from([0, 1, 2, 3, 252, 253, 254, 255])
+
+
+class TestKernelMatchesMatmulReference:
+    @given(index=st.integers(0, len(KERNEL_CONFIGS)), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_message_pipeline(self, index, data):
+        spec = kernel_spec(index)
+        groups = data.draw(st.integers(1, 40), label="groups")
+        size = groups * spec.n + data.draw(st.integers(0, spec.n - 1), label="tail")
+        pixels = data.draw(st.lists(pixel_values, min_size=size, max_size=size))
+        img = GrayImage(size, 1, np.array(pixels, dtype=np.uint8))
+        nbits = data.draw(st.integers(0, operational_capacity(img, spec)), label="nbits")
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=nbits, max_size=nbits))
+        bits = np.array(bits, dtype=np.uint8)
+
+        cover_bytes = img.pixels.tobytes()
+        clamped = []
+
+        def clamp_spy(image, z):
+            out = clamp_for_scheme(image, z)
+            clamped.append((out, out.pixels.tobytes()))
+            return out
+
+        with mock.patch.object(schemes, "clamp_for_scheme", clamp_spy):
+            stego, used = embed_message(img, spec, bits)
+        assert (stego, used) == matmul_embed_message(img, spec, bits)
+        # the kernel embeds into its own copy: neither input buffer changes
+        ((clamped_img, clamped_bytes),) = clamped
+        assert img.pixels.tobytes() == cover_bytes
+        assert clamped_img.pixels.tobytes() == clamped_bytes
+        assert not np.shares_memory(stego.pixels, img.pixels)
+        assert not np.shares_memory(stego.pixels, clamped_img.pixels)
+
+        got = extract_bits(stego, spec, nbits)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, matmul_extract_bits(stego, spec, nbits))
+        assert np.array_equal(got, bits)
+
+    @given(index=st.integers(0, len(KERNEL_CONFIGS)), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_one_row_wrappers(self, index, data):
+        # int64 rows keep int64 sums, so values far outside 0..255 read as before
+        spec = kernel_spec(index)
+        values = st.integers(-(2**40), 2**40) | pixel_values
+        row = data.draw(st.lists(values, min_size=spec.n, max_size=spec.n))
+        groups = np.array([row], dtype=np.int64)
+        assert extraction_value(spec, row) == int(matmul_values(spec, groups)[0])
+        symbol = data.draw(st.integers(0, spec.modulus - 1), label="symbol")
+        expected = matmul_embed(spec, groups, np.array([symbol]))[0]
+        assert embed_group(spec, row, symbol) == tuple(expected.tolist())
