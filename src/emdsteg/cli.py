@@ -212,6 +212,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             text = Path(args.config).read_text()
         except OSError as exc:
             raise CliDataError(f"cannot read {args.config}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise BenchConfigError(f"{args.config}: undecodable text: {exc}") from None
         cfg = BenchConfig.from_json(text)
     else:
         cfg = BenchConfig()

@@ -7,6 +7,7 @@ between raw bits and M-ary message symbols.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Sequence
 
@@ -158,27 +159,53 @@ def symbol_bit_width(modulus: int) -> int:
     return modulus.bit_length() - 1
 
 
-def bits_to_symbols(bits: Sequence[int] | np.ndarray, modulus: int) -> np.ndarray:
-    """Pack a bit sequence into int64 symbols of floor(log2 M) bits, MSB first.
+def _symbol_layout(modulus: int) -> tuple[int, np.dtype, int, int]:
+    """(width, dtype, symbols, bytes) of one byte period of the symbol stream.
 
-    A trailing partial chunk is zero-padded on the right, so every output
-    symbol is < 2**width <= M.
+    A period is lcm(width, 8) bits: a whole number of symbols in a whole
+    number of bytes. Symbols take the narrowest unsigned dtype that holds
+    width bits.
     """
     width = symbol_bit_width(modulus)
+    period = math.lcm(width, 8)
+    dtype = np.min_scalar_type((1 << width) - 1)
+    return width, dtype, period // width, period // 8
+
+
+def bits_to_symbols(bits: Sequence[int] | np.ndarray, modulus: int) -> np.ndarray:
+    """Pack a bit sequence into symbols of floor(log2 M) bits, MSB first.
+
+    A trailing partial chunk is zero-padded on the right, so every output
+    symbol is < 2**width <= M. The symbols come in the narrowest unsigned
+    dtype that holds width bits.
+    """
+    width, dtype, per_row, row_bytes = _symbol_layout(modulus)
     arr = np.asarray(bits).ravel()
-    bad = (arr != 0) & (arr != 1)
-    if bad.any():
-        raise ValueError(f"bit stream contains {arr[bad].tolist()[0]!r}")
+    if arr.dtype != np.uint8:
+        bad = (arr != 0) & (arr != 1)
+        if bad.any():
+            raise ValueError(f"bit stream contains {arr[bad].tolist()[0]!r}")
+        arr = arr.astype(np.uint8)
+    elif arr.size and arr.max() > 1:
+        raise ValueError(f"bit stream contains {arr[arr > 1].tolist()[0]!r}")
     count = -(-arr.size // width)
-    padded = np.zeros(count * width, dtype=np.uint8)
-    padded[: arr.size] = arr
-    # shift-or MSB first in the narrowest unsigned type that holds a symbol;
-    # the doubling add is the one-bit shift, and runs faster in numpy
-    symbols = np.zeros(count, dtype=np.min_scalar_type((1 << width) - 1))
-    for column in padded.reshape(count, width).T:
-        symbols += symbols
-        symbols |= column
-    return symbols.astype(np.int64)
+    packed = np.packbits(arr)
+    data = np.zeros((-(-count // per_row), row_bytes), dtype=np.uint8)
+    data.reshape(-1)[: packed.size] = packed
+    symbols = np.empty((len(data), per_row), dtype=dtype)
+    # symbol j of a period is bits [start, end) of the period's bytes; shifts
+    # past the dtype's top drop the bits before start, the mask clears the rest
+    for j, column in enumerate(symbols.T):
+        start, end = j * width, (j + 1) * width
+        first, last = start // 8, (end - 1) // 8
+        np.right_shift(data[:, first], max(0, 8 * (first + 1) - end), out=column)
+        for byte in range(first + 1, last + 1):
+            used = min(8, end - 8 * byte)
+            column <<= used
+            column |= data[:, byte] >> (8 - used)
+        if start % 8:
+            column &= (1 << width) - 1
+    return symbols.reshape(-1)[:count]
 
 
 def symbols_to_bits(
@@ -190,7 +217,7 @@ def symbols_to_bits(
     out of band. The symbols that carry those bits are required to fit the
     operational width, i.e. to have come out of bits_to_symbols.
     """
-    width = symbol_bit_width(modulus)
+    width, dtype, per_row, row_bytes = _symbol_layout(modulus)
     if bit_length < 0:
         raise ValueError("bit_length must be >= 0")
     arr = np.asarray(symbols).ravel()
@@ -199,11 +226,18 @@ def symbols_to_bits(
             f"{bit_length} bits requested, stream encodes {arr.size * width}"
         )
     used = arr[: -(-bit_length // width)]
-    bad = (used < 0) | (used >= 1 << width)
-    if bad.any():
+    if used.size and (int(used.min()) < 0 or int(used.max()) >> width):
+        bad = (used < 0) | (used >= 1 << width)
         raise ValueError(f"symbol {used[bad][0]} wider than {width} bits")
-    narrow = used.astype(np.min_scalar_type((1 << width) - 1))
-    bits = np.empty((len(used), width), dtype=np.uint8)
-    for shift, column in zip(range(width - 1, -1, -1), bits.T):
-        np.bitwise_and(narrow >> shift, 1, out=column)
-    return bits.ravel()[:bit_length]
+    narrow = np.zeros((-(-len(used) // per_row), per_row), dtype=dtype)
+    narrow.reshape(-1)[: len(used)] = used
+    data = np.zeros((len(narrow), row_bytes), dtype=np.uint8)
+    # each byte a symbol straddles takes its bits, shifted into place; the
+    # unsafe cast to uint8 keeps the low eight bits
+    for j, column in enumerate(narrow.T):
+        start, end = j * width, (j + 1) * width
+        for byte in range(start // 8, (end - 1) // 8 + 1):
+            shift = 8 * (byte + 1) - end
+            part = column << shift if shift >= 0 else column >> -shift
+            np.bitwise_or(data[:, byte], part, out=data[:, byte], casting="unsafe")
+    return np.unpackbits(data.reshape(-1), count=bit_length)

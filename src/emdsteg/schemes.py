@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -157,8 +156,20 @@ class SchemeSpec:
 
     @functools.cached_property
     def embed_array(self) -> np.ndarray:
-        """embed_table as an (M, n) int16 array, converted once per spec."""
-        return np.asarray(self.embed_table, dtype=np.int16).reshape(self.modulus, self.n)
+        """embed_table as an (M, n) array in the search's delta dtype, converted once per spec."""
+        dtype = _delta_type(self.constraint.per_pixel_max)
+        return np.asarray(self.embed_table, dtype=dtype).reshape(self.modulus, self.n)
+
+
+def _delta_type(z: int) -> type:
+    """The narrowest signed dtype that holds every change in [-z, z]."""
+    return np.int8 if z < 2**7 else np.int16 if z < 2**15 else np.int32
+
+
+def _int_type(limit: int, dtype: np.dtype) -> np.dtype:
+    """The narrowest of int16, int32 and int64 that holds limit, promoted with dtype."""
+    narrow = np.int16 if limit < 2**15 else np.int32 if limit < 2**31 else np.int64
+    return np.promote_types(narrow, dtype)
 
 
 def _search_size(n: int, constraint: ChangeConstraint) -> int:
@@ -243,7 +254,7 @@ def _optimal_delta_table(
     if modulus > size:
         return None  # pigeonhole: fewer change vectors than residues
     z = constraint.per_pixel_max
-    delta_type = np.int8 if z < 2**7 else np.int16 if z < 2**15 else np.int32
+    delta_type = _delta_type(z)
     cost_type = np.int32 if n * z * z < 2**31 else np.int64
     # weights mod M keep the int64 residue sums far from overflow: M <= size
     weights = np.array([b % modulus for b in base], dtype=np.int64)
@@ -317,12 +328,12 @@ def _parts(spec: SchemeSpec) -> tuple[tuple[SchemeSpec, int, int], ...]:
 def _weighted_sums(spec: SchemeSpec, groups: np.ndarray) -> np.ndarray:
     """key + sum(pixel * weight) of every group of a plain scheme, not yet reduced.
 
-    Built one column at a time in the accumulator dtype, which is never
+    Built one column at a time in the accumulator dtype: the narrowest that
+    holds sum(pixel * weight) + key and M for 8-bit pixels, and never
     narrower than the groups' own dtype.
     """
-    # int32 holds sum(pixel * weight) + key and M for 8-bit pixels unless the weights are huge
-    wide = max(255 * sum(map(abs, spec.base)) + abs(spec.key), spec.modulus) >= 2**31
-    acc = np.promote_types(np.int64 if wide else np.int32, groups.dtype).type
+    limit = max(255 * sum(map(abs, spec.base)) + abs(spec.key), spec.modulus)
+    acc = _int_type(limit, groups.dtype).type
     sums = np.full(len(groups), spec.key, dtype=acc)
     for column, weight in zip(groups.T, spec.base):
         sums += column * acc(weight)
@@ -342,14 +353,15 @@ def _reduce(values: np.ndarray, modulus: int) -> None:
 
 def _extract_groups(spec: SchemeSpec, groups: np.ndarray) -> np.ndarray:
     if spec.is_composite:
-        # iadd sums the parts in place, without one more group-sized array
-        return functools.reduce(
-            operator.iadd,
-            (
-                _extract_groups(sub, groups[:, first : first + sub.n]) * place
-                for sub, first, place in _parts(spec)
-            ),
-        )
+        # each part widens to a dtype that holds the composite symbol before
+        # its place multiply; the parts sum in place into the first
+        total = None
+        for sub, first, place in _parts(spec):
+            values = _extract_groups(sub, groups[:, first : first + sub.n])
+            values = values.astype(_int_type(spec.modulus, values.dtype), copy=False)
+            values *= place
+            total = values if total is None else np.add(total, values, out=total)
+        return total
     values = _weighted_sums(spec, groups)
     _reduce(values, spec.modulus)
     return values
@@ -358,19 +370,31 @@ def _extract_groups(spec: SchemeSpec, groups: np.ndarray) -> np.ndarray:
 def _embed_groups(spec: SchemeSpec, groups: np.ndarray, symbols: np.ndarray) -> None:
     """Add each group's change vector for its symbol to groups, in place."""
     if spec.is_composite:
-        # a part's digit is symbols // place % sub-M; the sub-kernel's own
-        # residue step takes the mod
+        # a part's digit is symbols // place % sub-M, which its sub-kernel's
+        # accumulator holds
         for sub, first, place in _parts(spec):
-            _embed_groups(sub, groups[:, first : first + sub.n], symbols // place)
+            digits = symbols // place % sub.modulus
+            _embed_groups(sub, groups[:, first : first + sub.n], digits)
         return
-    # r = (s - key - sum) mod M, with one remainder in the accumulator dtype
+    # r = (s - key - sum) mod M, with one remainder in the accumulator dtype;
+    # symbols < M fit it, and a same-dtype subtract avoids numpy's mixed loops
     residues = _weighted_sums(spec, groups)
-    np.subtract(symbols, residues, out=residues)
+    np.subtract(symbols.astype(residues.dtype), residues, out=residues)
     _reduce(residues, spec.modulus)
-    # the int16 sum casts back into uint8 groups exactly: clamped pixels plus
-    # their bounded change stay in 0..255
-    changes = np.take(spec.embed_array, residues, axis=0)
-    np.add(groups, changes, out=groups, casting="unsafe")
+    table = spec.embed_array
+    if groups.dtype == np.uint8:
+        # uint8 groups are clamped (z <= 127, so the table is int8): the
+        # two's complement view adds each change mod 256, which is exact
+        # because a clamped pixel plus its change stays in 0..255
+        table = table.view(np.uint8)
+    changes = np.take(table, residues, axis=0)
+    if groups.flags.c_contiguous:
+        groups += changes
+    else:
+        # a split part's column slice: one 1-D add per column is several
+        # times faster than numpy's strided 2-D add
+        for column, change in zip(groups.T, changes.T):
+            column += change
 
 
 def extraction_value(spec: SchemeSpec, group: Sequence[int]) -> int:

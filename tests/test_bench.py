@@ -2,6 +2,8 @@ import csv
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emdsteg.bench import BenchConfig, BenchConfigError, build_cover, run_bench
 from emdsteg.cli import main
@@ -203,3 +205,28 @@ class TestConfig:
         assert main(["bench", "--config", str(cfg_path),
                      "--out-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+# Small JSON only: at most 12 leaves, strings of at most 8 characters, and
+# top-level objects that often use BenchConfig's own field names.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+_config_objects = st.dictionaries(
+    st.sampled_from(sorted(vars(BenchConfig())) + ["scheme", "params"]),
+    _json_values,
+    max_size=6,
+)
+
+
+class TestConfigFuzz:
+    @given(_config_objects | _json_values)
+    @settings(max_examples=300)
+    def test_only_config_errors(self, raw):
+        try:
+            BenchConfig.from_json(json.dumps(raw)).validate()
+        except ValueError:  # BenchConfigError is one
+            pass

@@ -172,6 +172,15 @@ class TestExitCodes:
         assert out.err.startswith(f"error: cannot write to {out_dir}: ")
         assert out.err.count("\n") == 1
 
+    def test_undecodable_bench_config_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(b'{"seed": 1, "note": "\xff"}')
+        assert run("bench", "--config", config, "--out-dir", tmp_path / "out") == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"error: {config}: undecodable text: ")
+        assert out.err.count("\n") == 1
+
     def test_bad_bound_range(self, tmp_path):
         assert run("bound", "--max-n", 0, "--max-z", 1,
                    "--out", tmp_path / "b.csv") == 2

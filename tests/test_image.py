@@ -7,6 +7,7 @@ from emdsteg.image import (
     GrayImage,
     LengthOverrun,
     MalformedHeader,
+    PgmError,
     TruncatedPayload,
     UnsupportedMaxval,
     bits_to_symbols,
@@ -72,6 +73,31 @@ class TestPgm:
         rng = np.random.default_rng(seed)
         img = GrayImage(width, height, rng.integers(0, 256, width * height))
         assert load_pgm(save_pgm(img)) == img
+
+
+# Fuzz inputs stay at 512 bytes or fewer: a header may still claim a huge
+# raster, which load_pgm must reject without allocating it.
+_HEADER_PIECES = [b"P5", b"P6", b" ", b"\n", b"\r", b"\t", b"#", b"# c\n", b"0", b"1",
+                  b"2", b"255", b"256", b"65535", b"99999999999", b"-1", b"x", b"\x00", b"\xff"]
+
+
+class TestPgmFuzz:
+    @given(
+        st.binary(max_size=512)
+        | st.builds(
+            lambda pieces, raster: b"P5" + b"".join(pieces) + raster,
+            st.lists(st.sampled_from(_HEADER_PIECES), max_size=20),
+            st.binary(max_size=256),
+        )
+    )
+    @settings(max_examples=400)
+    def test_only_pgm_errors(self, data):
+        assert len(data) <= 512
+        try:
+            img = load_pgm(data)
+        except PgmError:
+            return
+        assert img.size == img.width * img.height == len(img.pixels)
 
 
 class TestGrayImage:
@@ -189,22 +215,23 @@ def reference_symbols_to_bits(symbols, modulus, bit_length):
 
 
 class TestCodecMatchesScalarReference:
-    @given(st.lists(st.integers(0, 1), max_size=500), st.integers(2, 2**20))
+    @given(st.lists(st.integers(0, 1), max_size=1100), st.integers(2, 2**63))
     @settings(max_examples=150)
     def test_bits_to_symbols(self, bits, modulus):
         symbols = bits_to_symbols(bits, modulus)
-        assert symbols.dtype == np.int64
+        width = modulus.bit_length() - 1
+        assert symbols.dtype == np.min_scalar_type((1 << width) - 1)
         assert symbols.tolist() == reference_bits_to_symbols(bits, modulus)
         assert bits_to_symbols(np.array(bits, dtype=np.uint8), modulus).tolist() == (
             symbols.tolist()
         )
 
-    @given(st.integers(2, 2**20), st.data())
+    @given(st.integers(2, 2**63), st.data())
     @settings(max_examples=150)
     def test_symbols_to_bits(self, modulus, data):
         width = modulus.bit_length() - 1
         symbols = data.draw(
-            st.lists(st.integers(0, (1 << width) - 1), max_size=500 // width + 1)
+            st.lists(st.integers(0, (1 << width) - 1), max_size=1100 // width + 1)
         )
         bit_length = data.draw(st.integers(0, len(symbols) * width))
         bits = symbols_to_bits(symbols, modulus, bit_length)
@@ -221,9 +248,10 @@ class TestCodecMatchesScalarReference:
             ("pack", ([1, 2, 0], 5), ValueError),
             ("pack", ([0, -1], 8), ValueError),
             ("unpack", ([1, 4], 5, 4), ValueError),
+            ("unpack", ([1, -1], 5, 4), ValueError),
             ("unpack", ([3], 5, 9), LengthOverrun),
         ],
-        ids=["bit-2", "bit-minus-1", "symbol-too-wide", "length-overrun"],
+        ids=["bit-2", "bit-minus-1", "symbol-too-wide", "symbol-negative", "length-overrun"],
     )
     def test_error_paths(self, codec, args, error):
         fast, slow = {

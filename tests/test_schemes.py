@@ -626,27 +626,58 @@ KERNEL_CONFIGS = CANONICAL_CONFIGS + [
     ("twoemd", {"n": 3}),
     ("egemd", {"n": 6, "n1": 2}),
     ("mpemd", {"n": 3, "key": 5}),
+    # either side of the int16/int32 accumulator boundary: 255 * 85 + 256 < 2**15
+    ("aemd", {"n": 4, "m": 4}),
+    ("aemd", {"n": 5, "m": 4}),
+    # the same with an odd M, which an int16 sum that wraps mod 2**16 would corrupt:
+    # 255 * 120 < 2**15 <= 255 * 136
+    ("emd", {"n": 15}),
+    ("emd", {"n": 16}),
+    # M = 183**2 exceeds int16; each part's values and digits stay below 183
+    ("twoemd", {"n": 91}),
 ]
 
-def kernel_spec(index):
-    """KERNEL_CONFIGS[index], or past its end the int64-accumulator spec."""
-    if index == len(KERNEL_CONFIGS):
-        # 255 * sum(base) >= 2**31; the weights agree with emd n=2 mod 5
-        return replace(make_scheme("emd", n=2), base=(1, 2 + 5 * 10**9))
-    name, params = KERNEL_CONFIGS[index]
-    return make_scheme(name, **params)
 
+def wide_sum_spec():
+    """255 * sum(base) >= 2**31 needs an int64 accumulator; the weights agree with emd n=2 mod 5."""
+    return replace(make_scheme("emd", n=2), base=(1, 2 + 5 * 10**9))
+
+
+def wide_split_spec():
+    """Two int16 parts (255 * 18 < 2**15) of an M = 289**2 split.
+
+    Its 16-bit symbols overflow int16 unless each part's value widens before
+    * place, and wrap in int16 unless each digit is reduced mod 289.
+    """
+    sub = make_scheme("hemd", n=2, w=17, wbase=1)
+    return replace(
+        make_scheme("twoemd", n=2),
+        base=sub.base * 2,
+        modulus=sub.modulus**2,
+        constraint=replace(sub.constraint, max_changed_pixels=4),
+        sub_specs=(sub,),
+    )
+
+
+KERNEL_SPECS = [partial(make_scheme, name, **params) for name, params in KERNEL_CONFIGS] + [
+    wide_sum_spec,
+    wide_split_spec,
+]
+# z = 128 needs an int16 table; clamp_for_scheme rejects z > 127, so only the
+# one-row wrappers, which embed into unclamped int64 rows, take this spec
+WIDE_TABLE_SPEC = partial(make_scheme, "hemd", n=2, w=257, wbase=1)
 
 # each pixel is uniform, or an edge of the 0..255 range or of a clamp to [z, 255 - z]
 pixel_values = st.integers(0, 255) | st.sampled_from([0, 1, 2, 3, 252, 253, 254, 255])
 
 
 class TestKernelMatchesMatmulReference:
-    @given(index=st.integers(0, len(KERNEL_CONFIGS)), data=st.data())
+    @given(build=st.sampled_from(KERNEL_SPECS), data=st.data())
     @settings(max_examples=200, deadline=None)
-    def test_message_pipeline(self, index, data):
-        spec = kernel_spec(index)
-        groups = data.draw(st.integers(1, 40), label="groups")
+    def test_message_pipeline(self, build, data):
+        spec = build()
+        # at most about 1000 pixels in whole groups keeps the draw within Hypothesis's buffer
+        groups = data.draw(st.integers(1, max(1, min(40, 1000 // spec.n))), label="groups")
         size = groups * spec.n + data.draw(st.integers(0, spec.n - 1), label="tail")
         pixels = data.draw(st.lists(pixel_values, min_size=size, max_size=size))
         img = GrayImage(size, 1, np.array(pixels, dtype=np.uint8))
@@ -677,11 +708,11 @@ class TestKernelMatchesMatmulReference:
         assert np.array_equal(got, matmul_extract_bits(stego, spec, nbits))
         assert np.array_equal(got, bits)
 
-    @given(index=st.integers(0, len(KERNEL_CONFIGS)), data=st.data())
+    @given(build=st.sampled_from(KERNEL_SPECS + [WIDE_TABLE_SPEC]), data=st.data())
     @settings(max_examples=300, deadline=None)
-    def test_one_row_wrappers(self, index, data):
+    def test_one_row_wrappers(self, build, data):
         # int64 rows keep int64 sums, so values far outside 0..255 read as before
-        spec = kernel_spec(index)
+        spec = build()
         values = st.integers(-(2**40), 2**40) | pixel_values
         row = data.draw(st.lists(values, min_size=spec.n, max_size=spec.n))
         groups = np.array([row], dtype=np.int64)
