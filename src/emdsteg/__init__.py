@@ -19,6 +19,7 @@ from .bound import (
     distance_to_curve,
     enumerate_oracle,
     frontier,
+    quota_counts,
     sum_changes_linear,
     sum_changes_squared,
 )
@@ -93,6 +94,7 @@ __all__ = [
     "mse_from_psnr",
     "proposed_efficiency",
     "psnr",
+    "quota_counts",
     "relative_payload",
     "save_pgm",
     "seeded_bits",

@@ -108,22 +108,24 @@ class BoundPoint:
         raise ValueError(f"metric {metric!r} not one of {_METRICS}")
 
 
-def bound_counts(query: BoundQuery) -> BoundResult:
-    """States, sum |delta| and sum delta^2 as one closed-form sum, exactly.
+def quota_counts(query: BoundQuery) -> list[BoundResult]:
+    """Exact counts of every quota 0..query.q for query's n and z, one running sum.
 
-    Sums over j, the number of pixels at +/-z (0..q). comb(n, j) * 2^j
-    placements and signs put j pixels at the cap; each of the other n - j
-    pixels takes one of the 2z - 1 values in [-(z-1), z-1]. Per state the
-    capped pixels add j * z (or j * z^2); one inner pixel's values total
-    z(z-1) (or z(z-1)(2z-1)/3), times the states of the other n - j - 1.
+    Sums over j, the number of pixels at +/-z: the counts of quota q are those
+    of q - 1 plus the j = q term. comb(n, j) * 2^j placements and signs put j
+    pixels at the cap; each of the other n - j pixels takes one of the 2z - 1
+    values in [-(z-1), z-1]. Per state the capped pixels add j * z (or
+    j * z^2); one inner pixel's values total z(z-1) (or z(z-1)(2z-1)/3), times
+    the states of the other n - j - 1.
     """
-    n, z, q = query.n, query.z, query.q
+    n, z = query.n, query.z
     inner = 2 * z - 1
     inner_lin = z * (z - 1)
     inner_sq = inner_lin * inner // 3
     states = lin = sq = 0
-    for j in range(q + 1):
-        ways = math.comb(n, j) * 2**j
+    ways = 1  # comb(n, j) * 2^j
+    counts = []
+    for j in range(query.q + 1):
         rest = n - j
         count = ways * inner**rest
         # rest pixels, each with the states of the other rest - 1 pixels
@@ -131,7 +133,14 @@ def bound_counts(query: BoundQuery) -> BoundResult:
         states += count
         lin += j * z * count + inner_lin * spread
         sq += j * z * z * count + inner_sq * spread
-    return BoundResult(states, lin, sq)
+        counts.append(BoundResult(states, lin, sq))
+        ways = ways * 2 * rest // (j + 1)
+    return counts
+
+
+def bound_counts(query: BoundQuery) -> BoundResult:
+    """States, sum |delta| and sum delta^2 for one query, exactly: O(q) terms."""
+    return quota_counts(query)[-1]
 
 
 def count_states(query: BoundQuery) -> int:
@@ -175,13 +184,15 @@ def bound_point(
     query: BoundQuery,
     metric: str = METRIC_PROPOSED,
     normalization: str = NORM_MEAN_PER_PIXEL,
+    counts: BoundResult | None = None,
 ) -> BoundPoint:
     """Efficiency chart point for one query.
 
     literal divides the payload by the raw change totals as the defining
     equations read; mean divides by the per-state average; mean-per-pixel
     additionally spreads the average over the n pixels so the value is
-    commensurate with per-pixel MSE.
+    commensurate with per-pixel MSE. A caller that already holds the query's
+    exact sums passes them as counts; otherwise they are computed here.
     """
     if metric not in _METRICS:
         raise ValueError(f"metric {metric!r} not one of {_METRICS}")
@@ -189,7 +200,8 @@ def bound_point(
         raise ValueError(
             f"normalization {normalization!r} not one of {_NORMALIZATIONS}"
         )
-    counts = bound_counts(query)
+    if counts is None:
+        counts = bound_counts(query)
     if counts.state_count < 2 or counts.change_sum_linear == 0:
         raise DegenerateQuery(
             f"query {query} admits only the zero state; efficiency unbounded"
@@ -227,20 +239,24 @@ def frontier(
 ) -> list[BoundPoint]:
     """Upper envelope of the (inv_alpha, efficiency) sweep.
 
-    Generates every (n, z, q) point with q in [1, n], sorts by inverse
-    payload, and keeps only points whose efficiency strictly exceeds
-    everything at smaller-or-equal inverse payload.
+    Generates every (n, z, q) point with q in [1, n] from one running sum
+    per (n, z), sorts by inverse payload, and keeps only points whose
+    efficiency strictly exceeds everything at smaller-or-equal inverse
+    payload.
     """
     ns = sorted(set(n_values))
     zs = sorted(set(z_values))
     if not ns or not zs:
         raise EmptyRange("need at least one n and one z")
-    points = [
-        bound_point(BoundQuery(n, z, q), metric, normalization)
-        for n in ns
-        for z in zs
-        for q in range(1, n + 1)
-    ]
+    points = []
+    for n in ns:
+        for z in zs:
+            # one running sum per (n, z) serves every quota
+            counts = quota_counts(BoundQuery(n, z, n))
+            points.extend(
+                bound_point(BoundQuery(n, z, q), metric, normalization, counts[q])
+                for q in range(1, n + 1)
+            )
     # two stable sorts give the (inv_alpha, -efficiency) order; their keys are
     # the points' own floats, so the sweep's peak holds no key tuple per point
     points.sort(key=lambda p: p.efficiency(metric), reverse=True)

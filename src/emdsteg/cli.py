@@ -41,6 +41,22 @@ class CliDataError(Exception):
     """I/O or malformed input; maps to exit code 3."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads negative e-notation values (-1e-3) as numbers.
+
+    argparse takes an argument for a value only if it looks like a negative
+    number, and its own pattern has no exponent, so "--domain -1e1 3" would
+    read -1e1 as an option. No option of this CLI looks like a number, and
+    subparsers are made with the parent's class.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$"
+        )
+
+
 def _add_scheme_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scheme", required=True, help="scheme token, e.g. emd")
     for flag in _PARAM_FLAGS:
@@ -172,13 +188,15 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     else:
         for n in range(1, args.max_n + 1):
             for z in range(1, args.max_z + 1):
-                for q in range(0, n + 1):
+                all_counts = bound_mod.quota_counts(bound_mod.BoundQuery(n, z, n))
+                for q, counts in enumerate(all_counts):
                     query = bound_mod.BoundQuery(n, z, q)
                     try:
-                        point = bound_mod.bound_point(query, args.metric, args.normalization)
-                        counts = point.counts
+                        point = bound_mod.bound_point(
+                            query, args.metric, args.normalization, counts
+                        )
                     except bound_mod.DegenerateQuery:
-                        point, counts = None, bound_mod.bound_counts(query)
+                        point = None
                     lines.append(_bound_line(query, counts, point, args))
     _write_bytes(args.out, ("\n".join(lines) + "\n").encode())
     return EXIT_OK
@@ -316,7 +334,7 @@ def _cmd_distance(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="emdsteg",
         description="EMD-family steganography workbench",
     )

@@ -334,9 +334,13 @@ def _weighted_sums(spec: SchemeSpec, groups: np.ndarray) -> np.ndarray:
     """
     limit = max(255 * sum(map(abs, spec.base)) + abs(spec.key), spec.modulus)
     acc = _int_type(limit, groups.dtype).type
-    sums = np.full(len(groups), spec.key, dtype=acc)
-    for column, weight in zip(groups.T, spec.base):
+    # acc is promoted with the groups' dtype, so each product is already acc
+    (first, weight), *rest = zip(groups.T, spec.base)
+    sums = first * acc(weight)
+    for column, weight in rest:
         sums += column * acc(weight)
+    if spec.key:
+        sums += acc(spec.key)
     return sums
 
 

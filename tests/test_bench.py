@@ -2,11 +2,12 @@ import csv
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from emdsteg.bench import BenchConfig, BenchConfigError, build_cover, run_bench
 from emdsteg.cli import main
+from emdsteg.image import GrayImage, PgmError, save_pgm
 
 SMALL_CONFIG = {
     "schemes": [
@@ -230,3 +231,68 @@ class TestConfigFuzz:
             BenchConfig.from_json(json.dumps(raw)).validate()
         except ValueError:  # BenchConfigError is one
             pass
+
+
+# Cover specs for build_cover: objects of build_cover's own keys whose values
+# are its expected types or small JSON (at most 8 leaves, strings of at most 8
+# characters). No drawn integer exceeds 64 except a seed, so a built cover has
+# at most 64x64 pixels. A string path names one of _COVER_FILES, which the
+# test places under a temporary directory.
+_COVER_FILES = ("cover.pgm", "bad.pgm", "absent.pgm", "subdir")
+_small_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 64) | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=8,
+)
+_cover_specs = st.fixed_dictionaries(
+    {
+        "kind": st.sampled_from(("flat", "noise", "file")),
+        "width": st.integers(-2, 64),
+        "height": st.integers(-2, 64),
+    },
+    optional={
+        "value": st.integers(-1, 300),
+        "seed": st.integers(-(2**70), 2**70),
+        "path": st.sampled_from(_COVER_FILES),
+    },
+) | st.fixed_dictionaries(
+    {},
+    optional={
+        "kind": st.sampled_from(("flat", "noise", "file")) | _small_json,
+        "width": st.integers(-2, 64) | _small_json,
+        "height": st.integers(-2, 64) | _small_json,
+        "value": st.integers(-1, 300) | _small_json,
+        "seed": st.integers(-(2**70), 2**70) | _small_json,
+        "path": st.sampled_from(_COVER_FILES)
+        | _small_json.filter(lambda v: not isinstance(v, str)),
+        "note": _small_json,
+    },
+)
+
+
+@pytest.fixture(scope="module")
+def cover_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("covers")
+    (root / "cover.pgm").write_bytes(save_pgm(GrayImage.flat(8, 4, 9)))
+    (root / "bad.pgm").write_bytes(b"P5\n2 2\n255\n\x00")
+    (root / "subdir").mkdir()
+    return root
+
+
+class TestCoverFuzz:
+    @given(_cover_specs)
+    @settings(max_examples=300)
+    def test_only_config_errors(self, cover_files, spec):
+        if isinstance(spec.get("path"), str):
+            spec["path"] = str(cover_files / spec["path"])
+        try:
+            cover = build_cover(spec)
+        except BenchConfigError:
+            return
+        except PgmError:
+            # a file that is not a PGM is a data error, as load_pgm reports it
+            assert spec["path"] == str(cover_files / "bad.pgm")
+            return
+        event(f"built a {spec['kind']} cover")
+        assert 1 <= cover.width <= 64 and 1 <= cover.height <= 64

@@ -26,6 +26,7 @@ from emdsteg.bound import (
     enumerate_oracle,
     frontier,
     frontier_value_at,
+    quota_counts,
     sum_changes_linear,
     sum_changes_squared,
 )
@@ -83,6 +84,25 @@ def recursive_counts(query: BoundQuery) -> BoundResult:
         _sum_changes(n, z, q, squared=False),
         _sum_changes(n, z, q, squared=True),
     )
+
+
+def per_query_frontier(n_values, z_values, metric, normalization):
+    """Reference for frontier: one bound_point per query, each with its own count."""
+    points = [
+        bound_point(BoundQuery(n, z, q), metric, normalization)
+        for n in sorted(set(n_values))
+        for z in sorted(set(z_values))
+        for q in range(1, n + 1)
+    ]
+    points.sort(key=lambda p: p.efficiency(metric), reverse=True)
+    points.sort(key=lambda p: p.inv_alpha)
+    envelope = []
+    best = -math.inf
+    for point in points:
+        if point.efficiency(metric) > best:
+            envelope.append(point)
+            best = point.efficiency(metric)
+    return envelope
 
 
 def scan_golden_distance(poly, point, domain):
@@ -167,6 +187,14 @@ class TestCounts:
                 for q in range(n + 1):
                     query = BoundQuery(n, z, q)
                     assert bound_counts(query) == recursive_counts(query), query
+
+    def test_quota_counts_hold_every_smaller_quota(self):
+        for n in range(1, 41):
+            for z in range(1, 11):
+                want = [recursive_counts(BoundQuery(n, z, q)) for q in range(n + 1)]
+                assert quota_counts(BoundQuery(n, z, n)) == want, (n, z)
+        # a smaller quota stops the same sum early
+        assert quota_counts(BoundQuery(9, 3, 4)) == quota_counts(BoundQuery(9, 3, 9))[:5]
 
     def test_deep_quota_obeys_first_pixel_recurrence(self):
         # beyond recursive_counts' reach (RecursionError); split on the first
@@ -261,6 +289,20 @@ class TestFrontier:
     def test_empty_range(self):
         with pytest.raises(EmptyRange):
             frontier([], [1])
+
+    @pytest.mark.parametrize("metric", ["standard", "proposed"])
+    @pytest.mark.parametrize("normalization", ["literal", "mean", "mean-per-pixel"])
+    @pytest.mark.parametrize(
+        "ns,zs",
+        [(range(1, 31), range(1, 11)), (range(3, 9), [5, 2, 2]), ([7], range(1, 4))],
+        ids=["30x10", "unsorted", "one-n"],
+    )
+    def test_matches_per_query_sweep(self, metric, normalization, ns, zs):
+        envelope = frontier(ns, zs, metric, normalization)
+        # same points, same order, same floats and counts
+        assert envelope == per_query_frontier(ns, zs, metric, normalization)
+        for point in envelope:
+            assert point.counts == recursive_counts(point.query)
 
 
 class TestCubic:

@@ -1,10 +1,15 @@
+import contextlib
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from emdsteg import bound as bound_mod
+from emdsteg.bench import _fmt
 from emdsteg.cli import main
 from emdsteg.image import GrayImage, save_pgm
 from emdsteg.rng import seeded_bits
@@ -212,6 +217,24 @@ class TestAnalyze:
         record = json.loads(capsys.readouterr().out)
         assert record["distance"] == pytest.approx(record["eff_proposed"])
 
+    def test_domain_reads_negative_e_notation(self, tmp_path, capsys):
+        cover = tmp_path / "c.pgm"
+        stego = tmp_path / "s.pgm"
+        cover.write_bytes(save_pgm(GrayImage(2, 1, [100, 100])))
+        stego.write_bytes(save_pgm(GrayImage(2, 1, [101, 100])))
+        poly = tmp_path / "poly.json"
+        poly.write_text(json.dumps({"c3": 0.0, "c2": 0.0, "c1": 1.0, "c0": 0.0}))
+        assert run("analyze", "--scheme", "emd", "--n", 2, "--cover", cover,
+                   "--stego", stego, "--bound-poly", poly, "--domain", "-1e1", "-5E-1") == 0
+        record = json.loads(capsys.readouterr().out)
+        want = bound_mod.distance_to_curve(
+            bound_mod.CubicPoly(0.0, 0.0, 1.0, 0.0),
+            (record["alpha"], record["eff_proposed"]),
+            "euclidean",
+            (-10.0, -0.5),
+        )
+        assert record["distance"] == want
+
     def test_dimension_mismatch_is_data_error(self, tmp_path):
         a = tmp_path / "a.pgm"
         b = tmp_path / "b.pgm"
@@ -253,23 +276,50 @@ class TestBoundCommand:
         assert all((r["n"], r["z"], r["q"]) in table_keys for r in env_rows)
 
 
-    def test_counts_computed_once_per_query(self, tmp_path, monkeypatch):
-        calls = []
-        counts = bound_mod.bound_counts
+    def test_counts_computed_once_per_n_z(self, tmp_path, monkeypatch):
+        sums = []
+        quota_counts = bound_mod.quota_counts
         monkeypatch.setattr(
-            bound_mod, "bound_counts", lambda query: calls.append(query) or counts(query)
+            bound_mod,
+            "quota_counts",
+            lambda query: sums.append((query.n, query.z, query.q)) or quota_counts(query),
         )
+
+        def no_bound_counts(query):
+            raise AssertionError(f"bound_counts({query}) recounted a swept query")
+
+        monkeypatch.setattr(bound_mod, "bound_counts", no_bound_counts)
         out = tmp_path / "bound.csv"
+        # both modes: one running sum over every quota per (n, z), in order
+        every_n_z = [(n, z, n) for n in range(1, 4) for z in range(1, 3)]
         assert run("bound", "--max-n", 3, "--max-z", 2, "--out", out) == 0
-        rows = list(csv.DictReader(out.read_text().splitlines()))
-        # bound_point counts every query; only degenerate rows count again
-        degenerate = sum(r["eff"] == "" for r in rows)
-        assert degenerate == 3
-        assert len(calls) == len(rows) + degenerate
-        calls.clear()
+        assert sums == every_n_z
+        sums.clear()
         assert run("bound", "--max-n", 3, "--max-z", 2, "--frontier", "--out", out) == 0
-        # one count per swept (n, z, q) with q in 1..n
-        assert len(calls) == 2 * (1 + 2 + 3)
+        assert sums == every_n_z
+
+    @pytest.mark.parametrize("metric", ["standard", "proposed"])
+    @pytest.mark.parametrize("normalization", ["literal", "mean", "mean-per-pixel"])
+    def test_table_matches_per_query_rows(self, tmp_path, metric, normalization):
+        # reference rows from one bound_point / bound_counts call per query
+        lines = ["n,z,q,f_M,f_rho_lin,f_rho_sq,alpha,inv_alpha,eff,metric,normalization"]
+        for n in range(1, 13):
+            for z in range(1, 7):
+                for q in range(n + 1):
+                    query = bound_mod.BoundQuery(n, z, q)
+                    counts = bound_mod.bound_counts(query)
+                    try:
+                        point = bound_mod.bound_point(query, metric, normalization)
+                        floats = (point.alpha, point.inv_alpha, point.efficiency(metric))
+                    except bound_mod.DegenerateQuery:
+                        floats = (None, None, None)
+                    cells = (n, z, q, counts.state_count, counts.change_sum_linear,
+                             counts.change_sum_squared, *floats, metric, normalization)
+                    lines.append(",".join(_fmt(cell) for cell in cells))
+        out = tmp_path / "bound.csv"
+        assert run("bound", "--max-n", 12, "--max-z", 6, "--metric", metric,
+                   "--normalization", normalization, "--out", out) == 0
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 class TestFitDistance:
@@ -302,6 +352,42 @@ class TestFitDistance:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "args,point,domain",
+        [
+            (("--x", "-1e-3", "--y", 1), (-1e-3, 1.0), (0.0, 3.0)),
+            (("--x", 1, "--y", "-1E+1"), (1.0, -10.0), (0.0, 3.0)),
+            (("--x", "-.5e1", "--y", 1, "--mode", "vertical"), (-5.0, 1.0), (0.0, 3.0)),
+            (("--x", 1, "--y", 1, "--domain", "-1e1", 3), (1.0, 1.0), (-10.0, 3.0)),
+            (("--domain", "-2.5e0", "-1.e-1", "--x", 0, "--y", 0), (0.0, 0.0), (-2.5, -0.1)),
+        ],
+    )
+    def test_distance_reads_negative_e_notation(self, args, point, domain, capsys):
+        from emdsteg.bound import REFERENCE_BOUND_POLY, distance_to_curve
+
+        mode = "vertical" if "vertical" in args else "euclidean"
+        assert run("distance", "--eq43", *args) == 0
+        want = distance_to_curve(REFERENCE_BOUND_POLY, point, mode, domain)
+        assert capsys.readouterr().out == f"{want:.12g}\n"
+
+    def test_negative_e_notation_reaches_validation(self, tmp_path, capsys):
+        # read as a value, so the option's own check reports it
+        assert run("bench", "--fill", "-1e-3", "--synthetic", "4x4:1",
+                   "--out-dir", tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith("error: fill -0.001 outside")
+        assert run("bound", "--max-n", "-1e1", "--max-z", 1,
+                   "--out", tmp_path / "b.csv") == 2
+        assert "invalid int value: '-1e1'" in capsys.readouterr().err
+
+    def test_help_and_flags_still_parse(self, capsys):
+        assert run("distance", "-h") == 0
+        assert capsys.readouterr().out.startswith("usage: emdsteg distance")
+        # a flag is never taken for a value, and a stray number is no option
+        assert run("distance", "--eq43", "--x", "--y", 1) == 2
+        assert "--x: expected one argument" in capsys.readouterr().err
+        assert run("distance", "--eq43", "--x", 1, "--y", 1, "-1e3") == 2
+        assert "unrecognized arguments: -1e3" in capsys.readouterr().err
 
     def test_fit_recovers_reference_poly(self, tmp_path, capsys):
         from emdsteg.bound import REFERENCE_BOUND_POLY, cubic_eval
@@ -426,3 +512,131 @@ class TestFitDistance:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith(f"error: {path}: ") and out.err.count("\n") == 1
+
+
+# Random argv for every subcommand. Each draw is the subcommand, its required
+# options and some of its other options (sometimes another subcommand's) with
+# values from the strategies below, plus stray tokens. Sizes are bounded:
+# synthetic covers at most 64x64, --random-bits and --bits at most 4096,
+# --max-n at most 8 and --max-z at most 4, scheme parameters in -1..4 (the
+# largest table search they reach, mbe n=4 k=4, is far below the 10M search
+# guard). bench always gets a cover option, so it never builds its default
+# 256x256 cover; the one valid config holds a 16x16 cover. A value "@name"
+# names a file under the test's temporary directory; inputs and outputs use
+# separate names, so no draw rewrites another's input.
+_INPUTS = ("cover.pgm", "bad.pgm", "poly.json", "bad.json", "points.csv",
+           "config.json", "message.bin", "absent", "dir")
+_OUTPUTS = ("out.bin", "dir", "absent/out.bin")
+_OUT_DIRS = ("outdir", "cover.pgm", "absent/outdir")
+_SCHEME_FLAGS = tuple(f"--{flag}" for flag in ("n", "t", "k", "w", "m", "key", "n1", "wbase"))
+
+
+def _tokens(strategy):
+    return strategy.map(lambda value: [value])
+
+
+_number_tokens = _tokens(
+    st.floats().map(repr) | st.sampled_from(["-1e-3", "1E2", "-.5e1", "x"])
+)
+_ARG_VALUES = {
+    # a scheme token, often followed by parameters it accepts
+    "--scheme": _tokens(st.just("bogus"))
+    | st.sampled_from(sorted(SCHEME_ARGS)).flatmap(
+        lambda name: st.sampled_from([[name], [name, *SCHEME_ARGS[name]]])
+    ),
+    **{flag: _tokens(st.integers(-1, 4).map(str)) for flag in _SCHEME_FLAGS},
+    **{
+        flag: _tokens(st.sampled_from(_INPUTS).map("@".__add__))
+        for flag in ("--cover", "--stego", "--message", "--config", "--points",
+                     "--poly", "--bound-poly")
+    },
+    "--synthetic": _tokens(
+        st.builds("{}x{}:{}".format, st.integers(0, 64), st.integers(0, 64),
+                  st.integers(0, 300))
+        | st.sampled_from(["", "4x4", "x:1"])
+    ),
+    "--random-bits": _tokens(st.integers(-8, 4096).map(str)),
+    "--bits": _tokens(st.integers(-8, 4096).map(str)),
+    "--seed": _tokens(st.integers().map(str)),
+    "--out": _tokens(st.sampled_from(_OUTPUTS).map("@".__add__)),
+    "--out-dir": _tokens(st.sampled_from(_OUT_DIRS).map("@".__add__)),
+    "--mode": _tokens(st.sampled_from(["euclidean", "vertical", "bogus"])),
+    "--domain": st.tuples(_number_tokens, _number_tokens).map(lambda pair: pair[0] + pair[1]),
+    "--max-n": _tokens(st.integers(-1, 8).map(str)),
+    "--max-z": _tokens(st.integers(-1, 4).map(str)),
+    "--metric": _tokens(st.sampled_from(["standard", "proposed", "bogus"])),
+    "--normalization": _tokens(st.sampled_from(["literal", "mean", "mean-per-pixel", "x"])),
+    "--fill": _number_tokens,
+    "--x": _number_tokens,
+    "--y": _number_tokens,
+    "--frontier": st.just([]),
+    "--eq43": st.just([]),
+}
+# subcommand: (options it always gets, options it may get)
+_COMMANDS = {
+    "embed": (("--scheme", "--out"),
+              _SCHEME_FLAGS + ("--cover", "--synthetic", "--message", "--random-bits", "--seed")),
+    "extract": (("--scheme", "--stego", "--bits", "--out"), _SCHEME_FLAGS),
+    "analyze": (("--scheme", "--cover", "--stego"),
+                _SCHEME_FLAGS + ("--bound-poly", "--mode", "--domain")),
+    "bound": (("--max-n", "--max-z", "--out"), ("--metric", "--normalization", "--frontier")),
+    "bench": (("--out-dir",), ("--seed", "--fill")),
+    "fit": (("--points",), ()),
+    "distance": (("--x", "--y"), ("--poly", "--eq43", "--mode", "--domain")),
+}
+_STRAY = st.sampled_from(["-h", "--help", "--bogus", "x", "--", "-1e3", "nan"])
+
+
+def _options(flags):
+    return st.sampled_from(flags).flatmap(lambda flag: _ARG_VALUES[flag].map([flag].__add__))
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    required, optional = _COMMANDS[command]
+    if command == "bench":
+        required += (draw(st.sampled_from(["--config", "--synthetic", "--cover"])),)
+    groups = [draw(_ARG_VALUES[flag].map([flag].__add__)) for flag in required]
+    if optional:
+        groups += draw(st.lists(_options(optional), max_size=4))
+    if draw(st.integers(0, 3)) == 0:
+        foreign = [flag for flag in _ARG_VALUES if flag not in required + optional]
+        if command == "bench":
+            foreign = [flag for flag in foreign if flag not in ("--config", "--cover")]
+        groups.append(draw(_options(foreign)))
+    groups = draw(st.permutations(groups))
+    argv = [command] + [token for group in groups for token in group]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(1, len(argv))), draw(_STRAY))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    (root / "cover.pgm").write_bytes(save_pgm(GrayImage(16, 16, list(range(256)))))
+    (root / "bad.pgm").write_bytes(b"P5\n2 2\n255\n\x00")
+    (root / "poly.json").write_text(json.dumps({"c3": 1, "c2": -2, "c1": 1, "c0": 0.5}))
+    (root / "bad.json").write_bytes(b'{"c3": \xff')
+    (root / "points.csv").write_text("x,y\n0,1\n1,2\n2,0\n3,5\n4,4\n")
+    config = {"schemes": [{"scheme": "emd", "params": {"n": 2}}],
+              "cover": {"kind": "noise", "width": 16, "height": 16, "seed": 3},
+              "frontier_max_n": 3, "frontier_max_z": 2}
+    (root / "config.json").write_text(json.dumps(config))
+    (root / "message.bin").write_bytes(b"\x5a\xa5")
+    (root / "dir").mkdir()
+    return root
+
+
+class TestArgvFuzz:
+    @given(_argvs())
+    @settings(max_examples=200, deadline=None)
+    def test_exit_codes_without_traceback(self, argv_files, argv):
+        argv = [str(argv_files / a[1:]) if a.startswith("@") else a for a in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        event(f"{argv[0]} exit {code}")
+        assert code in (0, 2, 3), (argv, stderr.getvalue())
+        assert "Traceback" not in stderr.getvalue()
