@@ -235,8 +235,8 @@ class TestConfigFuzz:
 
 # Cover specs for build_cover: objects of build_cover's own keys whose values
 # are its expected types or small JSON (at most 8 leaves, strings of at most 8
-# characters). No drawn integer exceeds 64 except a seed, so a built cover has
-# at most 64x64 pixels. A string path names one of _COVER_FILES, which the
+# characters). Only a seed or a flat value is drawn above 64, so a built cover
+# has at most 64x64 pixels. A string path names one of _COVER_FILES, which the
 # test places under a temporary directory.
 _COVER_FILES = ("cover.pgm", "bad.pgm", "absent.pgm", "subdir")
 _small_json = st.recursive(

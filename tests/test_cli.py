@@ -519,8 +519,8 @@ class TestFitDistance:
 # values from the strategies below, plus stray tokens. Sizes are bounded:
 # synthetic covers at most 64x64, --random-bits and --bits at most 4096,
 # --max-n at most 8 and --max-z at most 4, scheme parameters in -1..4 (the
-# largest table search they reach, mbe n=4 k=4, is far below the 10M search
-# guard). bench always gets a cover option, so it never builds its default
+# largest table search they reach, 923 521 vectors for mbe n=4 k=4, is under
+# a tenth of the 10M search guard). bench always gets a cover option, so it never builds its default
 # 256x256 cover; the one valid config holds a 16x16 cover. A value "@name"
 # names a file under the test's temporary directory; inputs and outputs use
 # separate names, so no draw rewrites another's input.
