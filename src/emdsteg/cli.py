@@ -42,18 +42,20 @@ class CliDataError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that reads negative e-notation values (-1e-3) as numbers.
+    """ArgumentParser that reads negative e-notation values (-1e-3) and
+    -inf, -infinity and -nan (any case) as numbers.
 
     argparse takes an argument for a value only if it looks like a negative
-    number, and its own pattern has no exponent, so "--domain -1e1 3" would
-    read -1e1 as an option. No option of this CLI looks like a number, and
+    number, and its own pattern has no exponent or non-finite names, so
+    "--domain -1e1 3" would read -1e1 as an option and "--x -inf" would miss
+    the finiteness check. No option of this CLI looks like a number, and
     subparsers are made with the parent's class.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$"
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE
         )
 
 

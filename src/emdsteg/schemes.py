@@ -39,6 +39,8 @@ OBJECTIVE_L1 = "L1-then-L2"
 _MAX_SEARCH_STATES = 10_000_000
 # Rows per candidate block of the table search; bounds its working memory.
 _SEARCH_BLOCK_ROWS = 2**15
+# Rows per slice when a table is converted to tuples.
+_ROW_SLICE = 4096
 
 
 class SchemeError(ValueError):
@@ -109,12 +111,15 @@ class ChangeConstraint:
 class SchemeSpec:
     """A fully-resolved scheme: weights, modulus, budget and embed strategy.
 
-    solver_table / embed_table map a residue r = (target - current) mod M to
-    a change vector: solver_table holds the distortion-optimal vector under
-    the scheme objective, embed_table the vector embedding applies (for EMD,
-    IEMD and PVA the one their closed-form procedure produces, else the
-    solver's). Both are None for the split constructions, which embed each
-    part of the symbol through sub_specs.
+    solver_array / embed_array are read-only (M, n) arrays in the search's
+    delta dtype whose row r is the change vector for the residue
+    r = (target - current) mod M: solver_array holds the distortion-optimal
+    vector under the scheme objective, embed_array the vector embedding
+    applies (for EMD, IEMD and PVA the one their closed-form procedure
+    produces, else the solver's, as the same object). Both are None for the
+    split constructions, which embed each part of the symbol through
+    sub_specs. solver_table / embed_table are the same tables as tuples of
+    int tuples, built on first access.
     """
 
     id: str
@@ -126,12 +131,8 @@ class SchemeSpec:
     objective: str = OBJECTIVE_L2
     key: int = 0
     params: dict = field(default_factory=dict, compare=False)
-    solver_table: tuple[tuple[int, ...], ...] | None = field(
-        default=None, compare=False, repr=False
-    )
-    embed_table: tuple[tuple[int, ...], ...] | None = field(
-        default=None, compare=False, repr=False
-    )
+    solver_array: np.ndarray | None = field(default=None, compare=False, repr=False)
+    embed_array: np.ndarray | None = field(default=None, compare=False, repr=False)
     sub_specs: tuple["SchemeSpec", ...] = field(default=(), compare=False, repr=False)
 
     @property
@@ -155,10 +156,31 @@ class SchemeSpec:
         return bool(self.sub_specs)
 
     @functools.cached_property
-    def embed_array(self) -> np.ndarray:
-        """embed_table as an (M, n) array in the search's delta dtype, converted once per spec."""
-        dtype = _delta_type(self.constraint.per_pixel_max)
-        return np.asarray(self.embed_table, dtype=dtype).reshape(self.modulus, self.n)
+    def solver_table(self) -> tuple[tuple[int, ...], ...] | None:
+        """solver_array as a tuple of int tuples, built on first access."""
+        return _rows(self.solver_array)
+
+    @functools.cached_property
+    def embed_table(self) -> tuple[tuple[int, ...], ...] | None:
+        """embed_array as a tuple of int tuples; solver_table itself when the arrays are one."""
+        if self.embed_array is self.solver_array:
+            return self.solver_table
+        return _rows(self.embed_array)
+
+
+def _rows(table: np.ndarray | None) -> tuple[tuple[int, ...], ...] | None:
+    """The rows of an (M, n) table as int tuples.
+
+    Converted in slices of _ROW_SLICE rows, so the temporary lists stay
+    small next to the tuples.
+    """
+    if table is None:
+        return None
+    return tuple(
+        row
+        for start in range(0, len(table), _ROW_SLICE)
+        for row in zip(*table[start : start + _ROW_SLICE].T.tolist())
+    )
 
 
 def _delta_type(z: int) -> type:
@@ -233,10 +255,11 @@ def _optimal_delta_table(
     modulus: int,
     constraint: ChangeConstraint,
     objective: str,
-) -> tuple[tuple[int, ...], ...] | None:
+) -> np.ndarray | None:
     """Enumerate the change budget once and keep the best vector per residue.
 
-    Returns None when some residue is unreachable. Ties break by squared
+    Returns the read-only (M, n) table in the delta dtype of the per-pixel
+    budget, or None when some residue is unreachable. Ties break by squared
     then absolute change then lexicographic order (or L1-first for schemes
     with an L1 objective), which makes the table deterministic.
 
@@ -304,7 +327,8 @@ def _optimal_delta_table(
                 )
     if (best_primary == unreached).any():
         return None
-    return tuple(zip(*table.T.tolist()))
+    table.flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -495,12 +519,13 @@ def pva_embed_pixel(x: int, s: int, t: int) -> int:
 # scheme construction
 
 
-def _explicit_delta_table(spec: SchemeSpec) -> tuple[tuple[int, ...], ...]:
+def _explicit_delta_table(spec: SchemeSpec) -> np.ndarray:
     """Tabulate the closed-form procedure's change vector per residue.
 
     All closed-form procedures here depend on the group only through
     (s - f) mod M, so the vectors measured on an interior reference group
-    apply to every interior group.
+    apply to every interior group. The table is read-only, in the delta
+    dtype of the per-pixel budget.
     """
     ref = (128,) * spec.n
     procedure = {
@@ -509,10 +534,12 @@ def _explicit_delta_table(spec: SchemeSpec) -> tuple[tuple[int, ...], ...]:
         EXPLICIT_PVA: lambda s: (pva_embed_pixel(128, s, spec.params["t"]),),
     }[spec.strategy]
     f_ref = extraction_value(spec, ref)
-    return tuple(
-        tuple(g - 128 for g in procedure((f_ref + r) % spec.modulus))
-        for r in range(spec.modulus)
-    )
+    dtype = _delta_type(spec.constraint.per_pixel_max)
+    table = np.empty((spec.modulus, spec.n), dtype=dtype)
+    for r in range(spec.modulus):
+        table[r] = [g - 128 for g in procedure((f_ref + r) % spec.modulus)]
+    table.flags.writeable = False
+    return table
 
 
 def _finalize(
@@ -551,9 +578,9 @@ def _finalize(
         raise InfeasibleScheme(
             f"{id}: some residue mod {modulus} is unreachable within the budget"
         )
-    spec = replace(spec, solver_table=table, embed_table=table)
+    spec = replace(spec, solver_array=table, embed_array=table)
     if strategy in (EXPLICIT_EMD, EXPLICIT_IEMD, EXPLICIT_PVA):
-        spec = replace(spec, embed_table=_explicit_delta_table(spec))
+        spec = replace(spec, embed_array=_explicit_delta_table(spec))
     return spec
 
 

@@ -186,6 +186,18 @@ class TestExitCodes:
         assert out.err.startswith(f"error: {config}: undecodable text: ")
         assert out.err.count("\n") == 1
 
+    def test_non_pgm_config_cover_is_data_error(self, tmp_path, capsys):
+        # the config is well formed; the file it names is bad data, as for embed --cover
+        cover = tmp_path / "cover.pgm"
+        cover.write_bytes(b"not a pgm")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"cover": {"kind": "file", "path": str(cover)}}))
+        assert run("bench", "--config", config, "--out-dir", tmp_path / "out") == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: not a binary PGM")
+        assert out.err.count("\n") == 1
+
     def test_bad_bound_range(self, tmp_path):
         assert run("bound", "--max-n", 0, "--max-z", 1,
                    "--out", tmp_path / "b.csv") == 2
@@ -370,6 +382,23 @@ class TestFitDistance:
         assert run("distance", "--eq43", *args) == 0
         want = distance_to_curve(REFERENCE_BOUND_POLY, point, mode, domain)
         assert capsys.readouterr().out == f"{want:.12g}\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--x", "-inf", "--y", 1),
+            ("--x", 1, "--y", "-Infinity"),
+            ("--x", "-NaN", "--y", 1, "--mode", "vertical"),
+            ("--x", 1, "--y", 1, "--domain", "-INF", 3),
+        ],
+    )
+    def test_negative_non_finite_reaches_validation(self, args, capsys):
+        # read as a value, so the same one-line error as "--x inf"
+        assert run("distance", "--eq43", *args) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+        assert out.err.endswith("must be finite\n")
 
     def test_negative_e_notation_reaches_validation(self, tmp_path, capsys):
         # read as a value, so the option's own check reports it

@@ -149,6 +149,12 @@ def enumeration_table(n, base, modulus, constraint, objective):
     return tuple(entry[1] for entry in best)
 
 
+def assert_same_table(got, want):
+    """got is an (M, n) array whose rows are exactly the change vectors of want."""
+    assert isinstance(got, np.ndarray)
+    assert got.tolist() == [list(row) for row in want]
+
+
 def plain_specs(spec):
     """The spec itself, or the sub-specs that carry the tables of a split scheme."""
     if spec.is_composite:
@@ -386,7 +392,11 @@ class TestTableSearch:
         constraint = ChangeConstraint(z, k, l1_radius)
         with mock.patch.object(schemes, "_SEARCH_BLOCK_ROWS", block):
             got = schemes._optimal_delta_table(n, base, modulus, constraint, objective)
-        assert got == enumeration_table(n, base, modulus, constraint, objective)
+        want = enumeration_table(n, base, modulus, constraint, objective)
+        if want is None:
+            assert got is None
+        else:
+            assert_same_table(got, want)
 
     def test_objectives_rank_differently(self):
         # weights (24, 26) mod 19: some residues have an L1 optimum that a
@@ -396,9 +406,9 @@ class TestTableSearch:
             objective: schemes._optimal_delta_table(2, (24, 26), 19, constraint, objective)
             for objective in (OBJECTIVE_L2, OBJECTIVE_L1)
         }
-        assert tables[OBJECTIVE_L2] != tables[OBJECTIVE_L1]
+        assert not np.array_equal(tables[OBJECTIVE_L2], tables[OBJECTIVE_L1])
         for objective, table in tables.items():
-            assert table == enumeration_table(2, (24, 26), 19, constraint, objective)
+            assert_same_table(table, enumeration_table(2, (24, 26), 19, constraint, objective))
 
     def test_rows_are_tuples_of_ints(self):
         table = make_scheme("gemd", n=3).solver_table
@@ -426,22 +436,62 @@ class TestTableSearch:
         with pytest.raises(InfeasibleScheme):
             make_scheme("gemd", n=1)
 
-    def test_embed_table_converted_once(self, monkeypatch):
+    def test_kernel_never_builds_table_views(self):
         spec = make_scheme("aemd", n=8, m=4)
-        conversions = []
-        asarray = np.asarray
-
-        def spy(a, *args, **kwargs):
-            if a is spec.embed_table:
-                conversions.append(1)
-            return asarray(a, *args, **kwargs)
-
-        monkeypatch.setattr(np, "asarray", spy)
+        rng = np.random.default_rng(9)
+        cover = GrayImage(64, 64, rng.integers(0, 256, 64 * 64))
+        bits = rng.integers(0, 2, operational_capacity(cover, spec)).tolist()
+        stego, _ = embed_message(cover, spec, bits)
+        assert extract_message(stego, spec, len(bits)) == bits
         group = (128,) * spec.n
         for symbol in range(10):
-            out = embed_group(spec, group, symbol)
-            assert extraction_value(spec, out) == symbol
-        assert len(conversions) == 1
+            assert extraction_value(spec, embed_group(spec, group, symbol)) == symbol
+        theoretical_distortion(spec)
+        assert "embed_table" not in vars(spec)
+        assert "solver_table" not in vars(spec)
+
+
+class TestTableArrays:
+    @pytest.mark.parametrize(
+        "name,params",
+        CANONICAL_CONFIGS + [("mbe", {"n": 2, "k": 8}), ("femd", {"t": 300})],
+    )
+    def test_arrays_read_only_in_delta_dtype(self, name, params):
+        for spec in plain_specs(make_scheme(name, **params)):
+            dtype = schemes._delta_type(spec.constraint.per_pixel_max)
+            for table in (spec.solver_array, spec.embed_array):
+                assert table.shape == (spec.modulus, spec.n)
+                assert table.dtype == dtype
+                assert not table.flags.writeable
+                with pytest.raises(ValueError):
+                    table[0, 0] = 0
+
+    @pytest.mark.parametrize("name,params", CANONICAL_CONFIGS)
+    def test_solver_schemes_share_one_table(self, name, params):
+        for spec in plain_specs(make_scheme(name, **params)):
+            if spec.strategy == schemes.SOLVER:
+                assert spec.embed_array is spec.solver_array
+                assert spec.embed_table is spec.solver_table
+            else:
+                # EMD, IEMD and PVA keep their closed-form table apart
+                assert spec.embed_array is not spec.solver_array
+
+    @pytest.mark.parametrize("row_slice", [4096, 3])
+    @pytest.mark.parametrize(
+        "name,params", CANONICAL_CONFIGS + [("egemd", {"n": 8}), ("egemd", {"n": 5, "n1": 3})]
+    )
+    def test_views_equal_array_rows(self, name, params, row_slice, monkeypatch):
+        # a slice of 3 rows cuts every table into several slices and a short tail
+        monkeypatch.setattr(schemes, "_ROW_SLICE", row_slice)
+        spec = make_scheme(name, **params)
+        if spec.is_composite:
+            assert spec.solver_table is spec.embed_table is None
+        for leaf in plain_specs(spec):
+            for view, table in (
+                (leaf.solver_table, leaf.solver_array),
+                (leaf.embed_table, leaf.embed_array),
+            ):
+                assert view == tuple(tuple(row) for row in table.tolist())
 
 
 class TestRoundTrip:
