@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bound, metrics, reported
-from .image import GrayImage, load_pgm
+from .image import GrayImage, PgmError, load_pgm
 from .rng import seeded_bits, seeded_bytes
 from .schemes import SchemeSpec, embed_message, make_scheme, operational_capacity
 
@@ -143,9 +143,13 @@ def build_cover(spec: dict) -> GrayImage:
     if kind == "file":
         path = _checked("cover path", spec.get("path"), str)
         try:
-            return load_pgm(Path(path).read_bytes())
+            data = Path(path).read_bytes()
         except OSError as exc:
             raise BenchConfigError(f"cannot read cover {path}: {exc}") from None
+        try:
+            return load_pgm(data)
+        except PgmError as exc:
+            raise type(exc)(f"{path}: {exc}") from None
     if kind not in ("flat", "noise"):
         raise BenchConfigError(f"unknown cover kind {kind!r}")
     width, height = (_checked(f"cover {key}", spec.get(key), int) for key in ("width", "height"))

@@ -89,7 +89,10 @@ def _read_image(path: str) -> GrayImage:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise CliDataError(f"cannot read {path}: {exc}") from None
-    return load_pgm(data)
+    try:
+        return load_pgm(data)
+    except PgmError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _load_cover(args: argparse.Namespace) -> GrayImage:

@@ -4,10 +4,11 @@ Every scheme reads a hidden symbol out of a pixel group with a weighted sum
 modulo the symbol count M. Embedding adds the change vector that a
 residue-indexed table holds for r = (target - current) mod M; one numpy
 kernel embeds and extracts every group of an image this way. The tables
-come from an exhaustive minimal-distortion search over the scheme's change
-budget, except for EMD, IEMD and PVA, whose closed-form procedures only
-generate their tables (and serve tests as oracles). The two split
-constructions embed each part of the symbol with a sub-scheme's table.
+come from an exact minimal-distortion search over the scheme's change
+budget, a dynamic program over the group's pixels, except for EMD, IEMD
+and PVA, whose closed-form procedures only generate their tables (and
+serve tests as oracles). The two split constructions embed each part of
+the symbol with a sub-scheme's table.
 
 Feasibility (every residue reachable within the change budget) is checked
 once at construction, so embedding never fails at run time.
@@ -16,7 +17,6 @@ once at construction, so embedding never fails at run time.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -35,10 +35,11 @@ SOLVER = "solver"
 OBJECTIVE_L2 = "L2-then-L1"
 OBJECTIVE_L1 = "L1-then-L2"
 
-# Exhaustive search guard, compared with _search_size.
+# Guard on the change budget, compared with _search_size. The table search
+# is exact at any size, but the guard fixes which budgets build at all.
 _MAX_SEARCH_STATES = 10_000_000
-# Rows per candidate block of the table search; bounds its working memory.
-_SEARCH_BLOCK_ROWS = 2**15
+# Candidates per scatter of the table search; bounds its working memory.
+_SEARCH_CHUNK = 2**16
 # Rows per slice when a table is converted to tuples.
 _ROW_SLICE = 4096
 
@@ -206,47 +207,49 @@ def _search_size(n: int, constraint: ChangeConstraint) -> int:
     )
 
 
-def _value_grid(count: int, z: int, limit: int | None, dtype) -> np.ndarray:
-    """Every row of count nonzero values in [-z, z] with absolute sum <= limit (if set)."""
-    values = np.array([v for v in range(-z, z + 1) if v], dtype=dtype)
-    grid = np.zeros((1, 0), dtype=dtype)
-    for _ in range(count):
-        # the absolute sum only grows with more columns, so pruning early is exact
-        grid = np.column_stack(
-            (np.repeat(grid, len(values), axis=0), np.tile(values, len(grid)))
-        )
-        if limit is not None:
-            grid = grid[np.abs(grid).sum(axis=1) <= limit]
-    return grid
+def _ranks(z: int, k: int, l1_top: int, objective: str) -> tuple[np.ndarray, int]:
+    """Rank D * key + i of changing one pixel by i - z, for each of D = 2z + 1 values.
 
-
-def _update_winners(
-    table, best_primary, best_secondary, deltas, residues, primary, secondary
-) -> None:
-    """Store each residue's best candidate where it beats the winner so far.
-
-    Candidates rank by (primary, secondary, deltas); a residue without a
-    winner has max costs. Updates table and the two cost arrays in place.
+    key folds the change's (primary, secondary) cost into one integer, so
+    keys add up along a vector. Also returns a multiple of D above the rank
+    of every vector of at most k changes and absolute sum at most l1_top.
     """
-    # lexsort reads its last key first: residue, costs, then deltas left to right
-    order = np.lexsort((*deltas.T[::-1], secondary, primary, residues))
-    ranked = residues[order]
-    lead = np.ones(len(order), dtype=bool)
-    lead[1:] = ranked[1:] != ranked[:-1]
-    pick = order[lead]
-    deltas, r, p, s = deltas[pick], residues[pick], primary[pick], secondary[pick]
-    held = table[r]
-    # on a cost tie the first entry where the two vectors differ decides
-    col = (deltas != held).argmax(axis=1)
-    at = np.arange(len(pick))
-    bp, bs = best_primary[r], best_secondary[r]
-    beats = (p < bp) | (p == bp) & (
-        (s < bs) | (s == bs) & (deltas[at, col] < held[at, col])
-    )
-    won = r[beats]
-    table[won] = deltas[beats]
-    best_primary[won] = p[beats]
-    best_secondary[won] = s[beats]
+    l1 = np.abs(np.arange(-z, z + 1))
+    l2, l2_top = l1 * l1, l1_top * z
+    if k == 1:
+        # one changed pixel ranks by its size under either objective
+        costs = ((l1, l1_top), (0, 0))
+    elif objective == OBJECTIVE_L1:
+        costs = ((l1, l1_top), (l2, l2_top))
+    else:
+        costs = ((l2, l2_top), (l1, l1_top))
+    (primary, primary_top), (secondary, secondary_top) = costs
+    count = len(l1)
+    fold = secondary_top + 1
+    ranks = count * (primary * fold + secondary) + np.arange(count)
+    # below 2**63 for every budget within _MAX_SEARCH_STATES: about 2z**2
+    # for k = 1, at most 8z**4 with z < 1600 for k = 2, smaller beyond
+    return ranks, count * (primary_top + 1) * fold
+
+
+def _search_column(reached, keys, moves, ranks, best, unreached: int) -> None:
+    """Fill best with the best rank of every state after one more column.
+
+    reached holds the states the columns searched so far reach and keys
+    their ranks without the choice; state s plus moves[i], which lies in
+    [-len(best), 0), is the state after changing this column by value i,
+    so a negative sum indexes from the end. States no candidate reaches
+    read unreached.
+    """
+    best.fill(unreached)
+    rows = max(1, _SEARCH_CHUNK // len(ranks))
+    for start in range(0, len(reached), rows):
+        part = slice(start, start + rows)
+        np.minimum.at(
+            best,
+            (reached[part, None] + moves).ravel(),
+            (keys[part, None] + ranks).ravel(),
+        )
 
 
 def _optimal_delta_table(
@@ -256,18 +259,20 @@ def _optimal_delta_table(
     constraint: ChangeConstraint,
     objective: str,
 ) -> np.ndarray | None:
-    """Enumerate the change budget once and keep the best vector per residue.
+    """Find the best change vector of every residue, one column at a time.
 
     Returns the read-only (M, n) table in the delta dtype of the per-pixel
     budget, or None when some residue is unreachable. Ties break by squared
     then absolute change then lexicographic order (or L1-first for schemes
     with an L1 objective), which makes the table deterministic.
 
-    Candidates come in numpy blocks of at most _SEARCH_BLOCK_ROWS rows, cut
-    from one count of changed pixels and a run of changed-position subsets.
-    Each block drops the rows whose cost already loses to their residue's
-    winner, lexsorts the rest, and replaces the winners its best rows beat,
-    so memory stays bounded by the block and the (M, n) table.
+    An exact dynamic program over the columns from the last to the first.
+    Each state keeps the best rank D * key + i of the columns searched so
+    far, so one np.minimum.at ranks candidates by cost and breaks a tie toward
+    the smallest change i - z in the current column; as later columns were
+    ranked first, that is lexicographic order. Only reached states are
+    extended, and the table is read back from the stored choices with one
+    gather per column.
     """
     size = _search_size(n, constraint)
     if size > _MAX_SEARCH_STATES:
@@ -277,56 +282,60 @@ def _optimal_delta_table(
     if modulus > size:
         return None  # pigeonhole: fewer change vectors than residues
     z = constraint.per_pixel_max
-    delta_type = _delta_type(z)
-    cost_type = np.int32 if n * z * z < 2**31 else np.int64
-    # weights mod M keep the int64 residue sums far from overflow: M <= size
-    weights = np.array([b % modulus for b in base], dtype=np.int64)
-    block = _SEARCH_BLOCK_ROWS
-    table = np.zeros((modulus, n), dtype=delta_type)
-    # (primary, secondary) cost of each residue's winner; none yet reads as max
-    unreached = np.iinfo(cost_type).max
-    best_primary = np.full(modulus, unreached, dtype=cost_type)
-    best_secondary = best_primary.copy()
-    for count in range(min(constraint.max_changed_pixels, n) + 1):
-        grid = _value_grid(count, z, constraint.l1_radius, delta_type)
-        subsets = np.array(
-            list(itertools.combinations(range(n), count)), dtype=np.intp
-        )
-        for start in range(0, len(grid), block):
-            part = grid[start : start + block]
-            sq = np.zeros(len(part), dtype=cost_type)
-            ab = np.zeros(len(part), dtype=cost_type)
-            for column in part.T.astype(cost_type):
-                sq += column * column
-                ab += np.abs(column)
-            primary, secondary = (ab, sq) if objective == OBJECTIVE_L1 else (sq, ab)
-            step = max(1, block // len(part))
-            for first in range(0, len(subsets), step):
-                chosen = subsets[first : first + step]
-                residues = np.zeros((len(chosen), len(part)), dtype=np.int64)
-                for i, column in enumerate(part.T):
-                    residues += weights[chosen[:, i], None] * column
-                residues %= modulus
-                bar = best_primary[residues]
-                keep = (primary < bar) | (
-                    (primary == bar) & (secondary <= best_secondary[residues])
-                )
-                which, rows = np.nonzero(keep)
-                if not len(rows):
-                    continue
-                deltas = np.zeros((len(rows), n), dtype=delta_type)
-                deltas[np.arange(len(rows))[:, None], chosen[which]] = part[rows]
-                _update_winners(
-                    table,
-                    best_primary,
-                    best_secondary,
-                    deltas,
-                    residues[keep],
-                    primary[rows],
-                    secondary[rows],
-                )
-    if (best_primary == unreached).any():
+    k = min(constraint.max_changed_pixels, n)
+    radius = constraint.l1_radius
+    # under the L1 objective the radius only bounds the primary cost, so the
+    # finished table is checked against it instead
+    binds = objective == OBJECTIVE_L2 and radius is not None and radius < k * z
+    # A state is a residue times a budget block: the nonzero changes still
+    # allowed, when k < n, times the L1 still allowed, when the radius binds.
+    # Each limit has spare slots past it, so a change that overruns the
+    # budget lands in a slot that is cleared, not in the next residue.
+    counts = k + 1 if k < n else 1
+    room = radius + 1 if binds else 1
+    grid = (modulus, counts + (counts > 1), room + z * (room > 1))
+    block = grid[1] * grid[2]
+    values = np.arange(-z, z + 1)
+    count = len(values)
+    steps = (values != 0) * (counts > 1) * grid[2] + np.abs(values) * (room > 1)
+    ranks, unreached = _ranks(z, k, radius if binds else k * z, objective)
+    # right of the last column every block holds residue 0 at rank 0
+    reached = (np.arange(counts)[:, None] * grid[2] + np.arange(room)).ravel()
+    keys = np.zeros(len(reached), dtype=np.int64)
+    best = np.empty(modulus * block, dtype=np.int64)
+    choices = []
+    for weight in reversed(base):
+        # weights mod M keep the int64 shifts far from overflow: M, z <= size
+        shifts = values * (weight % modulus) % modulus
+        moves = shifts * block + steps
+        _search_column(reached, keys, moves - modulus * block, ranks, best, unreached)
+        spare = best.reshape(grid)
+        spare[:, counts:] = unreached
+        spare[:, :, room:] = unreached
+        reached = np.flatnonzero(best < unreached)
+        picked = best[reached]
+        keys = picked // count
+        keys *= count
+        picked -= keys
+        choice = np.zeros(len(best), dtype=np.min_scalar_type(count - 1))
+        choice[reached] = picked
+        choices.append((choice, moves))
+    # every residue is read back from the full budget, in block full
+    full = (counts - 1) * grid[2] + room - 1
+    if (best.reshape(modulus, block)[:, full] == unreached).any():
         return None
+    del best, reached, keys, picked  # free the search's arrays for the table's
+    states = np.arange(modulus) * block + full
+    table = np.empty((modulus, n), dtype=_delta_type(z))
+    deltas = values.astype(table.dtype)
+    for column, (choice, moves) in enumerate(reversed(choices)):
+        picked = choice[states]
+        table[:, column] = deltas[picked]
+        states -= moves[picked]
+        _reduce(states, modulus * block)
+    if objective == OBJECTIVE_L1 and radius is not None:
+        if (np.abs(table).sum(axis=1) > radius).any():
+            return None
     table.flags.writeable = False
     return table
 

@@ -195,8 +195,21 @@ class TestExitCodes:
         assert run("bench", "--config", config, "--out-dir", tmp_path / "out") == 3
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err.startswith("error: not a binary PGM")
+        assert out.err.startswith(f"error: {cover}: not a binary PGM (magic b'not')")
         assert out.err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["embed --cover", "extract --stego"])
+    def test_non_pgm_image_names_the_file(self, flag, tmp_path, capsys):
+        image = tmp_path / "c.pgm"
+        image.write_bytes(b"not a pgm")
+        command, option = flag.split()
+        tail = ("--random-bits", 4) if command == "embed" else ("--bits", 4)
+        code = run(command, "--scheme", "emd", "--n", 2, option, image, *tail,
+                   "--out", tmp_path / "o")
+        assert code == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {image}: not a binary PGM (magic b'not')\n"
 
     def test_bad_bound_range(self, tmp_path):
         assert run("bound", "--max-n", 0, "--max-z", 1,

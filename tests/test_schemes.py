@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from dataclasses import replace
 from functools import partial
@@ -342,8 +343,8 @@ class TestSolver:
                     assert cost_s == cost_e
 
 
-def _no_enumeration(*args):
-    raise AssertionError("the change budget was enumerated")
+def _no_search(*args):
+    raise AssertionError("the change budget was searched")
 
 
 class TestTableSearch:
@@ -375,23 +376,24 @@ class TestTableSearch:
         l1_radius=st.none() | st.integers(0, 8),
         modulus=st.integers(2, 200),
         objective=st.sampled_from([OBJECTIVE_L2, OBJECTIVE_L1]),
-        block=st.sampled_from([2**15, 7]),
     )
     @settings(max_examples=150, deadline=None)
     # infeasible past the pigeonhole check: only even residues are reachable
-    @example(base=(2, 4), z=1, k=2, l1_radius=None, modulus=8,
-             objective=OBJECTIVE_L2, block=2**15)
+    @example(base=(2, 4), z=1, k=2, l1_radius=None, modulus=8, objective=OBJECTIVE_L2)
     # feasible, with cost ties that only the lexicographic order breaks
-    @example(base=(1, 1, 1), z=2, k=3, l1_radius=3, modulus=5,
-             objective=OBJECTIVE_L1, block=7)
+    @example(base=(1, 1, 1), z=2, k=3, l1_radius=3, modulus=5, objective=OBJECTIVE_L1)
+    # a zero L1 radius under the L2 objective allows only the zero vector
+    @example(base=(331097, 964339, 926279, 764469, 824888), z=3, k=5, l1_radius=0,
+             modulus=177, objective=OBJECTIVE_L2)
+    # infeasible: residue 34 needs four changed pixels, two are allowed
+    @example(base=(496785, 119738, 24783, 327161), z=3, k=2, l1_radius=None,
+             modulus=68, objective=OBJECTIVE_L2)
     def test_matches_enumeration_on_random_budgets(
-        self, base, z, k, l1_radius, modulus, objective, block
+        self, base, z, k, l1_radius, modulus, objective
     ):
-        # small blocks make winners meet their cost ties across blocks
         n = len(base)
         constraint = ChangeConstraint(z, k, l1_radius)
-        with mock.patch.object(schemes, "_SEARCH_BLOCK_ROWS", block):
-            got = schemes._optimal_delta_table(n, base, modulus, constraint, objective)
+        got = schemes._optimal_delta_table(n, base, modulus, constraint, objective)
         want = enumeration_table(n, base, modulus, constraint, objective)
         if want is None:
             assert got is None
@@ -410,6 +412,36 @@ class TestTableSearch:
         for objective, table in tables.items():
             assert_same_table(table, enumeration_table(2, (24, 26), 19, constraint, objective))
 
+    @pytest.mark.parametrize(
+        "name,params,digest",
+        [
+            ("gemd", {"n": 14},
+             "aa63fe8d590affcee784686e505860a81356a8e77a4343a3f883dcc71f73fbc7"),
+            ("egemd", {"n": 12},
+             "82f886bb184fe670d7be344987c77f9a2d284044d37b1ad91b9e0b1269783130"),
+            ("aemd", {"n": 10, "m": 4},
+             "b76a076287c3b06eb12046810db38e04654ddb263d66c38ef16c8e9f4710a65f"),
+        ],
+    )
+    def test_large_tables_are_pinned(self, name, params, digest):
+        # past the reach of enumeration_table: sha256 over each leaf's
+        # dtype, shape and table bytes, recorded from an exhaustive search
+        h = hashlib.sha256()
+        for spec in plain_specs(make_scheme(name, **params)):
+            a = spec.solver_array
+            h.update(str((a.dtype.str, a.shape)).encode())
+            h.update(a.tobytes())
+        assert h.hexdigest() == digest
+
+    def test_single_change_with_a_wide_per_pixel_budget(self):
+        # one pixel mod m = 10^5: z = 50000 needs int32 deltas, and the
+        # nearest change to each residue wins, the negative one on a tie
+        m = 100_000
+        table = make_scheme("aemd", n=1, m=m).solver_array
+        assert table.dtype == np.int32
+        r = np.arange(m)
+        assert np.array_equal(table[:, 0], (r + m // 2) % m - m // 2)
+
     def test_rows_are_tuples_of_ints(self):
         table = make_scheme("gemd", n=3).solver_table
         assert type(table) is tuple
@@ -417,7 +449,7 @@ class TestTableSearch:
         assert all(type(d) is int for row in table for d in row)
 
     def test_guard_rejects_before_enumerating(self, monkeypatch):
-        monkeypatch.setattr(schemes, "_value_grid", _no_enumeration)
+        monkeypatch.setattr(schemes, "_search_column", _no_search)
         with pytest.raises(InvalidParameter):
             make_scheme("gemd", n=16)
         # the guard also wins over the pigeonhole exit
@@ -427,7 +459,7 @@ class TestTableSearch:
             )
 
     def test_pigeonhole_exit_skips_enumeration(self, monkeypatch):
-        monkeypatch.setattr(schemes, "_value_grid", _no_enumeration)
+        monkeypatch.setattr(schemes, "_search_column", _no_search)
         # 9 change vectors cannot reach 10 residues
         constraint = ChangeConstraint(1, 2)
         assert schemes._search_size(2, constraint) == 9
