@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -108,8 +108,8 @@ class BoundPoint:
         raise ValueError(f"metric {metric!r} not one of {_METRICS}")
 
 
-def quota_counts(query: BoundQuery) -> list[BoundResult]:
-    """Exact counts of every quota 0..query.q for query's n and z, one running sum.
+def _running_sums(n: int, z: int, q: int) -> Iterator[tuple[int, int, int]]:
+    """(states, sum |delta|, sum delta^2) of every quota 0..q of (n, z), in order.
 
     Sums over j, the number of pixels at +/-z: the counts of quota q are those
     of q - 1 plus the j = q term. comb(n, j) * 2^j placements and signs put j
@@ -118,24 +118,30 @@ def quota_counts(query: BoundQuery) -> list[BoundResult]:
     j * z^2); one inner pixel's values total z(z-1) (or z(z-1)(2z-1)/3), times
     the states of the other n - j - 1.
     """
-    n, z = query.n, query.z
     inner = 2 * z - 1
     inner_lin = z * (z - 1)
     inner_sq = inner_lin * inner // 3
+    powers = [1]  # inner**k for k = 0..n
+    for _ in range(n):
+        powers.append(powers[-1] * inner)
     states = lin = sq = 0
     ways = 1  # comb(n, j) * 2^j
-    counts = []
-    for j in range(query.q + 1):
+    for j in range(q + 1):
         rest = n - j
-        count = ways * inner**rest
-        # rest pixels, each with the states of the other rest - 1 pixels
-        spread = ways * rest * inner ** max(rest - 1, 0)
+        count = ways * powers[rest]
+        # rest pixels, each with the states of the other rest - 1 pixels (at
+        # rest = 0 the factor rest zeroes the wrapped-around powers[-1])
+        spread = ways * rest * powers[rest - 1]
         states += count
         lin += j * z * count + inner_lin * spread
         sq += j * z * z * count + inner_sq * spread
-        counts.append(BoundResult(states, lin, sq))
+        yield states, lin, sq
         ways = ways * 2 * rest // (j + 1)
-    return counts
+
+
+def quota_counts(query: BoundQuery) -> list[BoundResult]:
+    """Exact counts of every quota 0..query.q for query's n and z, one running sum."""
+    return [BoundResult(*sums) for sums in _running_sums(query.n, query.z, query.q)]
 
 
 def bound_counts(query: BoundQuery) -> BoundResult:
@@ -180,6 +186,36 @@ def enumerate_oracle(query: BoundQuery) -> BoundResult:
     return BoundResult(states, lin, sq)
 
 
+def _check_chart(metric: str, normalization: str) -> None:
+    if metric not in _METRICS:
+        raise ValueError(f"metric {metric!r} not one of {_METRICS}")
+    if normalization not in _NORMALIZATIONS:
+        raise ValueError(
+            f"normalization {normalization!r} not one of {_NORMALIZATIONS}"
+        )
+
+
+def _chart_values(
+    n: int, states: int, lin: int, sq: int, normalization: str
+) -> tuple[float, float, float, float]:
+    """(alpha, inv_alpha, eff_standard, eff_proposed) of one query's exact sums.
+
+    The normalization is one of bound_point's.
+    """
+    payload = math.log2(states)
+    alpha = payload / n
+    if normalization == NORM_LITERAL:
+        eff_std = payload / lin
+        eff_prop = payload / math.sqrt(sq)
+    elif normalization == NORM_MEAN:
+        eff_std = payload * states / lin
+        eff_prop = payload / math.sqrt(sq / states)
+    else:
+        eff_std = payload * states / lin
+        eff_prop = alpha / math.sqrt(sq / (states * n))
+    return alpha, 1.0 / alpha, eff_std, eff_prop
+
+
 def bound_point(
     query: BoundQuery,
     metric: str = METRIC_PROPOSED,
@@ -194,41 +230,21 @@ def bound_point(
     commensurate with per-pixel MSE. A caller that already holds the query's
     exact sums passes them as counts; otherwise they are computed here.
     """
-    if metric not in _METRICS:
-        raise ValueError(f"metric {metric!r} not one of {_METRICS}")
-    if normalization not in _NORMALIZATIONS:
-        raise ValueError(
-            f"normalization {normalization!r} not one of {_NORMALIZATIONS}"
-        )
+    _check_chart(metric, normalization)
     if counts is None:
         counts = bound_counts(query)
     if counts.state_count < 2 or counts.change_sum_linear == 0:
         raise DegenerateQuery(
             f"query {query} admits only the zero state; efficiency unbounded"
         )
-    states = counts.state_count
-    lin = counts.change_sum_linear
-    sq = counts.change_sum_squared
-    payload = math.log2(states)
-    alpha = payload / query.n
-    if normalization == NORM_LITERAL:
-        eff_std = payload / lin
-        eff_prop = payload / math.sqrt(sq)
-    elif normalization == NORM_MEAN:
-        eff_std = payload * states / lin
-        eff_prop = payload / math.sqrt(sq / states)
-    else:
-        eff_std = payload * states / lin
-        eff_prop = alpha / math.sqrt(sq / (states * query.n))
-    return BoundPoint(
-        query=query,
-        counts=counts,
-        alpha=alpha,
-        inv_alpha=1.0 / alpha,
-        eff_standard=eff_std,
-        eff_proposed=eff_prop,
-        normalization=normalization,
+    values = _chart_values(
+        query.n,
+        counts.state_count,
+        counts.change_sum_linear,
+        counts.change_sum_squared,
+        normalization,
     )
+    return BoundPoint(query, counts, *values, normalization)
 
 
 def frontier(
@@ -242,32 +258,44 @@ def frontier(
     Generates every (n, z, q) point with q in [1, n] from one running sum
     per (n, z), sorts by inverse payload, and keeps only points whose
     efficiency strictly exceeds everything at smaller-or-equal inverse
-    payload.
+    payload. Points are plain tuples until they reach the envelope.
     """
     ns = sorted(set(n_values))
     zs = sorted(set(z_values))
     if not ns or not zs:
         raise EmptyRange("need at least one n and one z")
+    # the smallest n and z are the first the sweep would reject
+    BoundQuery(ns[0], zs[0], ns[0])
+    _check_chart(metric, normalization)
+    eff_at = 3 if metric == METRIC_PROPOSED else 2
+    # sorted by (inv_alpha, -efficiency, generation index): ties in inverse
+    # payload put the higher efficiency first, then keep the generation order.
+    # Only the sort key and the exact sums are kept per point; envelope
+    # points recompute their floats, which keeps the sweep's peak small.
     points = []
     for n in ns:
         for z in zs:
-            # one running sum per (n, z) serves every quota
-            counts = quota_counts(BoundQuery(n, z, n))
-            points.extend(
-                bound_point(BoundQuery(n, z, q), metric, normalization, counts[q])
-                for q in range(1, n + 1)
-            )
-    # two stable sorts give the (inv_alpha, -efficiency) order; their keys are
-    # the points' own floats, so the sweep's peak holds no key tuple per point
-    points.sort(key=lambda p: p.efficiency(metric), reverse=True)
-    points.sort(key=lambda p: p.inv_alpha)
+            sums = _running_sums(n, z, n)
+            next(sums)  # quota 0 is not swept
+            for q, (states, lin, sq) in enumerate(sums, 1):
+                values = _chart_values(n, states, lin, sq, normalization)
+                points.append(
+                    (values[1], -values[eff_at], len(points), n, z, q, states, lin, sq)
+                )
+    points.sort()
     envelope: list[BoundPoint] = []
     best = -math.inf
-    for point in points:
-        eff = point.efficiency(metric)
-        if eff > best:
-            envelope.append(point)
-            best = eff
+    for _, neg_eff, _, n, z, q, states, lin, sq in points:
+        if -neg_eff > best:
+            best = -neg_eff
+            envelope.append(
+                BoundPoint(
+                    BoundQuery(n, z, q),
+                    BoundResult(states, lin, sq),
+                    *_chart_values(n, states, lin, sq, normalization),
+                    normalization,
+                )
+            )
     return envelope
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bound as bound_mod
 from . import metrics
-from .bench import BenchConfig, BenchConfigError, _fmt, run_bench
+from .bench import BenchConfig, BenchConfigError, run_bench
 from .image import GrayImage, PgmError, load_pgm, save_pgm
 from .metrics import DimensionMismatch
 from .rng import seeded_bits
@@ -208,25 +208,18 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _bound_line(query, counts, point, args) -> str:
-    alpha = inv_alpha = eff = None
+    """One CSV row; a degenerate query (no point) leaves its three float cells empty."""
+    floats = ",,"
     if point is not None:
-        alpha = point.alpha
-        inv_alpha = point.inv_alpha
-        eff = point.efficiency(args.metric)
-    cells = (
-        query.n,
-        query.z,
-        query.q,
-        counts.state_count,
-        counts.change_sum_linear,
-        counts.change_sum_squared,
-        alpha,
-        inv_alpha,
-        eff,
-        args.metric,
-        args.normalization,
+        floats = (
+            f"{point.alpha:.10g},{point.inv_alpha:.10g},"
+            f"{point.efficiency(args.metric):.10g}"
+        )
+    return (
+        f"{query.n},{query.z},{query.q},{counts.state_count},"
+        f"{counts.change_sum_linear},{counts.change_sum_squared},"
+        f"{floats},{args.metric},{args.normalization}"
     )
-    return ",".join(_fmt(cell) for cell in cells)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

@@ -180,7 +180,16 @@ def bits_to_symbols(bits: Sequence[int] | np.ndarray, modulus: int) -> np.ndarra
     dtype that holds width bits.
     """
     width, dtype, per_row, row_bytes = _symbol_layout(modulus)
-    arr = np.asarray(bits).ravel()
+    arr = None
+    if isinstance(bits, list):
+        # bytes() reads a list of small ints far faster than np.asarray; what
+        # it refuses takes the general path below, with its error messages
+        try:
+            arr = np.frombuffer(bytes(bits), np.uint8)
+        except (TypeError, ValueError):
+            pass
+    if arr is None:
+        arr = np.asarray(bits).ravel()
     if arr.dtype != np.uint8:
         bad = (arr != 0) & (arr != 1)
         if bad.any():

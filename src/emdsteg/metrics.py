@@ -77,13 +77,19 @@ class MetricsReport:
 
 
 def mse(cover: GrayImage, stego: GrayImage) -> float:
-    """Mean squared pixel error between two equally-sized images."""
+    """Mean squared pixel error between two equally-sized images.
+
+    The squares fit int32 and their sum int64. Dividing the exact sum gives
+    the float np.mean of the int64 squares would, while the sum stays below
+    2**53: up to 1.3 * 10**11 pixels.
+    """
     if cover.width != stego.width or cover.height != stego.height:
         raise DimensionMismatch(
             f"{cover.width}x{cover.height} vs {stego.width}x{stego.height}"
         )
-    diff = cover.pixels.astype(np.int64) - stego.pixels.astype(np.int64)
-    return float(np.mean(diff * diff))
+    diff = np.subtract(cover.pixels, stego.pixels, dtype=np.int16)
+    total = np.square(diff, dtype=np.int32).sum(dtype=np.int64)
+    return int(total) / cover.size
 
 
 def psnr(mse_value: float) -> float:

@@ -290,6 +290,21 @@ class TestFrontier:
         with pytest.raises(EmptyRange):
             frontier([], [1])
 
+    @pytest.mark.parametrize("ns,zs", [([0, 2], [1]), ([2], [1, 0])])
+    def test_invalid_range(self, ns, zs):
+        with pytest.raises(InvalidQuery):
+            frontier(ns, zs)
+
+    @pytest.mark.parametrize(
+        "metric,normalization", [("rmse", "mean"), ("standard", "per-pixel")]
+    )
+    def test_bad_chart_args_match_bound_point(self, metric, normalization):
+        with pytest.raises(ValueError) as expected:
+            bound_point(BoundQuery(2, 1, 1), metric, normalization)
+        with pytest.raises(ValueError) as got:
+            frontier([2], [1], metric, normalization)
+        assert str(got.value) == str(expected.value)
+
     @pytest.mark.parametrize("metric", ["standard", "proposed"])
     @pytest.mark.parametrize("normalization", ["literal", "mean", "mean-per-pixel"])
     @pytest.mark.parametrize(

@@ -303,11 +303,11 @@ class TestBoundCommand:
 
     def test_counts_computed_once_per_n_z(self, tmp_path, monkeypatch):
         sums = []
-        quota_counts = bound_mod.quota_counts
+        running_sums = bound_mod._running_sums
         monkeypatch.setattr(
             bound_mod,
-            "quota_counts",
-            lambda query: sums.append((query.n, query.z, query.q)) or quota_counts(query),
+            "_running_sums",
+            lambda n, z, q: sums.append((n, z, q)) or running_sums(n, z, q),
         )
 
         def no_bound_counts(query):

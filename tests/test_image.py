@@ -150,6 +150,24 @@ class TestSymbolCodec:
     def test_empty_stream(self):
         assert bits_to_symbols([], 5).tolist() == []
 
+    @pytest.mark.parametrize("modulus", [2, 5, 8, 257, 4096])
+    def test_list_matches_array(self, modulus):
+        bits = np.random.default_rng(modulus).integers(0, 2, 1000, dtype=np.uint8)
+        symbols = bits_to_symbols(bits.tolist(), modulus)
+        assert symbols.dtype == bits_to_symbols(bits, modulus).dtype
+        assert symbols.tolist() == bits_to_symbols(bits, modulus).tolist()
+
+    @pytest.mark.parametrize(
+        "bits,bad", [([0, 1, 2], 2), ([256], 256), ([-1], -1), ([0.5], 0.5), ([None], None)]
+    )
+    def test_list_with_non_bit_rejected(self, bits, bad):
+        with pytest.raises(ValueError, match=f"^bit stream contains {bad}$"):
+            bits_to_symbols(bits, 5)
+
+    @pytest.mark.parametrize("bits", [[], [True, False], [[1], [0]]])
+    def test_list_forms_match_array(self, bits):
+        assert bits_to_symbols(bits, 5).tolist() == bits_to_symbols(np.asarray(bits), 5).tolist()
+
     def test_inverse_of_chunking(self):
         assert symbols_to_bits([3, 1], 5, 4).tolist() == [1, 1, 0, 1]
 

@@ -41,6 +41,26 @@ class TestMse:
         with pytest.raises(DimensionMismatch):
             mse(GrayImage.flat(2, 2, 0), GrayImage.flat(4, 1, 0))
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_pairs_match_int64_mean(self, seed):
+        rng = np.random.default_rng(seed)
+        a, b = (
+            GrayImage(256, 256, rng.integers(0, 256, 256 * 256, dtype=np.uint8))
+            for _ in "ab"
+        )
+        assert mse(a, b) == int64_mean_squared_error(a, b)
+
+    @pytest.mark.parametrize("side,low,high", [(1, 3, 250), (2048, 0, 255)])
+    def test_flat_pairs_match_int64_mean(self, side, low, high):
+        a, b = GrayImage.flat(side, side, low), GrayImage.flat(side, side, high)
+        assert mse(a, b) == mse(b, a) == int64_mean_squared_error(a, b)
+
+
+def int64_mean_squared_error(a, b):
+    """Reference for mse: widen both images to int64 and take np.mean."""
+    diff = a.pixels.astype(np.int64) - b.pixels.astype(np.int64)
+    return float(np.mean(diff * diff))
+
 
 class TestPsnr:
     def test_reference_values(self):
