@@ -13,15 +13,12 @@ from .bound import (
     REFERENCE_BOUND_POLY,
     bound_counts,
     bound_point,
-    count_states,
     cubic_eval,
     cubic_fit,
     distance_to_curve,
     enumerate_oracle,
     frontier,
     quota_counts,
-    sum_changes_linear,
-    sum_changes_squared,
 )
 from .image import (
     GrayImage,
@@ -77,7 +74,6 @@ __all__ = [
     "bound_point",
     "capacity",
     "clamp_for_scheme",
-    "count_states",
     "cubic_eval",
     "cubic_fit",
     "distance_to_curve",
@@ -99,8 +95,6 @@ __all__ = [
     "save_pgm",
     "seeded_bits",
     "standard_efficiency",
-    "sum_changes_linear",
-    "sum_changes_squared",
     "symbols_to_bits",
     "theoretical_distortion",
 ]

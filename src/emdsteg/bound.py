@@ -149,21 +149,6 @@ def bound_counts(query: BoundQuery) -> BoundResult:
     return quota_counts(query)[-1]
 
 
-def count_states(query: BoundQuery) -> int:
-    """Number of admissible change states, exactly."""
-    return bound_counts(query).state_count
-
-
-def sum_changes_linear(query: BoundQuery) -> int:
-    """Sum of |delta_i| over every admissible state, exactly."""
-    return bound_counts(query).change_sum_linear
-
-
-def sum_changes_squared(query: BoundQuery) -> int:
-    """Sum of delta_i^2 over every admissible state, exactly."""
-    return bound_counts(query).change_sum_squared
-
-
 def enumerate_oracle(query: BoundQuery) -> BoundResult:
     """Brute-force re-count by walking every vector in [-z, z]^n.
 

@@ -142,15 +142,18 @@ def theoretical_distortion(spec: SchemeSpec) -> DistortionProfile:
     holds plain floats.
     """
     # one reference group per symbol; the kernel embeds in place, and less
-    # the reference value the groups hold the changes
-    deltas = np.full((spec.modulus, spec.n), 128, dtype=np.int16)
+    # the reference value the groups hold the changes. int32 holds 128 + z
+    # for any budget far past a buildable table; squares pass 2^31 from
+    # z = 46341 on, and einsum sums them in int64 without an int64 copy.
+    deltas = np.full((spec.modulus, spec.n), 128, dtype=np.int32)
     _embed_groups(spec, deltas, np.arange(spec.modulus))
     deltas -= 128
-    abs_sums = np.abs(deltas).sum(axis=1, dtype=np.int32)
+    sq_sum = int(np.einsum("ij,ij->", deltas, deltas, dtype=np.int64))
+    abs_sums = np.abs(deltas, out=deltas).sum(axis=1, dtype=np.int64)
     denom = spec.modulus * spec.n
     return DistortionProfile(
-        expected_abs_per_pixel=int(abs_sums.sum(dtype=np.int64)) / denom,
-        expected_sq_per_pixel=int((deltas * deltas).sum(dtype=np.int64)) / denom,
+        expected_abs_per_pixel=int(abs_sums.sum()) / denom,
+        expected_sq_per_pixel=sq_sum / denom,
         max_group_change=int(abs_sums.max()),
     )
 

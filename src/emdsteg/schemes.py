@@ -3,12 +3,12 @@
 Every scheme reads a hidden symbol out of a pixel group with a weighted sum
 modulo the symbol count M. Embedding adds the change vector that a
 residue-indexed table holds for r = (target - current) mod M; one numpy
-kernel embeds and extracts every group of an image this way. The tables
-come from an exact minimal-distortion search over the scheme's change
-budget, a dynamic program over the group's pixels, except for EMD, IEMD
-and PVA, whose closed-form procedures only generate their tables (and
-serve tests as oracles). The two split constructions embed each part of
-the symbol with a sub-scheme's table.
+kernel embeds and extracts every group of an image this way. Each table
+comes from an exact minimal-distortion search over the scheme's change
+budget, a dynamic program over the group's pixels; for EMD and PVA that
+is the vector their published procedure applies. Only IEMD embeds with a
+second table, built from its case order. The two split constructions
+embed each part of the symbol with a sub-scheme's table.
 
 Feasibility (every residue reachable within the change budget) is checked
 once at construction, so embedding never fails at run time.
@@ -24,13 +24,6 @@ from typing import Sequence
 import numpy as np
 
 from .image import GrayImage, bits_to_symbols, clamp_for_scheme, symbols_to_bits
-
-EXPLICIT_EMD = "explicit-emd"
-EXPLICIT_IEMD = "explicit-iemd"
-EXPLICIT_PVA = "explicit-pva"
-EXPLICIT_EGEMD = "explicit-egemd"
-EXPLICIT_2EMD = "explicit-2emd"
-SOLVER = "solver"
 
 OBJECTIVE_L2 = "L2-then-L1"
 OBJECTIVE_L1 = "L1-then-L2"
@@ -72,10 +65,6 @@ class SymbolOutOfRange(SchemeError):
     pass
 
 
-class NoCaseMatches(SchemeError):
-    """IEMD case list exhausted; cannot happen for a feasible spec."""
-
-
 class CapacityExceeded(SchemeError):
     pass
 
@@ -110,17 +99,16 @@ class ChangeConstraint:
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """A fully-resolved scheme: weights, modulus, budget and embed strategy.
+    """A fully-resolved scheme: weights, modulus, budget and tables.
 
     solver_array / embed_array are read-only (M, n) arrays in the search's
     delta dtype whose row r is the change vector for the residue
     r = (target - current) mod M: solver_array holds the distortion-optimal
     vector under the scheme objective, embed_array the vector embedding
-    applies (for EMD, IEMD and PVA the one their closed-form procedure
-    produces, else the solver's, as the same object). Both are None for the
-    split constructions, which embed each part of the symbol through
-    sub_specs. solver_table / embed_table are the same tables as tuples of
-    int tuples, built on first access.
+    applies (IEMD's case order, else the solver's, as the same object).
+    Both are None for the split constructions, which embed each part of the
+    symbol through sub_specs. solver_table / embed_table are the same
+    tables as tuples of int tuples, built on first access.
     """
 
     id: str
@@ -128,7 +116,6 @@ class SchemeSpec:
     base: tuple[int, ...]
     modulus: int
     constraint: ChangeConstraint
-    strategy: str
     objective: str = OBJECTIVE_L2
     key: int = 0
     params: dict = field(default_factory=dict, compare=False)
@@ -351,7 +338,7 @@ def _parts(spec: SchemeSpec) -> tuple[tuple[SchemeSpec, int, int], ...]:
     paired-EMD split reads high * sub-M + low, the two-part GEMD split
     carry * 2^(n1+1) + remainder.
     """
-    if spec.strategy == EXPLICIT_2EMD:
+    if spec.id == "twoemd":
         (sub,) = spec.sub_specs
         return ((sub, 0, sub.modulus), (sub, sub.n, 1))
     low, high = spec.sub_specs
@@ -462,93 +449,7 @@ def embed_group(spec: SchemeSpec, x: Sequence[int], s: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# closed-form embedding procedures
-
-
-def emd_embed_group(x: Sequence[int], s: int, n: int) -> tuple[int, ...]:
-    """Classic single-change embedding on n pixels with M = 2n + 1.
-
-    d = (s - f) mod M selects the pixel: d <= n increments pixel d, larger
-    d decrements pixel 2n+1-d (a decrement of weight i shifts f by -i).
-    """
-    modulus = 2 * n + 1
-    if not 0 <= s < modulus:
-        raise SymbolOutOfRange(f"symbol {s} outside [0, {modulus})")
-    if len(x) != n:
-        raise GroupSizeMismatch(f"group has {len(x)} pixels, expected {n}")
-    f = sum(v * i for v, i in zip(x, range(1, n + 1))) % modulus
-    if s == f:
-        return tuple(x)
-    d = (s - f) % modulus
-    out = list(x)
-    if d <= n:
-        out[d - 1] += 1
-    else:
-        out[modulus - d - 1] -= 1
-    return tuple(out)
-
-
-_IEMD_CASES = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1))
-
-
-def iemd_embed_group(x: Sequence[int], s: int) -> tuple[int, int]:
-    """Pair embedding with weights (1, 3) mod 8; first matching case wins."""
-    if len(x) != 2:
-        raise GroupSizeMismatch("expects a pixel pair")
-    if not 0 <= s < 8:
-        raise SymbolOutOfRange(f"symbol {s} outside [0, 8)")
-    x1, x2 = x
-    if (x1 + 3 * x2) % 8 == s:
-        return (x1, x2)
-    for d1, d2 in _IEMD_CASES:
-        g1, g2 = x1 + d1, x2 + d2
-        if (g1 + 3 * g2) % 8 == s:
-            return (g1, g2)
-    raise NoCaseMatches("no candidate pair carries the symbol")
-
-
-def pva_embed_pixel(x: int, s: int, t: int) -> int:
-    """Single-pixel embedding mod t^2: subtract the smallest residue shift.
-
-    The shift r satisfies r = (x - s) mod t^2 taken in
-    [-floor(t^2/2), floor(t^2/2)]; an exact tie goes to positive r, so the
-    pixel moves down.
-    """
-    if not 2 <= t <= 4:
-        raise InvalidParameter(f"t={t} outside [2, 4]")
-    modulus = t * t
-    if not 0 <= s < modulus:
-        raise SymbolOutOfRange(f"symbol {s} outside [0, {modulus})")
-    raw = (x - s) % modulus
-    r = raw if raw <= modulus // 2 else raw - modulus
-    return x - r
-
-
-# ---------------------------------------------------------------------------
 # scheme construction
-
-
-def _explicit_delta_table(spec: SchemeSpec) -> np.ndarray:
-    """Tabulate the closed-form procedure's change vector per residue.
-
-    All closed-form procedures here depend on the group only through
-    (s - f) mod M, so the vectors measured on an interior reference group
-    apply to every interior group. The table is read-only, in the delta
-    dtype of the per-pixel budget.
-    """
-    ref = (128,) * spec.n
-    procedure = {
-        EXPLICIT_EMD: lambda s: emd_embed_group(ref, s, spec.n),
-        EXPLICIT_IEMD: lambda s: iemd_embed_group(ref, s),
-        EXPLICIT_PVA: lambda s: (pva_embed_pixel(128, s, spec.params["t"]),),
-    }[spec.strategy]
-    f_ref = extraction_value(spec, ref)
-    dtype = _delta_type(spec.constraint.per_pixel_max)
-    table = np.empty((spec.modulus, spec.n), dtype=dtype)
-    for r in range(spec.modulus):
-        table[r] = [g - 128 for g in procedure((f_ref + r) % spec.modulus)]
-    table.flags.writeable = False
-    return table
 
 
 def _finalize(
@@ -558,12 +459,14 @@ def _finalize(
     base: Sequence[int],
     modulus: int,
     constraint: ChangeConstraint,
-    strategy: str,
     objective: str = OBJECTIVE_L2,
     key: int = 0,
     params: dict,
     sub_specs: tuple[SchemeSpec, ...] = (),
+    embed_array: np.ndarray | None = None,
 ) -> SchemeSpec:
+    """Build a spec; a plain one gets its solver table, and embeds with it
+    unless embed_array is given."""
     if modulus < 2:
         raise InvalidParameter(f"{id}: modulus {modulus} < 2")
     if len(base) != n or any(b < 1 for b in base):
@@ -574,7 +477,6 @@ def _finalize(
         base=tuple(base),
         modulus=modulus,
         constraint=constraint,
-        strategy=strategy,
         objective=objective,
         key=key,
         params=dict(params),
@@ -587,10 +489,9 @@ def _finalize(
         raise InfeasibleScheme(
             f"{id}: some residue mod {modulus} is unreachable within the budget"
         )
-    spec = replace(spec, solver_array=table, embed_array=table)
-    if strategy in (EXPLICIT_EMD, EXPLICIT_IEMD, EXPLICIT_PVA):
-        spec = replace(spec, embed_array=_explicit_delta_table(spec))
-    return spec
+    if embed_array is None:
+        embed_array = table
+    return replace(spec, solver_array=table, embed_array=embed_array)
 
 
 def _require_int(name: str, value, minimum: int | None = None) -> int:
@@ -610,21 +511,32 @@ def _make_emd(n: int) -> SchemeSpec:
         base=range(1, n + 1),
         modulus=2 * n + 1,
         constraint=ChangeConstraint(1, 1),
-        strategy=EXPLICIT_EMD,
         params={"n": n},
     )
 
 
+# IEMD's change vectors in the method's case order; each reaches its own residue
+_IEMD_CASES = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1))
+
+
 def _make_iemd() -> SchemeSpec:
-    """Pixel pair with weights (1, 3) mod 8; up to two unit changes."""
+    """Pixel pair with weights (1, 3) mod 8; up to two unit changes.
+
+    Embedding applies the case that reaches the residue, which differs from
+    the solver's tie-break only at residue 4: (1, 1) instead of (-1, -1).
+    """
+    table = np.empty((8, 2), dtype=_delta_type(1))
+    for case in _IEMD_CASES:
+        table[(case[0] + 3 * case[1]) % 8] = case
+    table.flags.writeable = False
     return _finalize(
         id="iemd",
         n=2,
         base=(1, 3),
         modulus=8,
         constraint=ChangeConstraint(1, 2),
-        strategy=EXPLICIT_IEMD,
         params={},
+        embed_array=table,
     )
 
 
@@ -640,7 +552,6 @@ def _make_pva(t: int) -> SchemeSpec:
         base=(1,),
         modulus=t * t,
         constraint=ChangeConstraint(z, 1),
-        strategy=EXPLICIT_PVA,
         params={"t": t},
     )
 
@@ -654,7 +565,6 @@ def _make_femd(t: int) -> SchemeSpec:
         base=(t - 1, t),
         modulus=t * t,
         constraint=ChangeConstraint(t // 2, 2),
-        strategy=SOLVER,
         params={"t": t},
     )
 
@@ -668,7 +578,6 @@ def _make_de(k: int) -> SchemeSpec:
         base=(2 * k + 1, 1),
         modulus=2 * k * k + 2 * k + 1,
         constraint=ChangeConstraint(k, 2, l1_radius=k),
-        strategy=SOLVER,
         objective=OBJECTIVE_L1,
         params={"k": k},
     )
@@ -686,7 +595,6 @@ def _make_mpemd(n: int, key: int = 0) -> SchemeSpec:
         base=range(1, n + 1),
         modulus=2 * n,
         constraint=ChangeConstraint(1, 1),
-        strategy=SOLVER,
         key=key,
         params={"n": n, "key": key},
     )
@@ -708,7 +616,6 @@ def _make_emd2(n: int) -> SchemeSpec:
         base=_emd2_weights(n),
         modulus=2 * w + 1,
         constraint=ChangeConstraint(1, 2),
-        strategy=SOLVER,
         params={"n": n},
     )
 
@@ -724,7 +631,6 @@ def _make_twoemd(n: int) -> SchemeSpec:
         base=sub.base + sub.base,
         modulus=m * m,
         constraint=ChangeConstraint(1, 2),
-        strategy=EXPLICIT_2EMD,
         params={"n": n},
         sub_specs=(sub,),
     )
@@ -739,7 +645,6 @@ def _make_gemd(n: int) -> SchemeSpec:
         base=tuple((1 << i) - 1 for i in range(1, n + 1)),
         modulus=1 << (n + 1),
         constraint=ChangeConstraint(1, n),
-        strategy=SOLVER,
         params={"n": n},
     )
 
@@ -760,7 +665,6 @@ def _make_egemd(n: int, n1: int | None = None) -> SchemeSpec:
         base=low.base + high.base,
         modulus=1 << (n + 2),
         constraint=ChangeConstraint(1, n),
-        strategy=EXPLICIT_EGEMD,
         params={"n": n, "n1": n1},
         sub_specs=(low, high),
     )
@@ -783,7 +687,6 @@ def _make_mbe(n: int, k: int) -> SchemeSpec:
         base=_mbe_weights(n, k),
         modulus=1 << (n * k + 1),
         constraint=ChangeConstraint((1 << k) - 1, n),
-        strategy=SOLVER,
         params={"n": n, "k": k},
     )
 
@@ -803,7 +706,6 @@ def _make_msd(n: int) -> SchemeSpec:
         base=tuple(1 << i for i in range(n)),
         modulus=_msd_modulus(n),
         constraint=ChangeConstraint(1, n),
-        strategy=SOLVER,
         params={"n": n},
     )
 
@@ -828,7 +730,6 @@ def _make_hemd(n: int, w: int, wbase: int = 0) -> SchemeSpec:
         base=tuple(root**i for i in range(n)),
         modulus=w**n,
         constraint=ChangeConstraint((w - 1) // 2, n),
-        strategy=SOLVER,
         params={"n": n, "w": w, "wbase": wbase},
     )
 
@@ -843,7 +744,6 @@ def _make_aemd(n: int, m: int) -> SchemeSpec:
         base=tuple(m**i for i in range(n)),
         modulus=m**n,
         constraint=ChangeConstraint(m // 2, n),
-        strategy=SOLVER,
         params={"n": n, "m": m},
     )
 

@@ -18,7 +18,6 @@ from emdsteg.bound import (
     REFERENCE_BOUND_POLY,
     bound_counts,
     bound_point,
-    count_states,
     cubic_eval,
     cubic_fit,
     distance_to_curve,
@@ -102,16 +101,16 @@ def test_criterion_1():
 
 @criterion(2, "spot counts and closed-form corners")
 def test_criterion_2():
-    assert count_states(BoundQuery(2, 1, 1)) == 5
-    assert count_states(BoundQuery(2, 1, 2)) == 9
-    assert count_states(BoundQuery(2, 2, 1)) == 21
+    assert bound_counts(BoundQuery(2, 1, 1)).state_count == 5
+    assert bound_counts(BoundQuery(2, 1, 2)).state_count == 9
+    assert bound_counts(BoundQuery(2, 2, 1)).state_count == 21
     assert bound_counts(BoundQuery(2, 1, 1)).change_sum_linear == 4
     assert bound_counts(BoundQuery(2, 1, 2)).change_sum_linear == 12
     assert bound_counts(BoundQuery(2, 2, 1)).change_sum_squared == 68
     for n in range(1, 9):
         for z in range(1, 4):
-            assert count_states(BoundQuery(n, z, n)) == (2 * z + 1) ** n
-            assert count_states(BoundQuery(n, z, 0)) == (2 * z - 1) ** n
+            assert bound_counts(BoundQuery(n, z, n)).state_count == (2 * z + 1) ** n
+            assert bound_counts(BoundQuery(n, z, 0)).state_count == (2 * z - 1) ** n
 
 
 @criterion(3, "scheme round-trips and change budgets")

@@ -19,7 +19,6 @@ from emdsteg.bound import (
     REFERENCE_BOUND_POLY,
     bound_counts,
     bound_point,
-    count_states,
     cubic_eval,
     cubic_fit,
     distance_to_curve,
@@ -27,8 +26,6 @@ from emdsteg.bound import (
     frontier,
     frontier_value_at,
     quota_counts,
-    sum_changes_linear,
-    sum_changes_squared,
 )
 from emdsteg.metrics import theoretical_distortion
 from emdsteg.schemes import make_scheme
@@ -140,39 +137,43 @@ def scan_golden_distance(poly, point, domain):
 
 class TestCounts:
     def test_spot_values(self):
-        assert count_states(BoundQuery(2, 1, 1)) == 5
-        assert count_states(BoundQuery(2, 1, 2)) == 9
-        assert count_states(BoundQuery(2, 2, 1)) == 21
-        assert sum_changes_linear(BoundQuery(2, 1, 1)) == 4
-        assert sum_changes_linear(BoundQuery(2, 1, 2)) == 12
-        assert sum_changes_linear(BoundQuery(3, 1, 0)) == 0
-        assert sum_changes_squared(BoundQuery(2, 1, 2)) == 12
-        assert sum_changes_squared(BoundQuery(2, 2, 1)) == 68
-        assert sum_changes_squared(BoundQuery(1, 2, 1)) == 10
+        assert bound_counts(BoundQuery(2, 1, 1)).state_count == 5
+        assert bound_counts(BoundQuery(2, 1, 2)).state_count == 9
+        assert bound_counts(BoundQuery(2, 2, 1)).state_count == 21
+        assert bound_counts(BoundQuery(2, 1, 1)).change_sum_linear == 4
+        assert bound_counts(BoundQuery(2, 1, 2)).change_sum_linear == 12
+        assert bound_counts(BoundQuery(3, 1, 0)).change_sum_linear == 0
+        assert bound_counts(BoundQuery(2, 1, 2)).change_sum_squared == 12
+        assert bound_counts(BoundQuery(2, 2, 1)).change_sum_squared == 68
+        assert bound_counts(BoundQuery(1, 2, 1)).change_sum_squared == 10
 
     def test_boundary_identities(self):
         for n in range(1, 9):
             for z in range(1, 4):
-                assert count_states(BoundQuery(n, z, n)) == (2 * z + 1) ** n
-                assert count_states(BoundQuery(n, z, 0)) == (2 * z - 1) ** n
-            assert count_states(BoundQuery(n, 1, 1)) == 2 * n + 1
+                assert bound_counts(BoundQuery(n, z, n)).state_count == (2 * z + 1) ** n
+                assert bound_counts(BoundQuery(n, z, 0)).state_count == (2 * z - 1) ** n
+            assert bound_counts(BoundQuery(n, 1, 1)).state_count == 2 * n + 1
 
     def test_monotonicity(self):
         for n in range(1, 7):
             for z in range(1, 4):
-                counts = [count_states(BoundQuery(n, z, q)) for q in range(n + 1)]
+                counts = [
+                    bound_counts(BoundQuery(n, z, q)).state_count for q in range(n + 1)
+                ]
                 assert counts == sorted(counts)
                 assert all(a < b for a, b in zip(counts, counts[1:]))
         for n in range(1, 7):
             for q in range(1, n + 1):
-                by_z = [count_states(BoundQuery(n, z, q)) for z in range(1, 5)]
+                by_z = [
+                    bound_counts(BoundQuery(n, z, q)).state_count for z in range(1, 5)
+                ]
                 assert all(a < b for a, b in zip(by_z, by_z[1:]))
 
     def test_unit_cap_sums_coincide(self):
         for n in range(1, 7):
             for q in range(n + 1):
-                query = BoundQuery(n, 1, q)
-                assert sum_changes_linear(query) == sum_changes_squared(query)
+                counts = bound_counts(BoundQuery(n, 1, q))
+                assert counts.change_sum_linear == counts.change_sum_squared
 
     def test_matches_enumeration_everywhere(self):
         for n in range(1, 7):
@@ -217,7 +218,7 @@ class TestCounts:
         )
 
     def test_arbitrary_precision(self):
-        big = count_states(BoundQuery(48, 3, 20))
+        big = bound_counts(BoundQuery(48, 3, 20)).state_count
         assert big > 2**64
         assert isinstance(big, int)
 

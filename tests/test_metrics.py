@@ -157,6 +157,25 @@ class TestTheoreticalDistortion:
         # 3 of 4 symbols move one pixel by one unit
         assert prof.expected_sq_per_pixel == pytest.approx(3 / 8)
 
+    @pytest.mark.parametrize(
+        "name,params",
+        [
+            ("de", {"k": 200}),
+            ("femd", {"t": 400}),
+            ("aemd", {"n": 1, "m": 364}),
+            ("aemd", {"n": 1, "m": 100000}),
+        ],
+    )
+    def test_wide_budgets_match_int64_table_sums(self, name, params):
+        # every symbol once applies every row of a plain scheme's table once
+        spec = make_scheme(name, **params)
+        table = spec.embed_array.astype(np.int64)
+        denom = spec.modulus * spec.n
+        prof = theoretical_distortion(spec)
+        assert prof.expected_abs_per_pixel == int(np.abs(table).sum()) / denom
+        assert prof.expected_sq_per_pixel == int((table * table).sum()) / denom
+        assert prof.max_group_change == int(np.abs(table).sum(axis=1).max())
+
 
 class TestCapacity:
     def test_operational(self):

@@ -23,16 +23,13 @@ from emdsteg.schemes import (
     InvalidSplit,
     SymbolOutOfRange,
     UnknownScheme,
-    emd_embed_group,
     embed_group,
     embed_message,
     extract_bits,
     extract_message,
     extraction_value,
-    iemd_embed_group,
     make_scheme,
     operational_capacity,
-    pva_embed_pixel,
 )
 
 # One canonical configuration per implemented scheme family.
@@ -82,10 +79,73 @@ def brute_force_embed(spec, group, symbol):
     return best
 
 
+class NoCaseMatches(AssertionError):
+    """IEMD case list exhausted; cannot happen for a feasible spec."""
+
+
+def emd_embed_group(x, s, n):
+    """Classic single-change embedding on n pixels with M = 2n + 1.
+
+    d = (s - f) mod M selects the pixel: d <= n increments pixel d, larger
+    d decrements pixel 2n+1-d (a decrement of weight i shifts f by -i).
+    """
+    modulus = 2 * n + 1
+    if not 0 <= s < modulus:
+        raise SymbolOutOfRange(f"symbol {s} outside [0, {modulus})")
+    if len(x) != n:
+        raise GroupSizeMismatch(f"group has {len(x)} pixels, expected {n}")
+    f = sum(v * i for v, i in zip(x, range(1, n + 1))) % modulus
+    if s == f:
+        return tuple(x)
+    d = (s - f) % modulus
+    out = list(x)
+    if d <= n:
+        out[d - 1] += 1
+    else:
+        out[modulus - d - 1] -= 1
+    return tuple(out)
+
+
+_IEMD_CASES = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1))
+
+
+def iemd_embed_group(x, s):
+    """Pair embedding with weights (1, 3) mod 8; first matching case wins."""
+    if len(x) != 2:
+        raise GroupSizeMismatch("expects a pixel pair")
+    if not 0 <= s < 8:
+        raise SymbolOutOfRange(f"symbol {s} outside [0, 8)")
+    x1, x2 = x
+    if (x1 + 3 * x2) % 8 == s:
+        return (x1, x2)
+    for d1, d2 in _IEMD_CASES:
+        g1, g2 = x1 + d1, x2 + d2
+        if (g1 + 3 * g2) % 8 == s:
+            return (g1, g2)
+    raise NoCaseMatches("no candidate pair carries the symbol")
+
+
+def pva_embed_pixel(x, s, t):
+    """Single-pixel embedding mod t^2: subtract the smallest residue shift.
+
+    The shift r satisfies r = (x - s) mod t^2 taken in
+    [-floor(t^2/2), floor(t^2/2)]; an exact tie goes to positive r, so the
+    pixel moves down.
+    """
+    if not 2 <= t <= 4:
+        raise InvalidParameter(f"t={t} outside [2, 4]")
+    modulus = t * t
+    if not 0 <= s < modulus:
+        raise SymbolOutOfRange(f"symbol {s} outside [0, {modulus})")
+    raw = (x - s) % modulus
+    r = raw if raw <= modulus // 2 else raw - modulus
+    return x - r
+
+
 def reference_embed(spec, group, symbol):
     """Per-group oracle that shares no code with the table kernel.
 
-    Closed-form schemes run their procedure, solver schemes the brute-force
+    EMD, IEMD and PVA run their published procedure, the others the brute-force
     search; the split schemes split the symbol as their docstrings state and
     embed each part with those oracles.
     """
@@ -315,7 +375,10 @@ class TestSolver:
         assert spec.solver_table == residue_deltas(spec, oracle, (128,) * spec.n)
 
     @pytest.mark.parametrize(
-        "name,params", [("emd", {"n": 2}), ("emd", {"n": 5}), ("iemd", {}), ("pva", {"t": 3})]
+        "name,params",
+        [("emd", {"n": 2}), ("emd", {"n": 5}), ("iemd", {}), ("pva", {"t": 3})]
+        # the single-change search over many pixels, and the M/2 ties of PVA
+        + [("emd", {"n": 40}), ("pva", {"t": 2}), ("pva", {"t": 4})],
     )
     def test_embed_table_matches_closed_form(self, name, params):
         # the closed forms depend on the group only through the residue, so
@@ -501,12 +564,14 @@ class TestTableArrays:
     @pytest.mark.parametrize("name,params", CANONICAL_CONFIGS)
     def test_solver_schemes_share_one_table(self, name, params):
         for spec in plain_specs(make_scheme(name, **params)):
-            if spec.strategy == schemes.SOLVER:
+            if spec.id == "iemd":
+                # IEMD alone keeps its case-order table apart from the solver's
+                assert spec.embed_array is not spec.solver_array
+                assert spec.embed_table[4] == (1, 1)
+                assert spec.solver_table[4] == (-1, -1)
+            else:
                 assert spec.embed_array is spec.solver_array
                 assert spec.embed_table is spec.solver_table
-            else:
-                # EMD, IEMD and PVA keep their closed-form table apart
-                assert spec.embed_array is not spec.solver_array
 
     @pytest.mark.parametrize("row_slice", [4096, 3])
     @pytest.mark.parametrize(
