@@ -23,10 +23,12 @@ from .bound import (
 from .image import (
     GrayImage,
     bits_to_symbols,
+    bytes_to_symbols,
     clamp_for_scheme,
     load_pgm,
     save_pgm,
     symbols_to_bits,
+    symbols_to_bytes,
 )
 from .metrics import (
     DistortionProfile,
@@ -41,14 +43,16 @@ from .metrics import (
     standard_efficiency,
     theoretical_distortion,
 )
-from .rng import seeded_bits
+from .rng import seeded_bits, seeded_bytes
 from .schemes import (
     ChangeConstraint,
     SchemeSpec,
     SCHEME_NAMES,
+    embed_bytes,
     embed_group,
     embed_message,
     extract_bits,
+    extract_bytes,
     extract_message,
     extraction_value,
     make_scheme,
@@ -71,16 +75,19 @@ __all__ = [
     "analyze_pair",
     "bits_to_symbols",
     "bound_counts",
+    "bytes_to_symbols",
     "bound_point",
     "capacity",
     "clamp_for_scheme",
     "cubic_eval",
     "cubic_fit",
     "distance_to_curve",
+    "embed_bytes",
     "embed_group",
     "embed_message",
     "enumerate_oracle",
     "extract_bits",
+    "extract_bytes",
     "extract_message",
     "extraction_value",
     "frontier",
@@ -94,7 +101,9 @@ __all__ = [
     "relative_payload",
     "save_pgm",
     "seeded_bits",
+    "seeded_bytes",
     "standard_efficiency",
     "symbols_to_bits",
+    "symbols_to_bytes",
     "theoretical_distortion",
 ]

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import bound, metrics, reported
 from .image import GrayImage, PgmError, load_pgm
-from .rng import seeded_bits, seeded_bytes
-from .schemes import SchemeSpec, embed_message, make_scheme, operational_capacity
+from .rng import seeded_bytes
+from .schemes import SchemeSpec, embed_bytes, make_scheme, operational_capacity
 
 DEFAULT_SCHEMES: tuple[tuple[str, dict], ...] = (
     ("emd", {"n": 2}),
@@ -191,8 +191,8 @@ def _run_schemes(cfg: BenchConfig, cover: GrayImage) -> list[_ComputedRow]:
     for index, (name, params) in enumerate(cfg.schemes):
         spec = make_scheme(name, **params)
         nbits = int(operational_capacity(cover, spec) * cfg.fill)
-        bits = seeded_bits((cfg.seed + index) & ((1 << 64) - 1), nbits)
-        stego, _ = embed_message(cover, spec, bits)
+        data = seeded_bytes((cfg.seed + index) & ((1 << 64) - 1), -(-nbits // 8))
+        stego, _ = embed_bytes(cover, spec, data, nbits)
         report = metrics.analyze_pair(cover, stego, spec)
         profile = metrics.theoretical_distortion(spec)
         theo_eff = metrics.proposed_efficiency(

@@ -21,12 +21,12 @@ from . import metrics
 from .bench import BenchConfig, BenchConfigError, run_bench
 from .image import GrayImage, PgmError, load_pgm, save_pgm
 from .metrics import DimensionMismatch
-from .rng import seeded_bits
+from .rng import seeded_bytes
 from .schemes import (
     CapacityExceeded,
     SchemeError,
-    embed_message,
-    extract_bits,
+    embed_bytes,
+    extract_bytes,
     make_scheme,
 )
 
@@ -103,21 +103,23 @@ def _load_cover(args: argparse.Namespace) -> GrayImage:
     raise ValueError("need --cover PATH or --synthetic WxH:V")
 
 
-def _message_bits(args: argparse.Namespace) -> tuple[np.ndarray, int | None]:
+def _message(args: argparse.Namespace) -> tuple[bytes, int, int | None]:
+    """(packed bytes, bit length, seed or None) of the message to embed."""
     if args.message is not None:
         try:
             data = Path(args.message).read_bytes()
         except OSError as exc:
             raise CliDataError(f"cannot read {args.message}: {exc}") from None
-        return np.unpackbits(np.frombuffer(data, dtype=np.uint8)), None
+        return data, 8 * len(data), None
     if args.random_bits is not None:
         if args.random_bits < 0:
             raise ValueError("--random-bits must be >= 0")
-        return seeded_bits(args.seed, args.random_bits), args.seed
+        data = seeded_bytes(args.seed, -(-args.random_bits // 8))
+        return data, args.random_bits, args.seed
     raise ValueError("need --message PATH or --random-bits N")
 
 
-def _write_bytes(path: str, data: bytes) -> None:
+def _write_bytes(path: str, data: bytes | np.ndarray) -> None:
     try:
         Path(path).write_bytes(data)
     except OSError as exc:
@@ -127,13 +129,13 @@ def _write_bytes(path: str, data: bytes) -> None:
 def _cmd_embed(args: argparse.Namespace) -> int:
     spec = _scheme_from_args(args)
     cover = _load_cover(args)
-    bits, seed = _message_bits(args)
-    stego, _ = embed_message(cover, spec, bits)
+    data, bit_length, seed = _message(args)
+    stego, _ = embed_bytes(cover, spec, data, bit_length)
     _write_bytes(args.out, save_pgm(stego))
     sidecar = {
         "scheme": spec.id,
         "params": dict(sorted(spec.params.items())),
-        "bit_length": len(bits),
+        "bit_length": bit_length,
         "seed": seed,
     }
     _write_bytes(args.out + ".json", (json.dumps(sidecar, indent=2) + "\n").encode())
@@ -145,8 +147,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     stego = _read_image(args.stego)
     if args.bits < 0:
         raise ValueError("--bits must be >= 0")
-    bits = extract_bits(stego, spec, args.bits)
-    _write_bytes(args.out, np.packbits(bits).tobytes())
+    _write_bytes(args.out, extract_bytes(stego, spec, args.bits))
     return EXIT_OK
 
 

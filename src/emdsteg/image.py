@@ -2,7 +2,8 @@
 
 Three small jobs live here: binary PGM (P5) decode/encode, range clamping
 so a bounded embedding change can never leave [0, 255], and the codec
-between raw bits and M-ary message symbols.
+between packed message bytes and M-ary message symbols, with bit-array
+wrappers around it.
 """
 
 from __future__ import annotations
@@ -40,7 +41,9 @@ class GrayImage:
     """Immutable 8-bit grayscale raster, pixels stored row-major.
 
     The pixel buffer is a read-only numpy array; instances are safe to
-    share between threads.
+    share between threads. The constructor copies the caller's pixels;
+    buffers emdsteg has just made and holds no other reference to are
+    adopted without a copy through _adopt.
     """
 
     __slots__ = ("width", "height", "_pixels")
@@ -60,6 +63,19 @@ class GrayImage:
         self.width = width
         self.height = height
         self._pixels = store
+
+    @classmethod
+    def _adopt(cls, width: int, height: int, pixels: np.ndarray) -> "GrayImage":
+        """Wrap a fresh uint8 buffer of width * height pixels, no copy or checks.
+
+        The buffer is made read-only; the caller must hold no writable view of it.
+        """
+        pixels.flags.writeable = False
+        img = cls.__new__(cls)
+        img.width = width
+        img.height = height
+        img._pixels = pixels
+        return img
 
     @property
     def pixels(self) -> np.ndarray:
@@ -108,6 +124,8 @@ def load_pgm(data: bytes) -> GrayImage:
 
     Header tokens may be separated by any run of whitespace and '#' comment
     lines; exactly one whitespace byte separates the maxval from the raster.
+    The image reads its pixels straight out of an immutable bytes object;
+    any other buffer, such as a bytearray, is copied.
     """
     magic, pos = _token(data, 0)
     if magic != b"P5":
@@ -127,29 +145,37 @@ def load_pgm(data: bytes) -> GrayImage:
         if data[pos] not in _WHITESPACE:
             raise MalformedHeader("missing separator before raster")
         pos += 1
-    raster = data[pos : pos + width * height]
-    if len(raster) < width * height:
-        raise TruncatedPayload(
-            f"raster has {len(raster)} bytes, needs {width * height}"
-        )
-    return GrayImage(width, height, np.frombuffer(raster, dtype=np.uint8))
+    size = width * height
+    if len(data) - pos < size:
+        raise TruncatedPayload(f"raster has {len(data) - pos} bytes, needs {size}")
+    pixels = np.frombuffer(data, dtype=np.uint8, count=size, offset=pos)
+    if not isinstance(data, bytes):
+        pixels = pixels.copy()
+    return GrayImage._adopt(width, height, pixels)
 
 
 def save_pgm(img: GrayImage) -> bytes:
     """Encode as binary PGM with the canonical single-space header."""
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    return header + img.pixels.tobytes()
+    return b"".join((header, img.pixels))
 
 
-def clamp_for_scheme(img: GrayImage, z: int) -> GrayImage:
-    """Clamp every pixel into [z, 255 - z].
+def clamped_pixels(img: GrayImage, z: int) -> np.ndarray:
+    """A new writable array of img's pixels clamped into [z, 255 - z].
 
     Any later change of at most z per pixel then stays inside [0, 255].
-    Idempotent; the clamping distortion is charged to the stego MSE.
     """
     if not 0 <= z <= 127:
         raise ValueError(f"per-pixel change bound {z} outside [0, 127]")
-    return GrayImage(img.width, img.height, np.clip(img.pixels, z, 255 - z))
+    return np.clip(img.pixels, z, 255 - z)
+
+
+def clamp_for_scheme(img: GrayImage, z: int) -> GrayImage:
+    """Clamp every pixel into [z, 255 - z], as an image.
+
+    Idempotent; the clamping distortion is charged to the stego MSE.
+    """
+    return GrayImage._adopt(img.width, img.height, clamped_pixels(img, z))
 
 
 def symbol_bit_width(modulus: int) -> int:
@@ -172,14 +198,91 @@ def _symbol_layout(modulus: int) -> tuple[int, np.dtype, int, int]:
     return width, dtype, period // width, period // 8
 
 
-def bits_to_symbols(bits: Sequence[int] | np.ndarray, modulus: int) -> np.ndarray:
-    """Pack a bit sequence into symbols of floor(log2 M) bits, MSB first.
+def bytes_to_symbols(
+    data: bytes | np.ndarray, modulus: int, bit_length: int
+) -> np.ndarray:
+    """Cut the first bit_length bits of packed bytes into floor(log2 M)-bit symbols.
 
-    A trailing partial chunk is zero-padded on the right, so every output
-    symbol is < 2**width <= M. The symbols come in the narrowest unsigned
-    dtype that holds width bits.
+    data is bytes-like or a uint8 array, read MSB first; bits past
+    bit_length, in its last byte or in later bytes, are ignored. A trailing
+    partial symbol is zero-padded on the right, so every symbol is
+    < 2**width <= M. The symbols come in the narrowest unsigned dtype that
+    holds width bits.
     """
     width, dtype, per_row, row_bytes = _symbol_layout(modulus)
+    if isinstance(data, np.ndarray):
+        if data.dtype != np.uint8:
+            raise ValueError(f"message bytes must be uint8, not {data.dtype}")
+        raw = data.ravel()
+    else:
+        raw = np.frombuffer(data, dtype=np.uint8)
+    if not 0 <= bit_length <= 8 * raw.size:
+        raise ValueError(f"bit_length {bit_length} outside [0, {8 * raw.size}]")
+    count = -(-bit_length // width)
+    used = -(-bit_length // 8)
+    rows = np.zeros((-(-count // per_row), row_bytes), dtype=np.uint8)
+    flat = rows.reshape(-1)
+    flat[:used] = raw[:used]
+    if used:
+        # keep the last byte's bit_length % 8 leading bits (all 8 if 0)
+        flat[used - 1] &= (0xFF << (-bit_length % 8)) & 0xFF
+    symbols = np.empty((len(rows), per_row), dtype=dtype)
+    # symbol j of a period is bits [start, end) of the period's bytes; shifts
+    # past the dtype's top drop the bits before start, the mask clears the rest
+    for j, column in enumerate(symbols.T):
+        start, end = j * width, (j + 1) * width
+        first, last = start // 8, (end - 1) // 8
+        np.right_shift(rows[:, first], max(0, 8 * (first + 1) - end), out=column)
+        for byte in range(first + 1, last + 1):
+            take = min(8, end - 8 * byte)
+            column <<= take
+            column |= rows[:, byte] >> (8 - take)
+        if start % 8:
+            column &= (1 << width) - 1
+    return symbols.reshape(-1)[:count]
+
+
+def symbols_to_bytes(
+    symbols: Sequence[int] | np.ndarray, modulus: int, bit_length: int
+) -> np.ndarray:
+    """Inverse of bytes_to_symbols: the first bit_length bits the symbols carry, packed.
+
+    Returns ceil(bit_length / 8) bytes as a uint8 array, MSB first, with the
+    pad bits past bit_length zeroed. bit_length must be known out of band.
+    The symbols that carry those bits are required to fit the operational
+    width, i.e. to have come out of bytes_to_symbols.
+    """
+    width, dtype, per_row, row_bytes = _symbol_layout(modulus)
+    if bit_length < 0:
+        raise ValueError("bit_length must be >= 0")
+    arr = np.asarray(symbols).ravel()
+    if bit_length > arr.size * width:
+        raise LengthOverrun(
+            f"{bit_length} bits requested, stream encodes {arr.size * width}"
+        )
+    used = arr[: -(-bit_length // width)]
+    if used.size and (int(used.min()) < 0 or int(used.max()) >> width):
+        bad = (used < 0) | (used >= 1 << width)
+        raise ValueError(f"symbol {used[bad][0]} wider than {width} bits")
+    narrow = np.zeros((-(-len(used) // per_row), per_row), dtype=dtype)
+    narrow.reshape(-1)[: len(used)] = used
+    rows = np.zeros((len(narrow), row_bytes), dtype=np.uint8)
+    # each byte a symbol straddles takes its bits, shifted into place; the
+    # unsafe cast to uint8 keeps the low eight bits
+    for j, column in enumerate(narrow.T):
+        start, end = j * width, (j + 1) * width
+        for byte in range(start // 8, (end - 1) // 8 + 1):
+            shift = 8 * (byte + 1) - end
+            part = column << shift if shift >= 0 else column >> -shift
+            np.bitwise_or(rows[:, byte], part, out=rows[:, byte], casting="unsafe")
+    data = rows.reshape(-1)[: -(-bit_length // 8)]
+    if data.size:
+        data[-1] &= (0xFF << (-bit_length % 8)) & 0xFF
+    return data
+
+
+def bits_to_symbols(bits: Sequence[int] | np.ndarray, modulus: int) -> np.ndarray:
+    """bytes_to_symbols for a list or array of 0/1 bits: check, then np.packbits."""
     arr = None
     if isinstance(bits, list):
         # bytes() reads a list of small ints far faster than np.asarray; what
@@ -197,56 +300,12 @@ def bits_to_symbols(bits: Sequence[int] | np.ndarray, modulus: int) -> np.ndarra
         arr = arr.astype(np.uint8)
     elif arr.size and arr.max() > 1:
         raise ValueError(f"bit stream contains {arr[arr > 1].tolist()[0]!r}")
-    count = -(-arr.size // width)
-    packed = np.packbits(arr)
-    data = np.zeros((-(-count // per_row), row_bytes), dtype=np.uint8)
-    data.reshape(-1)[: packed.size] = packed
-    symbols = np.empty((len(data), per_row), dtype=dtype)
-    # symbol j of a period is bits [start, end) of the period's bytes; shifts
-    # past the dtype's top drop the bits before start, the mask clears the rest
-    for j, column in enumerate(symbols.T):
-        start, end = j * width, (j + 1) * width
-        first, last = start // 8, (end - 1) // 8
-        np.right_shift(data[:, first], max(0, 8 * (first + 1) - end), out=column)
-        for byte in range(first + 1, last + 1):
-            used = min(8, end - 8 * byte)
-            column <<= used
-            column |= data[:, byte] >> (8 - used)
-        if start % 8:
-            column &= (1 << width) - 1
-    return symbols.reshape(-1)[:count]
+    return bytes_to_symbols(np.packbits(arr), modulus, arr.size)
 
 
 def symbols_to_bits(
     symbols: Sequence[int] | np.ndarray, modulus: int, bit_length: int
 ) -> np.ndarray:
-    """Inverse of bits_to_symbols: emit width bits per symbol, MSB first, as uint8.
-
-    The result is truncated to bit_length, which the receiver must know
-    out of band. The symbols that carry those bits are required to fit the
-    operational width, i.e. to have come out of bits_to_symbols.
-    """
-    width, dtype, per_row, row_bytes = _symbol_layout(modulus)
-    if bit_length < 0:
-        raise ValueError("bit_length must be >= 0")
-    arr = np.asarray(symbols).ravel()
-    if bit_length > arr.size * width:
-        raise LengthOverrun(
-            f"{bit_length} bits requested, stream encodes {arr.size * width}"
-        )
-    used = arr[: -(-bit_length // width)]
-    if used.size and (int(used.min()) < 0 or int(used.max()) >> width):
-        bad = (used < 0) | (used >= 1 << width)
-        raise ValueError(f"symbol {used[bad][0]} wider than {width} bits")
-    narrow = np.zeros((-(-len(used) // per_row), per_row), dtype=dtype)
-    narrow.reshape(-1)[: len(used)] = used
-    data = np.zeros((len(narrow), row_bytes), dtype=np.uint8)
-    # each byte a symbol straddles takes its bits, shifted into place; the
-    # unsafe cast to uint8 keeps the low eight bits
-    for j, column in enumerate(narrow.T):
-        start, end = j * width, (j + 1) * width
-        for byte in range(start // 8, (end - 1) // 8 + 1):
-            shift = 8 * (byte + 1) - end
-            part = column << shift if shift >= 0 else column >> -shift
-            np.bitwise_or(data[:, byte], part, out=data[:, byte], casting="unsafe")
-    return np.unpackbits(data.reshape(-1), count=bit_length)
+    """symbols_to_bytes unpacked with np.unpackbits: bit_length bits as uint8 0/1."""
+    data = symbols_to_bytes(symbols, modulus, bit_length)
+    return np.unpackbits(data, count=bit_length)

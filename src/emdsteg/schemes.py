@@ -23,7 +23,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .image import GrayImage, bits_to_symbols, clamp_for_scheme, symbols_to_bits
+from .image import (
+    GrayImage,
+    bits_to_symbols,
+    bytes_to_symbols,
+    clamped_pixels,
+    symbols_to_bits,
+    symbols_to_bytes,
+)
 
 OBJECTIVE_L2 = "L2-then-L1"
 OBJECTIVE_L1 = "L1-then-L2"
@@ -800,6 +807,23 @@ def operational_capacity(img: GrayImage, spec: SchemeSpec) -> int:
     return group_capacity(img, spec) * spec.payload_bits_operational
 
 
+def _check_capacity(img: GrayImage, spec: SchemeSpec, bit_length: int) -> None:
+    if bit_length > operational_capacity(img, spec):
+        raise CapacityExceeded(
+            f"{bit_length} bits > capacity {operational_capacity(img, spec)}"
+        )
+
+
+def _embed_symbols(
+    img: GrayImage, spec: SchemeSpec, symbols: np.ndarray
+) -> tuple[GrayImage, int]:
+    """The embed core: clamp into a new buffer, embed into it in place, adopt it."""
+    pixels = clamped_pixels(img, spec.constraint.per_pixel_max)
+    used = len(symbols)
+    _embed_groups(spec, pixels[: used * spec.n].reshape(used, spec.n), symbols)
+    return GrayImage._adopt(img.width, img.height, pixels), used
+
+
 def embed_message(
     img: GrayImage, spec: SchemeSpec, bits: Sequence[int] | np.ndarray
 ) -> tuple[GrayImage, int]:
@@ -808,30 +832,37 @@ def embed_message(
     Groups past the message and the row-major tail keep their clamped
     values. Raises CapacityExceeded when the message does not fit.
     """
-    if len(bits) > operational_capacity(img, spec):
-        raise CapacityExceeded(
-            f"{len(bits)} bits > capacity {operational_capacity(img, spec)}"
-        )
-    clamped = clamp_for_scheme(img, spec.constraint.per_pixel_max)
-    symbols = bits_to_symbols(bits, spec.modulus)
-    pixels = clamped.pixels.copy()
-    used = len(symbols)
-    # a writable uint8 view of the copy: the kernel embeds into it in place
-    _embed_groups(spec, pixels[: used * spec.n].reshape(used, spec.n), symbols)
-    return GrayImage(img.width, img.height, pixels), used
+    _check_capacity(img, spec, len(bits))
+    return _embed_symbols(img, spec, bits_to_symbols(bits, spec.modulus))
+
+
+def embed_bytes(
+    img: GrayImage, spec: SchemeSpec, data: bytes | np.ndarray, bit_length: int
+) -> tuple[GrayImage, int]:
+    """embed_message for the first bit_length bits of packed bytes, MSB first."""
+    _check_capacity(img, spec, bit_length)
+    return _embed_symbols(img, spec, bytes_to_symbols(data, spec.modulus, bit_length))
+
+
+def _extract_symbols(img: GrayImage, spec: SchemeSpec, bit_length: int) -> np.ndarray:
+    """The extract core: the symbols of the groups that carry bit_length bits."""
+    if bit_length < 0:
+        raise ValueError("bit_length must be >= 0")
+    _check_capacity(img, spec, bit_length)
+    used = -(-bit_length // spec.payload_bits_operational)
+    return _extract_groups(spec, img.pixels[: used * spec.n].reshape(used, spec.n))
 
 
 def extract_bits(img: GrayImage, spec: SchemeSpec, bit_length: int) -> np.ndarray:
     """Read bit_length bits back out of a stego image as a uint8 array; needs no cover."""
-    if bit_length < 0:
-        raise ValueError("bit_length must be >= 0")
-    if bit_length > operational_capacity(img, spec):
-        raise CapacityExceeded(
-            f"{bit_length} bits > capacity {operational_capacity(img, spec)}"
-        )
-    used = -(-bit_length // spec.payload_bits_operational)
-    groups = img.pixels[: used * spec.n].reshape(used, spec.n)
-    return symbols_to_bits(_extract_groups(spec, groups), spec.modulus, bit_length)
+    symbols = _extract_symbols(img, spec, bit_length)
+    return symbols_to_bits(symbols, spec.modulus, bit_length)
+
+
+def extract_bytes(img: GrayImage, spec: SchemeSpec, bit_length: int) -> np.ndarray:
+    """extract_bits packed MSB first into a uint8 array, pad bits zeroed."""
+    symbols = _extract_symbols(img, spec, bit_length)
+    return symbols_to_bytes(symbols, spec.modulus, bit_length)
 
 
 def extract_message(img: GrayImage, spec: SchemeSpec, bit_length: int) -> list[int]:

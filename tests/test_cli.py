@@ -12,7 +12,8 @@ from emdsteg import bound as bound_mod
 from emdsteg.bench import _fmt
 from emdsteg.cli import main
 from emdsteg.image import GrayImage, save_pgm
-from emdsteg.rng import seeded_bits
+from emdsteg.rng import seeded_bits, seeded_bytes
+from emdsteg.schemes import embed_message, make_scheme
 
 SCHEME_ARGS = {
     "emd": ["--n", "2"],
@@ -101,6 +102,36 @@ class TestEmbedExtract:
                 byte = (byte << 1) | bit
             packed.append(byte << (8 - len(chunk)))
         assert out.read_bytes() == bytes(packed)
+
+    def test_random_bits_pad_bits_extract_as_zeros(self, tmp_path):
+        # 13 bits take the top 5 of seeded_bytes(5, 2)[1] == 0x03; the
+        # other 3 are pad bits, embedded as zeros and written as zeros
+        assert seeded_bytes(5, 2) == b"\x63\x03"
+        stego, out = tmp_path / "s.pgm", tmp_path / "m.bin"
+        assert run("embed", "--scheme", "emd", "--n", 2, "--synthetic", "4x4:128",
+                   "--random-bits", 13, "--seed", 5, "--out", stego) == 0
+        sidecar = json.loads((tmp_path / "s.pgm.json").read_text())
+        assert (sidecar["bit_length"], sidecar["seed"]) == (13, 5)
+        expected, _ = embed_message(GrayImage.flat(4, 4, 128), make_scheme("emd", n=2),
+                                    seeded_bits(5, 13))
+        assert stego.read_bytes() == save_pgm(expected)
+        assert run("extract", "--scheme", "emd", "--n", 2, "--stego", stego,
+                   "--bits", 13, "--out", out) == 0
+        assert out.read_bytes() == b"\x63\x00"
+
+    def test_message_file_round_trip_at_capacity(self, tmp_path):
+        message, stego, out = tmp_path / "msg.bin", tmp_path / "s.pgm", tmp_path / "m.bin"
+        message.write_bytes(b"\xa7\x01")
+        assert run("embed", "--scheme", "emd", "--n", 2, "--synthetic", "4x4:128",
+                   "--message", message, "--out", stego) == 0
+        sidecar = json.loads((tmp_path / "s.pgm.json").read_text())
+        assert (sidecar["bit_length"], sidecar["seed"]) == (16, None)
+        assert run("extract", "--scheme", "emd", "--n", 2, "--stego", stego,
+                   "--bits", 16, "--out", out) == 0
+        assert out.read_bytes() == b"\xa7\x01"
+        assert run("extract", "--scheme", "emd", "--n", 2, "--stego", stego,
+                   "--bits", 12, "--out", out) == 0
+        assert out.read_bytes() == b"\xa7\x00"
 
     def test_zero_bits_extract(self, tmp_path):
         stego = tmp_path / "s.pgm"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,10 +13,12 @@ from emdsteg.image import (
     TruncatedPayload,
     UnsupportedMaxval,
     bits_to_symbols,
+    bytes_to_symbols,
     clamp_for_scheme,
     load_pgm,
     save_pgm,
     symbols_to_bits,
+    symbols_to_bytes,
 )
 
 
@@ -115,6 +119,64 @@ class TestGrayImage:
             img.pixels[0] = 5
 
 
+class TestBufferOwnership:
+    def test_caller_array_is_copied(self):
+        pixels = np.arange(16, dtype=np.uint8)
+        img = GrayImage(4, 4, pixels)
+        pixels[:] = 0
+        assert img.pixels.tolist() == list(range(16))
+        assert not img.pixels.flags.writeable
+
+    def test_pgm_bytes_are_read_in_place(self):
+        data = save_pgm(GrayImage(4, 2, list(range(8))))
+        img = load_pgm(data)
+        assert np.shares_memory(img.pixels, np.frombuffer(data, dtype=np.uint8))
+        assert not img.pixels.flags.writeable
+
+    def test_pgm_bytearray_is_copied(self):
+        data = bytearray(save_pgm(GrayImage(4, 2, list(range(8)))))
+        img = load_pgm(data)
+        assert not img.pixels.flags.writeable
+        data[-8:] = bytes(8)
+        assert img.pixels.tolist() == list(range(8))
+
+    def test_clamp_makes_a_new_read_only_buffer(self):
+        img = GrayImage(4, 1, [0, 1, 254, 255])
+        out = clamp_for_scheme(img, 1)
+        assert out.pixels.tolist() == [1, 1, 254, 254]
+        assert not out.pixels.flags.writeable
+        assert not np.shares_memory(out.pixels, img.pixels)
+
+
+def _traced_peak(fn, *args) -> int:
+    """Peak bytes fn(*args) holds at once, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRasterCopies:
+    """How many pixel-raster copies each PGM and clamp step holds at its peak."""
+
+    SIDE = 512
+    RASTER = SIDE * SIDE
+
+    def test_load_makes_no_copy(self):
+        data = save_pgm(GrayImage.flat(self.SIDE, self.SIDE, 7))
+        assert _traced_peak(load_pgm, data) < self.RASTER // 4
+
+    def test_save_makes_one_copy(self):
+        img = GrayImage.flat(self.SIDE, self.SIDE, 7)
+        assert _traced_peak(save_pgm, img) < 1.5 * self.RASTER
+
+    def test_clamp_makes_one_copy(self):
+        img = GrayImage.flat(self.SIDE, self.SIDE, 7)
+        assert _traced_peak(clamp_for_scheme, img, 2) < 1.5 * self.RASTER
+
+
 class TestClamp:
     @pytest.mark.parametrize(
         "pixel,z,expected", [(0, 1, 1), (255, 2, 253), (128, 127, 128)]
@@ -191,6 +253,64 @@ class TestSymbolCodec:
         symbols = bits_to_symbols(bits, modulus)
         assert all(0 <= s < modulus for s in symbols)
         assert symbols_to_bits(symbols, modulus, len(bits)).tolist() == bits
+
+
+class TestByteCodec:
+    def test_pad_bits_ignored_on_the_way_in(self):
+        # 13 bits: 0110 0011 0000 0|011 -> 2-bit symbols 01 10 00 11 00 00 0(0)
+        assert bytes_to_symbols(b"\x63\x03", 4, 13).tolist() == [1, 2, 0, 3, 0, 0, 0]
+        assert bytes_to_symbols(b"\x63\x03\xff", 4, 13).tolist() == [1, 2, 0, 3, 0, 0, 0]
+
+    def test_pad_bits_zeroed_on_the_way_out(self):
+        # the last symbol carries one bit of the message and a one past it
+        assert symbols_to_bytes([1, 2, 0, 3, 0, 0, 1], 4, 13).tolist() == [0x63, 0x00]
+        assert symbols_to_bytes([1, 2, 0, 3, 3, 3, 3], 4, 13).tolist() == [0x63, 0xF8]
+
+    def test_input_forms_agree(self):
+        data = bytes(range(1, 40, 3))
+        expected = bytes_to_symbols(data, 1000, 100).tolist()
+        for form in (bytearray(data), memoryview(data), np.frombuffer(data, np.uint8)):
+            assert bytes_to_symbols(form, 1000, 100).tolist() == expected
+
+    @pytest.mark.parametrize(
+        "data,bit_length",
+        [(b"\x00", 9), (b"\x00", -1), (np.zeros(2, dtype=np.int64), 8)],
+        ids=["past-the-end", "negative", "not-uint8"],
+    )
+    def test_bad_input_rejected(self, data, bit_length):
+        with pytest.raises(ValueError):
+            bytes_to_symbols(data, 5, bit_length)
+
+    def test_zero_length(self):
+        assert bytes_to_symbols(b"", 5, 0).tolist() == []
+        assert symbols_to_bytes([], 5, 0).tolist() == []
+
+    @given(st.integers(1, 63), st.data())
+    @settings(max_examples=200)
+    def test_matches_bit_codec(self, width, data):
+        modulus = data.draw(st.integers(1 << width, (2 << width) - 1), label="modulus")
+        bit_length = data.draw(st.integers(1, 700).filter(lambda n: n % 8), label="bits")
+        nbytes = -(-bit_length // 8)
+        raw = bytearray(data.draw(st.binary(min_size=nbytes, max_size=nbytes)))
+        raw[-1] |= 1  # the lowest bit of the last byte is always a pad bit here
+        bits = np.unpackbits(np.frombuffer(bytes(raw), dtype=np.uint8), count=bit_length)
+        packed = np.packbits(bits)
+        assert packed[-1] != raw[-1]
+
+        symbols = bits_to_symbols(bits, modulus)
+        assert np.array_equal(symbols, bytes_to_symbols(packed, modulus, bit_length))
+        got = bytes_to_symbols(raw + data.draw(st.binary(max_size=3)), modulus, bit_length)
+        assert got.dtype == symbols.dtype
+        assert np.array_equal(got, symbols)
+
+        # the last symbol's bits past bit_length, and any later symbol, are ignored
+        noisy = symbols.copy()
+        noisy[-1] |= (1 << (len(symbols) * width - bit_length)) - 1
+        noisy = np.append(noisy, noisy.dtype.type(1))
+        out = symbols_to_bytes(noisy, modulus, bit_length)
+        assert out.dtype == np.uint8
+        assert out.tobytes() == packed.tobytes()
+        assert np.array_equal(symbols_to_bits(noisy, modulus, bit_length), bits)
 
 
 # The per-bit loops the vectorized codec replaced, kept as its oracle.

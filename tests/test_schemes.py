@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emdsteg import schemes
-from emdsteg.image import GrayImage, bits_to_symbols, clamp_for_scheme
+from emdsteg.image import GrayImage, bits_to_symbols, clamp_for_scheme, clamped_pixels
 from emdsteg.metrics import DistortionProfile, theoretical_distortion
 from emdsteg.schemes import (
     OBJECTIVE_L1,
@@ -23,9 +23,11 @@ from emdsteg.schemes import (
     InvalidSplit,
     SymbolOutOfRange,
     UnknownScheme,
+    embed_bytes,
     embed_group,
     embed_message,
     extract_bits,
+    extract_bytes,
     extract_message,
     extraction_value,
     make_scheme,
@@ -647,6 +649,12 @@ class TestMessagePipeline:
             embed_message(img, spec, [0] * (cap + 1))
         with pytest.raises(CapacityExceeded):
             extract_message(stego, spec, cap + 1)
+        with pytest.raises(CapacityExceeded):
+            embed_bytes(img, spec, bytes(cap // 8 + 1), cap + 1)
+        with pytest.raises(CapacityExceeded):
+            extract_bytes(stego, spec, cap + 1)
+        with pytest.raises(ValueError):
+            extract_bytes(stego, spec, -1)
 
     def test_tail_pixels_untouched(self):
         img = GrayImage(5, 1, [100, 100, 100, 100, 77])
@@ -836,17 +844,22 @@ class TestKernelMatchesMatmulReference:
         clamped = []
 
         def clamp_spy(image, z):
-            out = clamp_for_scheme(image, z)
-            clamped.append((out, out.pixels.tobytes()))
+            out = clamped_pixels(image, z)
+            # a copy of the clamped cover as it stands before the kernel runs
+            clamped.append((GrayImage(image.width, image.height, out), out.tobytes(), out))
             return out
 
-        with mock.patch.object(schemes, "clamp_for_scheme", clamp_spy):
+        with mock.patch.object(schemes, "clamped_pixels", clamp_spy):
             stego, used = embed_message(img, spec, bits)
         assert (stego, used) == matmul_embed_message(img, spec, bits)
-        # the kernel embeds into its own copy: neither input buffer changes
-        ((clamped_img, clamped_bytes),) = clamped
+        # the kernel embeds in place into the one clamped buffer, which
+        # becomes the stego image; the cover's buffer does not change
+        ((clamped_img, clamped_bytes, buffer),) = clamped
         assert img.pixels.tobytes() == cover_bytes
         assert clamped_img.pixels.tobytes() == clamped_bytes
+        assert clamped_img == clamp_for_scheme(img, spec.constraint.per_pixel_max)
+        assert np.shares_memory(stego.pixels, buffer)
+        assert not stego.pixels.flags.writeable
         assert not np.shares_memory(stego.pixels, img.pixels)
         assert not np.shares_memory(stego.pixels, clamped_img.pixels)
 
@@ -854,6 +867,28 @@ class TestKernelMatchesMatmulReference:
         assert got.dtype == np.uint8
         assert np.array_equal(got, matmul_extract_bits(stego, spec, nbits))
         assert np.array_equal(got, bits)
+
+    @given(build=st.sampled_from(KERNEL_SPECS), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_byte_entry_points_match_bit_entry_points(self, build, data):
+        spec = build()
+        groups = data.draw(st.integers(1, max(1, min(40, 1000 // spec.n))), label="groups")
+        size = groups * spec.n
+        pixels = data.draw(st.lists(pixel_values, min_size=size, max_size=size))
+        img = GrayImage(size, 1, np.array(pixels, dtype=np.uint8))
+        nbits = data.draw(st.integers(0, operational_capacity(img, spec)), label="nbits")
+        nbytes = -(-nbits // 8)
+        raw = data.draw(st.binary(min_size=nbytes, max_size=nbytes + 2), label="raw")
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=nbits)
+        # pad bits past nbits, whatever they hold, embed as the bit path's zeros
+        stego, used = embed_bytes(img, spec, raw, nbits)
+        assert (stego, used) == embed_message(img, spec, bits)
+        assert not np.shares_memory(stego.pixels, img.pixels)
+        got = extract_bytes(stego, spec, nbits)
+        assert got.dtype == np.uint8
+        assert got.tobytes() == np.packbits(bits).tobytes()
+        bits_out = extract_bits(stego, spec, nbits)
+        assert np.array_equal(np.unpackbits(got, count=nbits), bits_out)
 
     @given(build=st.sampled_from(KERNEL_SPECS + [WIDE_TABLE_SPEC]), data=st.data())
     @settings(max_examples=300, deadline=None)
