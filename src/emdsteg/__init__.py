@@ -2,7 +2,7 @@
 
 Embedding/extraction for the EMD family of pixel-group schemes, image
 quality and embedding-efficiency metrics, and exact computation of the
-efficiency upper bound with an enumeration oracle.
+efficiency upper bound.
 """
 
 from .bound import (
@@ -16,7 +16,6 @@ from .bound import (
     cubic_eval,
     cubic_fit,
     distance_to_curve,
-    enumerate_oracle,
     frontier,
     quota_counts,
 )
@@ -36,7 +35,6 @@ from .metrics import (
     analyze_pair,
     capacity,
     mse,
-    mse_from_psnr,
     proposed_efficiency,
     psnr,
     relative_payload,
@@ -54,7 +52,6 @@ from .schemes import (
     extract_bits,
     extract_bytes,
     extract_message,
-    extraction_value,
     make_scheme,
 )
 
@@ -85,16 +82,13 @@ __all__ = [
     "embed_bytes",
     "embed_group",
     "embed_message",
-    "enumerate_oracle",
     "extract_bits",
     "extract_bytes",
     "extract_message",
-    "extraction_value",
     "frontier",
     "load_pgm",
     "make_scheme",
     "mse",
-    "mse_from_psnr",
     "proposed_efficiency",
     "psnr",
     "quota_counts",

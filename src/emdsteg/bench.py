@@ -103,6 +103,7 @@ class BenchConfig:
         if not isinstance(raw, dict):
             raise BenchConfigError("config is not a JSON object")
         cfg = cls()
+        _reject_unknown("config", raw, vars(cfg))
         # a field accepts the JSON type of its default value
         for key, default in vars(cfg).items():
             if key in raw:
@@ -124,17 +125,28 @@ def _checked(what: str, value, types):
     return value
 
 
+def _reject_unknown(what: str, raw: dict, known) -> None:
+    for key in raw:
+        if key not in known:
+            raise BenchConfigError(f"unknown {what} key {key!r}")
+
+
 def _scheme_entry(entry) -> tuple[str, dict]:
     entry = _checked("scheme entry", entry, dict)
+    _reject_unknown("scheme entry", entry, ("scheme", "params"))
     return _checked("scheme", entry.get("scheme"), str), dict(
         _checked("params", entry.get("params", {}), dict)
     )
 
 
 def noise_image(width: int, height: int, seed: int) -> GrayImage:
-    """Deterministic full-range noise cover from the seeded byte stream."""
+    """Deterministic full-range noise cover from the seeded byte stream.
+
+    width and height must be positive; the stream's bytes are adopted as the
+    raster without a copy.
+    """
     data = seeded_bytes(seed, width * height)
-    return GrayImage(width, height, np.frombuffer(data, dtype=np.uint8))
+    return GrayImage._adopt(width, height, np.frombuffer(data, dtype=np.uint8))
 
 
 def build_cover(spec: dict) -> GrayImage:
@@ -181,7 +193,6 @@ def _params_token(params: dict) -> str:
 class _ComputedRow:
     spec: SchemeSpec
     report: metrics.MetricsReport
-    profile: metrics.DistortionProfile
     theoretical_eff_proposed: float
     distance: float | None
 
@@ -194,9 +205,8 @@ def _run_schemes(cfg: BenchConfig, cover: GrayImage) -> list[_ComputedRow]:
         data = seeded_bytes((cfg.seed + index) & ((1 << 64) - 1), -(-nbits // 8))
         stego, _ = embed_bytes(cover, spec, data, nbits)
         report = metrics.analyze_pair(cover, stego, spec)
-        profile = metrics.theoretical_distortion(spec)
         theo_eff = metrics.proposed_efficiency(
-            report.alpha, profile.expected_sq_per_pixel
+            report.alpha, metrics.theoretical_distortion(spec).expected_sq_per_pixel
         )
         distance = None
         if report.efficiency_proposed is not None:
@@ -206,7 +216,7 @@ def _run_schemes(cfg: BenchConfig, cover: GrayImage) -> list[_ComputedRow]:
                 cfg.distance_mode,
                 cfg.distance_domain,
             )
-        rows.append(_ComputedRow(spec, report, profile, theo_eff, distance))
+        rows.append(_ComputedRow(spec, report, theo_eff, distance))
     return rows
 
 
@@ -225,12 +235,34 @@ def _match_computed(
     return fallback
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+    return path
+
+
+_TABLE_HEADER = ["scheme", "params", "condition", "alpha", "value", "provenance", "delta_vs_computed"]
+_FIGURE_HEADER = ["series", "params", "inv_alpha", "efficiency", "provenance"]
+
+# (csv name, quoted rows, value of a computed row)
+_TABLES = (
+    ("table3", reported.REPORTED_STANDARD_EFFICIENCY, lambda r: r.report.efficiency_standard),
+    ("table4", reported.REPORTED_PROPOSED_EFFICIENCY, lambda r: r.report.efficiency_proposed),
+    ("table5", reported.REPORTED_BOUND_DISTANCE, lambda r: r.distance),
+)
+
+# (csv name, bound metric, BenchConfig normalization field, value, quoted rows).
+# fig3 plots the exact per-scheme expectation rather than one sampled run,
+# so frontier dominance is a property of the scheme, not the seed.
+_FIGURES = (
+    ("fig2", bound.METRIC_STANDARD, "standard_normalization",
+     lambda r: r.report.efficiency_standard, reported.REPORTED_STANDARD_EFFICIENCY),
+    ("fig3", bound.METRIC_PROPOSED, "proposed_normalization",
+     lambda r: r.theoretical_eff_proposed, reported.REPORTED_PROPOSED_EFFICIENCY),
+)
 
 
 def run_bench(cfg: BenchConfig, out_dir: str | Path) -> dict[str, Path]:
@@ -238,127 +270,33 @@ def run_bench(cfg: BenchConfig, out_dir: str | Path) -> dict[str, Path]:
     cfg.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cover = build_cover(cfg.cover)
-    computed = _run_schemes(cfg, cover)
-
-    header = ["scheme", "params", "condition", "alpha", "value", "provenance", "delta_vs_computed"]
-
-    def table_rows(quoted_rows, computed_value) -> list[list]:
-        rows: list[list] = []
-        for row in computed:
-            rows.append(
-                [
-                    row.spec.id,
-                    _params_token(row.spec.params),
-                    "",
-                    row.report.alpha,
-                    computed_value(row),
-                    "computed",
-                    None,
-                ]
-            )
-        for quoted in quoted_rows:
-            match = _match_computed(computed, quoted)
-            delta = None
-            if match is not None:
-                reference = computed_value(match)
-                if reference is not None:
-                    delta = quoted.value - reference
-            rows.append(
-                [
-                    quoted.scheme_id,
-                    "",
-                    quoted.condition,
-                    quoted.alpha,
-                    quoted.value,
-                    "reported",
-                    delta,
-                ]
-            )
-        return rows
-
+    computed = _run_schemes(cfg, build_cover(cfg.cover))
     paths: dict[str, Path] = {}
-
-    paths["table3"] = out / "table3.csv"
-    _write_csv(
-        paths["table3"],
-        header,
-        table_rows(
-            reported.REPORTED_STANDARD_EFFICIENCY,
-            lambda row: row.report.efficiency_standard,
-        ),
-    )
-
-    paths["table4"] = out / "table4.csv"
-    _write_csv(
-        paths["table4"],
-        header,
-        table_rows(
-            reported.REPORTED_PROPOSED_EFFICIENCY,
-            lambda row: row.report.efficiency_proposed,
-        ),
-    )
-
-    paths["table5"] = out / "table5.csv"
-    _write_csv(
-        paths["table5"],
-        header,
-        table_rows(reported.REPORTED_BOUND_DISTANCE, lambda row: row.distance),
-    )
-
+    for name, quoted_rows, value in _TABLES:
+        rows = [
+            [r.spec.id, _params_token(r.spec.params), "", r.report.alpha, value(r), "computed", None]
+            for r in computed
+        ]
+        for q in quoted_rows:
+            match = _match_computed(computed, q)
+            reference = None if match is None else value(match)
+            delta = None if reference is None else q.value - reference
+            rows.append([q.scheme_id, "", q.condition, q.alpha, q.value, "reported", delta])
+        paths[name] = _write_csv(out / f"{name}.csv", _TABLE_HEADER, rows)
     ns = range(1, cfg.frontier_max_n + 1)
     zs = range(1, cfg.frontier_max_z + 1)
-    fig_header = ["series", "params", "inv_alpha", "efficiency", "provenance"]
-
-    def fig_rows(metric, normalization, scheme_eff, quoted_rows) -> list[list]:
-        rows: list[list] = []
-        for row in computed:
-            eff = scheme_eff(row)
-            if eff is None:
-                continue
-            rows.append(
-                [
-                    row.spec.id,
-                    _params_token(row.spec.params),
-                    1.0 / row.report.alpha,
-                    eff,
-                    "computed",
-                ]
-            )
-        for quoted in quoted_rows:
-            rows.append(
-                [quoted.scheme_id, quoted.condition, 1.0 / quoted.alpha, quoted.value, "reported"]
-            )
-        for point in bound.frontier(ns, zs, metric, normalization):
-            rows.append(
-                ["bound", "", point.inv_alpha, point.efficiency(metric), "computed"]
-            )
-        return rows
-
-    paths["fig2"] = out / "fig2.csv"
-    _write_csv(
-        paths["fig2"],
-        fig_header,
-        fig_rows(
-            bound.METRIC_STANDARD,
-            cfg.standard_normalization,
-            lambda row: row.report.efficiency_standard,
-            reported.REPORTED_STANDARD_EFFICIENCY,
-        ),
-    )
-
-    # fig3 plots the exact per-scheme expectation rather than one sampled
-    # run, so frontier dominance is a property of the scheme, not the seed.
-    paths["fig3"] = out / "fig3.csv"
-    _write_csv(
-        paths["fig3"],
-        fig_header,
-        fig_rows(
-            bound.METRIC_PROPOSED,
-            cfg.proposed_normalization,
-            lambda row: row.theoretical_eff_proposed,
-            reported.REPORTED_PROPOSED_EFFICIENCY,
-        ),
-    )
-
+    for name, metric, normalization, value, quoted_rows in _FIGURES:
+        rows = [
+            [r.spec.id, _params_token(r.spec.params), 1.0 / r.report.alpha, value(r), "computed"]
+            for r in computed
+            if value(r) is not None
+        ]
+        rows += [
+            [q.scheme_id, q.condition, 1.0 / q.alpha, q.value, "reported"] for q in quoted_rows
+        ]
+        rows += [
+            ["bound", "", point.inv_alpha, point.efficiency(metric), "computed"]
+            for point in bound.frontier(ns, zs, metric, getattr(cfg, normalization))
+        ]
+        paths[name] = _write_csv(out / f"{name}.csv", _FIGURE_HEADER, rows)
     return paths

@@ -3,8 +3,7 @@
 For a group of n pixels, a per-pixel change cap z, and a quota q of pixels
 allowed to use the full +/-z change (the rest stay within +/-(z-1)), this
 module counts the admissible change states and their total linear and
-squared change, exactly, with arbitrary-precision integers. A brute-force
-enumerator provides an independent oracle for the same three quantities.
+squared change, exactly, with arbitrary-precision integers.
 
 On top of the counts sit the chart primitives: efficiency points per
 (n, z, q) query, the upper envelope over a sweep, cubic least-squares
@@ -13,14 +12,11 @@ fitting of envelope points, and point-to-curve distance.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-
-_ORACLE_LIMIT = 10**8
 
 METRIC_STANDARD = "standard"
 METRIC_PROPOSED = "proposed"
@@ -38,10 +34,6 @@ class BoundError(ValueError):
 
 class InvalidQuery(BoundError):
     pass
-
-
-class QueryTooLarge(BoundError):
-    """Brute-force enumeration would exceed the state guard."""
 
 
 class DegenerateQuery(BoundError):
@@ -147,28 +139,6 @@ def quota_counts(query: BoundQuery) -> list[BoundResult]:
 def bound_counts(query: BoundQuery) -> BoundResult:
     """States, sum |delta| and sum delta^2 for one query, exactly: O(q) terms."""
     return quota_counts(query)[-1]
-
-
-def enumerate_oracle(query: BoundQuery) -> BoundResult:
-    """Brute-force re-count by walking every vector in [-z, z]^n.
-
-    Independent of the closed-form sum above on purpose; guarded so a desk
-    run stays bounded.
-    """
-    n, z, q = query.n, query.z, query.q
-    if (2 * z + 1) ** n > _ORACLE_LIMIT:
-        raise QueryTooLarge(f"(2*{z}+1)^{n} states exceed the enumeration guard")
-    states = 0
-    lin = 0
-    sq = 0
-    for deltas in itertools.product(range(-z, z + 1), repeat=n):
-        at_cap = sum(1 for d in deltas if abs(d) == z)
-        if at_cap > q:
-            continue
-        states += 1
-        lin += sum(abs(d) for d in deltas)
-        sq += sum(d * d for d in deltas)
-    return BoundResult(states, lin, sq)
 
 
 def _check_chart(metric: str, normalization: str) -> None:

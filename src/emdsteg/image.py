@@ -88,8 +88,12 @@ class GrayImage:
 
     @classmethod
     def flat(cls, width: int, height: int, value: int) -> "GrayImage":
-        """Synthetic cover of a single gray value."""
-        return cls(width, height, np.full(width * height, value, dtype=np.uint8))
+        """Synthetic cover of a single gray value, adopted without a copy."""
+        if width <= 0 or height <= 0:
+            raise ValueError(f"bad dimensions {width}x{height}")
+        if not 0 <= value <= 255:
+            raise ValueError("pixel values outside [0, 255]")
+        return cls._adopt(width, height, np.full(width * height, value, dtype=np.uint8))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GrayImage):

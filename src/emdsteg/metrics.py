@@ -101,22 +101,12 @@ def psnr(mse_value: float) -> float:
     return 10.0 * math.log10(PEAK_SQ / mse_value)
 
 
-def mse_from_psnr(psnr_db: float) -> float:
-    """Algebraic inverse of psnr() for finite values."""
-    return PEAK_SQ / (10.0 ** (psnr_db / 10.0))
+def relative_payload(spec: SchemeSpec) -> float:
+    """Embedded bits per cover pixel at the information-theoretic rate log2(M).
 
-
-def relative_payload(spec: SchemeSpec, mode: str = "exact") -> float:
-    """Embedded bits per cover pixel.
-
-    exact uses log2(M) (the information-theoretic rate); operational uses
-    the floor(log2 M) bits the chunked codec actually packs.
+    The codec packs floor(log2 M) bits per group, spec.payload_bits_operational.
     """
-    if mode == "exact":
-        return spec.payload_bits_exact / spec.n
-    if mode == "operational":
-        return spec.payload_bits_operational / spec.n
-    raise ValueError(f"mode {mode!r} not one of exact/operational")
+    return spec.payload_bits_exact / spec.n
 
 
 def standard_efficiency(payload_bits: float, rho: float) -> float:
@@ -158,14 +148,12 @@ def theoretical_distortion(spec: SchemeSpec) -> DistortionProfile:
     )
 
 
-def capacity(img: GrayImage, spec: SchemeSpec, mode: str = "exact") -> float:
-    """Message bits the image can carry: whole groups times bits per group."""
-    groups = img.size // spec.n
-    if mode == "exact":
-        return groups * spec.payload_bits_exact
-    if mode == "operational":
-        return float(groups * spec.payload_bits_operational)
-    raise ValueError(f"mode {mode!r} not one of exact/operational")
+def capacity(img: GrayImage, spec: SchemeSpec) -> float:
+    """Message bits the image can carry at log2(M) bits per whole group.
+
+    schemes.operational_capacity counts the bits the codec actually packs.
+    """
+    return img.size // spec.n * spec.payload_bits_exact
 
 
 def analyze_pair(cover: GrayImage, stego: GrayImage, spec: SchemeSpec) -> MetricsReport:
@@ -176,7 +164,7 @@ def analyze_pair(cover: GrayImage, stego: GrayImage, spec: SchemeSpec) -> Metric
     proposed efficiency is left undefined when the pair is identical.
     """
     measured = mse(cover, stego)
-    alpha = relative_payload(spec, "exact")
+    alpha = relative_payload(spec)
     eff_std = standard_efficiency(spec.payload_bits_exact, spec.rho)
     eff_prop = None
     if measured > 0:

@@ -7,8 +7,6 @@ what makes benchmark output reproducible byte for byte.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 _MASK = (1 << 64) - 1
@@ -17,25 +15,11 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def splitmix64(seed: int) -> Iterator[int]:
-    """Yield the 64-bit output words of SplitMix64 for a given seed."""
-    state = seed & _MASK
-    while True:
-        state = (state + _GAMMA) & _MASK
-        x = state
-        x ^= x >> 30
-        x = (x * _MIX1) & _MASK
-        x ^= x >> 27
-        x = (x * _MIX2) & _MASK
-        x ^= x >> 31
-        yield x
-
-
 def seeded_bytes(seed: int, count: int) -> bytes:
     """First count bytes of the stream, words serialized big-endian.
 
     Word i mixes the state seed + (i+1)*gamma, so all words are computed at
-    once; uint64 arithmetic wraps mod 2**64 just as splitmix64 masks.
+    once; uint64 arithmetic wraps mod 2**64 as SplitMix64's state does.
     """
     if count < 0:
         raise ValueError("count must be >= 0")

@@ -88,21 +88,6 @@ class ChangeConstraint:
     max_changed_pixels: int
     l1_radius: int | None = None
 
-    def allows(self, deltas: Sequence[int]) -> bool:
-        total = 0
-        changed = 0
-        for d in deltas:
-            if abs(d) > self.per_pixel_max:
-                return False
-            if d:
-                changed += 1
-                total += abs(d)
-        if changed > self.max_changed_pixels:
-            return False
-        if self.l1_radius is not None and total > self.l1_radius:
-            return False
-        return True
-
 
 @dataclass(frozen=True)
 class SchemeSpec:
@@ -426,20 +411,6 @@ def _embed_groups(spec: SchemeSpec, groups: np.ndarray, symbols: np.ndarray) -> 
         # times faster than numpy's strided 2-D add
         for column, change in zip(groups.T, changes.T):
             column += change
-
-
-def extraction_value(spec: SchemeSpec, group: Sequence[int]) -> int:
-    """Symbol a receiver reads from one pixel group: a one-row _extract_groups.
-
-    Plain schemes read (sum(g_i * b_i) + key) mod M; split schemes compose
-    their parts' values.
-    """
-    if len(group) != spec.n:
-        raise GroupSizeMismatch(
-            f"group has {len(group)} pixels, {spec.id} expects {spec.n}"
-        )
-    row = np.asarray(group, dtype=np.int64).reshape(1, spec.n)
-    return int(_extract_groups(spec, row)[0])
 
 
 def embed_group(spec: SchemeSpec, x: Sequence[int], s: int) -> tuple[int, ...]:
@@ -797,14 +768,9 @@ def make_scheme(name: str, **params) -> SchemeSpec:
 # whole-image pipeline
 
 
-def group_capacity(img: GrayImage, spec: SchemeSpec) -> int:
-    """Number of whole groups the image offers."""
-    return img.size // spec.n
-
-
 def operational_capacity(img: GrayImage, spec: SchemeSpec) -> int:
     """Embeddable bits under floor(log2 M)-bit symbols."""
-    return group_capacity(img, spec) * spec.payload_bits_operational
+    return img.size // spec.n * spec.payload_bits_operational
 
 
 def _check_capacity(img: GrayImage, spec: SchemeSpec, bit_length: int) -> None:

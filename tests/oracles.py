@@ -1,0 +1,88 @@
+"""Slow reference implementations that only the tests use.
+
+Each recomputes, in its plainest form, something emdsteg computes with its
+own fast path, so a test can compare the two: the bound's state counts by
+walking every change vector, a change budget check per vector, one group's
+extraction value, the inverse of psnr, and SplitMix64 word by word.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Iterator, Sequence
+
+import numpy as np
+
+from emdsteg.bound import BoundError, BoundQuery, BoundResult
+from emdsteg.metrics import PEAK_SQ
+from emdsteg.rng import _GAMMA, _MASK, _MIX1, _MIX2
+from emdsteg.schemes import ChangeConstraint, SchemeSpec, _extract_groups
+
+_ORACLE_LIMIT = 10**8
+
+
+class QueryTooLarge(BoundError):
+    """Brute-force enumeration would exceed the state guard."""
+
+
+def enumerate_oracle(query: BoundQuery) -> BoundResult:
+    """Re-count a bound query by walking every vector in [-z, z]^n.
+
+    Independent of bound's closed-form running sum on purpose; guarded so a
+    desk run stays bounded.
+    """
+    n, z, q = query.n, query.z, query.q
+    if (2 * z + 1) ** n > _ORACLE_LIMIT:
+        raise QueryTooLarge(f"(2*{z}+1)^{n} states exceed the enumeration guard")
+    states = 0
+    lin = 0
+    sq = 0
+    for deltas in itertools.product(range(-z, z + 1), repeat=n):
+        at_cap = sum(1 for d in deltas if abs(d) == z)
+        if at_cap > q:
+            continue
+        states += 1
+        lin += sum(abs(d) for d in deltas)
+        sq += sum(d * d for d in deltas)
+    return BoundResult(states, lin, sq)
+
+
+def allows(constraint: ChangeConstraint, deltas: Sequence[int]) -> bool:
+    """Whether one change vector is within a scheme's change budget."""
+    total = 0
+    changed = 0
+    for d in deltas:
+        if abs(d) > constraint.per_pixel_max:
+            return False
+        if d:
+            changed += 1
+            total += abs(d)
+    if changed > constraint.max_changed_pixels:
+        return False
+    if constraint.l1_radius is not None and total > constraint.l1_radius:
+        return False
+    return True
+
+
+def extraction_value(spec: SchemeSpec, group: Sequence[int]) -> int:
+    """Symbol a receiver reads from one pixel group: a one-row _extract_groups."""
+    return int(_extract_groups(spec, np.array([group], dtype=np.int64))[0])
+
+
+def mse_from_psnr(psnr_db: float) -> float:
+    """Algebraic inverse of psnr() for finite values."""
+    return PEAK_SQ / (10.0 ** (psnr_db / 10.0))
+
+
+def splitmix64(seed: int) -> Iterator[int]:
+    """Yield the 64-bit output words of SplitMix64 for a given seed."""
+    state = seed & _MASK
+    while True:
+        state = (state + _GAMMA) & _MASK
+        x = state
+        x ^= x >> 30
+        x = (x * _MIX1) & _MASK
+        x ^= x >> 27
+        x = (x * _MIX2) & _MASK
+        x ^= x >> 31
+        yield x

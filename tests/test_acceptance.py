@@ -21,18 +21,17 @@ from emdsteg.bound import (
     cubic_eval,
     cubic_fit,
     distance_to_curve,
-    enumerate_oracle,
 )
 from emdsteg.metrics import (
-    mse_from_psnr,
     proposed_efficiency,
     psnr,
     relative_payload,
     standard_efficiency,
     theoretical_distortion,
 )
-from emdsteg.rng import splitmix64
-from emdsteg.schemes import embed_group, extraction_value, make_scheme
+from emdsteg.schemes import embed_group, make_scheme
+
+from oracles import enumerate_oracle, extraction_value, mse_from_psnr, splitmix64
 
 # One configuration per implemented scheme family.
 SCHEME_CONFIGS = [

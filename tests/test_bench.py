@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -106,7 +107,23 @@ class TestRunBench:
         assert any(r["provenance"] == "reported" for r in rows)
 
 
+# sha256 of the five CSVs of the default config (18 schemes, 256x256 noise
+# cover, both frontiers): any change to the reports' bytes shows here.
+DEFAULT_CSV_SHA256 = {
+    "fig2": "d49676e8b505b13a36f39199561d00ae01e68f87b64765cc25593978caa8c3f5",
+    "fig3": "8c59f14bc0fb6a3ef19d70d3ab1d6ebe0a93089b949c3b8892e02f5ef6dac934",
+    "table3": "41603c056cf37322e33943121ec9c970962495f3a2b6f7d293b12516bf859322",
+    "table4": "9d1deb09bfa88b1c9c83b3bf02607f2fb8a6540fda3b2645539f00ab1501fe05",
+    "table5": "f715a00abbb77f08f1956a71a2c57ae35f8e5fa5439a5d49b9637e1067f30b46",
+}
+
+
 class TestDeterminism:
+    def test_default_config_csv_digests(self, tmp_path):
+        paths = run_bench(BenchConfig(), tmp_path)
+        digests = {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in paths.items()}
+        assert digests == DEFAULT_CSV_SHA256
+
     def test_byte_identical_runs(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(SMALL_CONFIG))
@@ -163,6 +180,8 @@ class TestConfig:
             {"fill": "x"},
             {"seed": "x"},
             {"distance_domain": ["a", "b"]},
+            {"seeed": 3, "fil": 0.5},
+            {"schemes": [{"scheme": "emd", "parms": {"n": 3}}]},
         ],
         ids=[
             "json-array",
@@ -170,11 +189,19 @@ class TestConfig:
             "non-numeric-fill",
             "non-integer-seed",
             "non-numeric-domain",
+            "misspelt-keys",
+            "misspelt-scheme-params",
         ],
     )
     def test_malformed_config_rejected(self, config):
         with pytest.raises(BenchConfigError):
             BenchConfig.from_json(json.dumps(config))
+
+    def test_unknown_keys_are_named(self):
+        with pytest.raises(BenchConfigError, match="unknown config key 'seeed'"):
+            BenchConfig.from_json(json.dumps({"seeed": 3, "fil": 0.5}))
+        with pytest.raises(BenchConfigError, match="unknown scheme entry key 'parms'"):
+            BenchConfig.from_json(json.dumps({"schemes": [{"scheme": "emd", "parms": {}}]}))
 
     @pytest.mark.parametrize(
         "cover",
@@ -197,8 +224,17 @@ class TestConfig:
             {"schemes": [{"params": {}}]},
             {"fill": "x"},
             {"cover": {"kind": "flat"}},
+            {"seeed": 3, "fil": 0.5},
+            {"schemes": [{"scheme": "emd", "parms": {"n": 3}}]},
         ],
-        ids=["json-array", "scheme-without-name", "non-numeric-fill", "flat-cover-without-size"],
+        ids=[
+            "json-array",
+            "scheme-without-name",
+            "non-numeric-fill",
+            "flat-cover-without-size",
+            "misspelt-keys",
+            "misspelt-scheme-params",
+        ],
     )
     def test_cli_exit_on_malformed_config(self, tmp_path, capsys, config):
         cfg_path = tmp_path / "cfg.json"

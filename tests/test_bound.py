@@ -14,7 +14,6 @@ from emdsteg.bound import (
     EmptyRange,
     InvalidDomain,
     InvalidQuery,
-    QueryTooLarge,
     RankDeficient,
     REFERENCE_BOUND_POLY,
     bound_counts,
@@ -22,13 +21,14 @@ from emdsteg.bound import (
     cubic_eval,
     cubic_fit,
     distance_to_curve,
-    enumerate_oracle,
     frontier,
     frontier_value_at,
     quota_counts,
 )
 from emdsteg.metrics import theoretical_distortion
 from emdsteg.schemes import make_scheme
+
+from oracles import QueryTooLarge, enumerate_oracle
 
 
 # Reference for bound_counts: the same three totals by cached recursions

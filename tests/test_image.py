@@ -118,6 +118,11 @@ class TestGrayImage:
         with pytest.raises(ValueError):
             img.pixels[0] = 5
 
+    @pytest.mark.parametrize("args", [(0, 4, 5), (4, -1, 5), (2, 2, 256), (2, 2, -1)])
+    def test_flat_checks_size_and_value(self, args):
+        with pytest.raises(ValueError):
+            GrayImage.flat(*args)
+
 
 class TestBufferOwnership:
     def test_caller_array_is_copied(self):
