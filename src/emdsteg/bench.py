@@ -59,9 +59,7 @@ class BenchConfig:
     schemes: list[tuple[str, dict]] = field(
         default_factory=lambda: [(name, dict(p)) for name, p in DEFAULT_SCHEMES]
     )
-    # Cover spec: {"kind": "flat", "width", "height", "value"}
-    #          or {"kind": "noise", "width", "height", "seed"}
-    #          or {"kind": "file", "path"}
+    # Cover spec: a kind and the keys _COVER_KEYS lists for it
     cover: dict = field(
         default_factory=lambda: {
             "kind": "noise",
@@ -149,9 +147,20 @@ def noise_image(width: int, height: int, seed: int) -> GrayImage:
     return GrayImage._adopt(width, height, np.frombuffer(data, dtype=np.uint8))
 
 
+# the keys a cover of each kind may hold
+_COVER_KEYS = {
+    "file": ("kind", "path"),
+    "flat": ("kind", "width", "height", "value"),
+    "noise": ("kind", "width", "height", "seed"),
+}
+
+
 def build_cover(spec: dict) -> GrayImage:
-    """Build the cover a config describes; a missing or mistyped field raises BenchConfigError."""
+    """Build the cover a config describes; a missing, mistyped or unknown field raises BenchConfigError."""
     kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in _COVER_KEYS:
+        raise BenchConfigError(f"unknown cover kind {kind!r}")
+    _reject_unknown("cover", spec, _COVER_KEYS[kind])
     if kind == "file":
         path = _checked("cover path", spec.get("path"), str)
         try:
@@ -162,8 +171,6 @@ def build_cover(spec: dict) -> GrayImage:
             return load_pgm(data)
         except PgmError as exc:
             raise type(exc)(f"{path}: {exc}") from None
-    if kind not in ("flat", "noise"):
-        raise BenchConfigError(f"unknown cover kind {kind!r}")
     width, height = (_checked(f"cover {key}", spec.get(key), int) for key in ("width", "height"))
     if width < 1 or height < 1:
         raise BenchConfigError(f"empty cover {width}x{height}")
@@ -268,9 +275,10 @@ _FIGURES = (
 def run_bench(cfg: BenchConfig, out_dir: str | Path) -> dict[str, Path]:
     """Execute the configured schemes and write the five CSV reports."""
     cfg.validate()
+    computed = _run_schemes(cfg, build_cover(cfg.cover))
+    # made only now, so a bad cover or scheme leaves no directory behind
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    computed = _run_schemes(cfg, build_cover(cfg.cover))
     paths: dict[str, Path] = {}
     for name, quoted_rows, value in _TABLES:
         rows = [

@@ -74,14 +74,12 @@ def _scheme_from_args(args: argparse.Namespace):
     return make_scheme(args.scheme, **params)
 
 
-def _parse_synthetic(token: str) -> GrayImage:
+def _parse_synthetic(token: str) -> tuple[int, int, int]:
+    """(width, height, value) of a WxH:V token; the cover builders check the ranges."""
     match = re.fullmatch(r"(\d+)x(\d+):(\d+)", token)
     if not match:
         raise ValueError(f"--synthetic wants WxH:V, got {token!r}")
-    width, height, value = (int(g) for g in match.groups())
-    if value > 255:
-        raise ValueError(f"flat value {value} outside [0, 255]")
-    return GrayImage.flat(width, height, value)
+    return tuple(int(g) for g in match.groups())
 
 
 def _read_image(path: str) -> GrayImage:
@@ -97,7 +95,7 @@ def _read_image(path: str) -> GrayImage:
 
 def _load_cover(args: argparse.Namespace) -> GrayImage:
     if getattr(args, "synthetic", None):
-        return _parse_synthetic(args.synthetic)
+        return GrayImage.flat(*_parse_synthetic(args.synthetic))
     if getattr(args, "cover", None):
         return _read_image(args.cover)
     raise ValueError("need --cover PATH or --synthetic WxH:V")
@@ -239,13 +237,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.fill is not None:
         cfg.fill = args.fill
     if args.synthetic:
-        img = _parse_synthetic(args.synthetic)
-        cfg.cover = {
-            "kind": "flat",
-            "width": img.width,
-            "height": img.height,
-            "value": int(img.pixels[0]),
-        }
+        width, height, value = _parse_synthetic(args.synthetic)
+        cfg.cover = {"kind": "flat", "width": width, "height": height, "value": value}
     elif args.cover:
         cfg.cover = {"kind": "file", "path": args.cover}
     cfg.validate()

@@ -19,17 +19,23 @@ def seeded_bytes(seed: int, count: int) -> bytes:
     """First count bytes of the stream, words serialized big-endian.
 
     Word i mixes the state seed + (i+1)*gamma, so all words are computed at
-    once; uint64 arithmetic wraps mod 2**64 as SplitMix64's state does.
+    once; uint64 arithmetic wraps mod 2**64 as SplitMix64's state does. The
+    words are mixed and byte-swapped in place, so the peak is twice count.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    counter = np.arange(1, -(-count // 8) + 1, dtype=np.uint64)
+    x = np.arange(1, -(-count // 8) + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        x = np.uint64(seed & _MASK) + counter * np.uint64(_GAMMA)
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
+        x *= np.uint64(_GAMMA)
+        x += np.uint64(seed & _MASK)
+        x ^= x >> np.uint64(30)
+        x *= np.uint64(_MIX1)
+        x ^= x >> np.uint64(27)
+        x *= np.uint64(_MIX2)
         x ^= x >> np.uint64(31)
-    return x.astype(">u8").tobytes()[:count]
+    if np.little_endian:
+        x.byteswap(inplace=True)
+    return x.view(np.uint8)[:count].tobytes()
 
 
 def seeded_bits(seed: int, count: int) -> np.ndarray:

@@ -32,9 +32,6 @@ from .image import (
     symbols_to_bytes,
 )
 
-OBJECTIVE_L2 = "L2-then-L1"
-OBJECTIVE_L1 = "L1-then-L2"
-
 # Guard on the change budget, compared with _search_size. The table search
 # is exact at any size, but the guard fixes which budgets build at all.
 _MAX_SEARCH_STATES = 10_000_000
@@ -81,7 +78,9 @@ class ChangeConstraint:
     """Change budget for one pixel group.
 
     per_pixel_max bounds |delta_i|, max_changed_pixels bounds the count of
-    nonzero deltas, and l1_radius (when set) bounds sum(|delta_i|).
+    nonzero deltas, and l1_radius (when set) bounds sum(|delta_i|). The
+    budget also sets the order of the table search: a budget with an L1
+    radius minimizes sum(|delta_i|) first, any other squared change first.
     """
 
     per_pixel_max: int
@@ -96,7 +95,7 @@ class SchemeSpec:
     solver_array / embed_array are read-only (M, n) arrays in the search's
     delta dtype whose row r is the change vector for the residue
     r = (target - current) mod M: solver_array holds the distortion-optimal
-    vector under the scheme objective, embed_array the vector embedding
+    vector in the order its budget sets, embed_array the vector embedding
     applies (IEMD's case order, else the solver's, as the same object).
     Both are None for the split constructions, which embed each part of the
     symbol through sub_specs. solver_table / embed_table are the same
@@ -108,7 +107,6 @@ class SchemeSpec:
     base: tuple[int, ...]
     modulus: int
     constraint: ChangeConstraint
-    objective: str = OBJECTIVE_L2
     key: int = 0
     params: dict = field(default_factory=dict, compare=False)
     solver_array: np.ndarray | None = field(default=None, compare=False, repr=False)
@@ -186,19 +184,20 @@ def _search_size(n: int, constraint: ChangeConstraint) -> int:
     )
 
 
-def _ranks(z: int, k: int, l1_top: int, objective: str) -> tuple[np.ndarray, int]:
+def _ranks(z: int, k: int, l1_first: bool) -> tuple[np.ndarray, int]:
     """Rank D * key + i of changing one pixel by i - z, for each of D = 2z + 1 values.
 
-    key folds the change's (primary, secondary) cost into one integer, so
-    keys add up along a vector. Also returns a multiple of D above the rank
-    of every vector of at most k changes and absolute sum at most l1_top.
+    key folds the change's (primary, secondary) cost, (L1, L2) when l1_first
+    else (L2, L1), into one integer, so keys add up along a vector. Also
+    returns a multiple of D above the rank of every vector of at most k changes.
     """
     l1 = np.abs(np.arange(-z, z + 1))
+    l1_top = k * z
     l2, l2_top = l1 * l1, l1_top * z
     if k == 1:
-        # one changed pixel ranks by its size under either objective
+        # one changed pixel ranks by its size in either order
         costs = ((l1, l1_top), (0, 0))
-    elif objective == OBJECTIVE_L1:
+    elif l1_first:
         costs = ((l1, l1_top), (l2, l2_top))
     else:
         costs = ((l2, l2_top), (l1, l1_top))
@@ -236,14 +235,15 @@ def _optimal_delta_table(
     base: Sequence[int],
     modulus: int,
     constraint: ChangeConstraint,
-    objective: str,
 ) -> np.ndarray | None:
     """Find the best change vector of every residue, one column at a time.
 
     Returns the read-only (M, n) table in the delta dtype of the per-pixel
-    budget, or None when some residue is unreachable. Ties break by squared
-    then absolute change then lexicographic order (or L1-first for schemes
-    with an L1 objective), which makes the table deterministic.
+    budget, or None when some residue is unreachable. Vectors rank by
+    squared then absolute change, or by absolute then squared change when
+    the budget has an L1 radius, and then by lexicographic order, which
+    makes the table deterministic. The radius is checked on the finished
+    table: a residue's L1-first optimum lies within it if any vector does.
 
     An exact dynamic program over the columns from the last to the first.
     Each state keeps the best rank D * key + i of the columns searched so
@@ -263,24 +263,18 @@ def _optimal_delta_table(
     z = constraint.per_pixel_max
     k = min(constraint.max_changed_pixels, n)
     radius = constraint.l1_radius
-    # under the L1 objective the radius only bounds the primary cost, so the
-    # finished table is checked against it instead
-    binds = objective == OBJECTIVE_L2 and radius is not None and radius < k * z
     # A state is a residue times a budget block: the nonzero changes still
-    # allowed, when k < n, times the L1 still allowed, when the radius binds.
-    # Each limit has spare slots past it, so a change that overruns the
-    # budget lands in a slot that is cleared, not in the next residue.
+    # allowed, when k < n, and a spare slot past them, so a change that
+    # overruns the budget lands in a slot that is cleared, not the next residue.
     counts = k + 1 if k < n else 1
-    room = radius + 1 if binds else 1
-    grid = (modulus, counts + (counts > 1), room + z * (room > 1))
-    block = grid[1] * grid[2]
+    block = counts + (counts > 1)
     values = np.arange(-z, z + 1)
     count = len(values)
-    steps = (values != 0) * (counts > 1) * grid[2] + np.abs(values) * (room > 1)
-    ranks, unreached = _ranks(z, k, radius if binds else k * z, objective)
+    steps = (values != 0) * (counts > 1)
+    ranks, unreached = _ranks(z, k, radius is not None)
     # right of the last column every block holds residue 0 at rank 0
-    reached = (np.arange(counts)[:, None] * grid[2] + np.arange(room)).ravel()
-    keys = np.zeros(len(reached), dtype=np.int64)
+    reached = np.arange(counts)
+    keys = np.zeros(counts, dtype=np.int64)
     best = np.empty(modulus * block, dtype=np.int64)
     choices = []
     for weight in reversed(base):
@@ -288,9 +282,7 @@ def _optimal_delta_table(
         shifts = values * (weight % modulus) % modulus
         moves = shifts * block + steps
         _search_column(reached, keys, moves - modulus * block, ranks, best, unreached)
-        spare = best.reshape(grid)
-        spare[:, counts:] = unreached
-        spare[:, :, room:] = unreached
+        best.reshape(modulus, block)[:, counts:] = unreached
         reached = np.flatnonzero(best < unreached)
         picked = best[reached]
         keys = picked // count
@@ -300,7 +292,7 @@ def _optimal_delta_table(
         choice[reached] = picked
         choices.append((choice, moves))
     # every residue is read back from the full budget, in block full
-    full = (counts - 1) * grid[2] + room - 1
+    full = counts - 1
     if (best.reshape(modulus, block)[:, full] == unreached).any():
         return None
     del best, reached, keys, picked  # free the search's arrays for the table's
@@ -312,9 +304,8 @@ def _optimal_delta_table(
         table[:, column] = deltas[picked]
         states -= moves[picked]
         _reduce(states, modulus * block)
-    if objective == OBJECTIVE_L1 and radius is not None:
-        if (np.abs(table).sum(axis=1) > radius).any():
-            return None
+    if radius is not None and (np.abs(table).sum(axis=1) > radius).any():
+        return None
     table.flags.writeable = False
     return table
 
@@ -437,7 +428,6 @@ def _finalize(
     base: Sequence[int],
     modulus: int,
     constraint: ChangeConstraint,
-    objective: str = OBJECTIVE_L2,
     key: int = 0,
     params: dict,
     sub_specs: tuple[SchemeSpec, ...] = (),
@@ -455,14 +445,13 @@ def _finalize(
         base=tuple(base),
         modulus=modulus,
         constraint=constraint,
-        objective=objective,
         key=key,
         params=dict(params),
         sub_specs=sub_specs,
     )
     if sub_specs:
         return spec
-    table = _optimal_delta_table(n, spec.base, modulus, constraint, objective)
+    table = _optimal_delta_table(n, spec.base, modulus, constraint)
     if table is None:
         raise InfeasibleScheme(
             f"{id}: some residue mod {modulus} is unreachable within the budget"
@@ -556,7 +545,6 @@ def _make_de(k: int) -> SchemeSpec:
         base=(2 * k + 1, 1),
         modulus=2 * k * k + 2 * k + 1,
         constraint=ChangeConstraint(k, 2, l1_radius=k),
-        objective=OBJECTIVE_L1,
         params={"k": k},
     )
 

@@ -202,6 +202,8 @@ class TestConfig:
             BenchConfig.from_json(json.dumps({"seeed": 3, "fil": 0.5}))
         with pytest.raises(BenchConfigError, match="unknown scheme entry key 'parms'"):
             BenchConfig.from_json(json.dumps({"schemes": [{"scheme": "emd", "parms": {}}]}))
+        with pytest.raises(BenchConfigError, match="unknown cover key 'sede'"):
+            build_cover({"kind": "noise", "width": 8, "height": 8, "sede": 3})
 
     @pytest.mark.parametrize(
         "cover",
@@ -210,8 +212,10 @@ class TestConfig:
             {"kind": "flat", "width": 2, "height": 2, "value": 300},
             {"kind": "noise", "width": 0, "height": 4},
             {"kind": "file", "path": "no/such/cover.pgm"},
+            {"kind": "noise", "width": 8, "height": 8, "sede": 3},
         ],
-        ids=["flat-without-size", "flat-value-300", "empty-noise", "missing-file"],
+        ids=["flat-without-size", "flat-value-300", "empty-noise", "missing-file",
+             "misspelt-cover-key"],
     )
     def test_malformed_cover_rejected(self, cover):
         with pytest.raises(BenchConfigError):
@@ -226,6 +230,7 @@ class TestConfig:
             {"cover": {"kind": "flat"}},
             {"seeed": 3, "fil": 0.5},
             {"schemes": [{"scheme": "emd", "parms": {"n": 3}}]},
+            {"cover": {"kind": "noise", "width": 8, "height": 8, "sede": 3}},
         ],
         ids=[
             "json-array",
@@ -234,6 +239,7 @@ class TestConfig:
             "flat-cover-without-size",
             "misspelt-keys",
             "misspelt-scheme-params",
+            "misspelt-cover-key",
         ],
     )
     def test_cli_exit_on_malformed_config(self, tmp_path, capsys, config):
@@ -242,6 +248,17 @@ class TestConfig:
         assert main(["bench", "--config", str(cfg_path),
                      "--out-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "cover_args",
+        [["--cover", "no/such/cover.pgm"], ["--synthetic", "4x4:300"]],
+        ids=["missing-file", "flat-value-300"],
+    )
+    def test_bad_cover_leaves_no_output_dir(self, tmp_path, capsys, cover_args):
+        out_dir = tmp_path / "out"
+        assert main(["bench", *cover_args, "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out_dir.exists()
 
 
 # Small JSON only: at most 12 leaves, strings of at most 8 characters, and
@@ -269,11 +286,12 @@ class TestConfigFuzz:
             pass
 
 
-# Cover specs for build_cover: objects of build_cover's own keys whose values
-# are its expected types or small JSON (at most 8 leaves, strings of at most 8
-# characters). Only a seed or a flat value is drawn above 64, so a built cover
-# has at most 64x64 pixels. A string path names one of _COVER_FILES, which the
-# test places under a temporary directory.
+# Cover specs for build_cover: objects of one kind's own keys with values of
+# their expected types, or of any cover keys with those values or small JSON
+# (at most 8 leaves, strings of at most 8 characters). Only a seed or a flat
+# value is drawn above 64, so a built cover has at most 64x64 pixels. A string
+# path names one of _COVER_FILES, which the test places under a temporary
+# directory.
 _COVER_FILES = ("cover.pgm", "bad.pgm", "absent.pgm", "subdir")
 _small_json = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 64) | st.floats() | st.text(max_size=8),
@@ -281,17 +299,16 @@ _small_json = st.recursive(
     | st.dictionaries(st.text(max_size=8), children, max_size=3),
     max_leaves=8,
 )
-_cover_specs = st.fixed_dictionaries(
-    {
-        "kind": st.sampled_from(("flat", "noise", "file")),
-        "width": st.integers(-2, 64),
-        "height": st.integers(-2, 64),
-    },
-    optional={
-        "value": st.integers(-1, 300),
-        "seed": st.integers(-(2**70), 2**70),
-        "path": st.sampled_from(_COVER_FILES),
-    },
+_cover_sizes = {"width": st.integers(-2, 64), "height": st.integers(-2, 64)}
+_cover_specs = (
+    st.fixed_dictionaries({"kind": st.just("file"), "path": st.sampled_from(_COVER_FILES)})
+    | st.fixed_dictionaries(
+        {"kind": st.just("flat"), **_cover_sizes}, optional={"value": st.integers(-1, 300)}
+    )
+    | st.fixed_dictionaries(
+        {"kind": st.just("noise"), **_cover_sizes},
+        optional={"seed": st.integers(-(2**70), 2**70)},
+    )
 ) | st.fixed_dictionaries(
     {},
     optional={

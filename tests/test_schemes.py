@@ -13,8 +13,6 @@ from emdsteg import schemes
 from emdsteg.image import GrayImage, bits_to_symbols, clamp_for_scheme, clamped_pixels
 from emdsteg.metrics import DistortionProfile, theoretical_distortion
 from emdsteg.schemes import (
-    OBJECTIVE_L1,
-    OBJECTIVE_L2,
     CapacityExceeded,
     ChangeConstraint,
     GroupSizeMismatch,
@@ -70,12 +68,7 @@ def brute_force_embed(spec, group, symbol):
         candidate = tuple(v + d for v, d in zip(group, deltas))
         if plain_value(spec, candidate) != symbol:
             continue
-        sq = sum(d * d for d in deltas)
-        ab = sum(abs(d) for d in deltas)
-        if spec.objective == "L1-then-L2":
-            key = (ab, sq, deltas)
-        else:
-            key = (sq, ab, deltas)
+        key = _cost_key(deltas, spec.constraint)
         if best_key is None or key < best_key:
             best_key = key
             best = candidate
@@ -175,10 +168,11 @@ def reference_embed(spec, group, symbol):
     return brute_force_embed(spec, group, symbol)
 
 
-def _cost_key(deltas, objective):
+def _cost_key(deltas, constraint):
+    """Sort key of a change vector: a budget with an L1 radius ranks L1 first."""
     sq = sum(d * d for d in deltas)
     ab = sum(abs(d) for d in deltas)
-    if objective == OBJECTIVE_L1:
+    if constraint.l1_radius is not None:
         return (ab, sq, deltas)
     return (sq, ab, deltas)
 
@@ -199,13 +193,13 @@ def _feasible_vectors(n, constraint):
                 yield tuple(delta)
 
 
-def enumeration_table(n, base, modulus, constraint, objective):
+def enumeration_table(n, base, modulus, constraint):
     """The pure-Python search the numpy table search replaced: one pass over
     every feasible vector, keeping the smallest cost key per residue."""
     best = [None] * modulus
     for deltas in _feasible_vectors(n, constraint):
         r = sum(b * d for b, d in zip(base, deltas)) % modulus
-        key = _cost_key(deltas, objective)
+        key = _cost_key(deltas, constraint)
         if best[r] is None or key < best[r][0]:
             best[r] = (key, deltas)
     if any(entry is None for entry in best):
@@ -432,9 +426,7 @@ class TestTableSearch:
     )
     def test_matches_enumeration(self, name, params):
         for spec in plain_specs(make_scheme(name, **params)):
-            expected = enumeration_table(
-                spec.n, spec.base, spec.modulus, spec.constraint, spec.objective
-            )
+            expected = enumeration_table(spec.n, spec.base, spec.modulus, spec.constraint)
             assert spec.solver_table == expected
 
     @given(
@@ -443,26 +435,23 @@ class TestTableSearch:
         k=st.integers(0, 5),
         l1_radius=st.none() | st.integers(0, 8),
         modulus=st.integers(2, 200),
-        objective=st.sampled_from([OBJECTIVE_L2, OBJECTIVE_L1]),
     )
     @settings(max_examples=150, deadline=None)
     # infeasible past the pigeonhole check: only even residues are reachable
-    @example(base=(2, 4), z=1, k=2, l1_radius=None, modulus=8, objective=OBJECTIVE_L2)
+    @example(base=(2, 4), z=1, k=2, l1_radius=None, modulus=8)
     # feasible, with cost ties that only the lexicographic order breaks
-    @example(base=(1, 1, 1), z=2, k=3, l1_radius=3, modulus=5, objective=OBJECTIVE_L1)
-    # a zero L1 radius under the L2 objective allows only the zero vector
+    @example(base=(1, 1, 1), z=2, k=3, l1_radius=3, modulus=5)
+    # a zero L1 radius allows only the zero vector
     @example(base=(331097, 964339, 926279, 764469, 824888), z=3, k=5, l1_radius=0,
-             modulus=177, objective=OBJECTIVE_L2)
+             modulus=177)
     # infeasible: residue 34 needs four changed pixels, two are allowed
     @example(base=(496785, 119738, 24783, 327161), z=3, k=2, l1_radius=None,
-             modulus=68, objective=OBJECTIVE_L2)
-    def test_matches_enumeration_on_random_budgets(
-        self, base, z, k, l1_radius, modulus, objective
-    ):
+             modulus=68)
+    def test_matches_enumeration_on_random_budgets(self, base, z, k, l1_radius, modulus):
         n = len(base)
         constraint = ChangeConstraint(z, k, l1_radius)
-        got = schemes._optimal_delta_table(n, base, modulus, constraint, objective)
-        want = enumeration_table(n, base, modulus, constraint, objective)
+        got = schemes._optimal_delta_table(n, base, modulus, constraint)
+        want = enumeration_table(n, base, modulus, constraint)
         if want is None:
             assert got is None
         else:
@@ -470,15 +459,16 @@ class TestTableSearch:
 
     def test_objectives_rank_differently(self):
         # weights (24, 26) mod 19: some residues have an L1 optimum that a
-        # vector of smaller squared change beats under L2
-        constraint = ChangeConstraint(3, 2)
-        tables = {
-            objective: schemes._optimal_delta_table(2, (24, 26), 19, constraint, objective)
-            for objective in (OBJECTIVE_L2, OBJECTIVE_L1)
-        }
-        assert not np.array_equal(tables[OBJECTIVE_L2], tables[OBJECTIVE_L1])
-        for objective, table in tables.items():
-            assert_same_table(table, enumeration_table(2, (24, 26), 19, constraint, objective))
+        # vector of smaller squared change beats under L2. A radius of
+        # k * z = 6 excludes no vector but switches the search to L1 first.
+        constraints = (ChangeConstraint(3, 2), ChangeConstraint(3, 2, l1_radius=6))
+        tables = [
+            schemes._optimal_delta_table(2, (24, 26), 19, constraint)
+            for constraint in constraints
+        ]
+        assert not np.array_equal(*tables)
+        for constraint, table in zip(constraints, tables):
+            assert_same_table(table, enumeration_table(2, (24, 26), 19, constraint))
 
     @pytest.mark.parametrize(
         "name,params,digest",
@@ -489,11 +479,24 @@ class TestTableSearch:
              "82f886bb184fe670d7be344987c77f9a2d284044d37b1ad91b9e0b1269783130"),
             ("aemd", {"n": 10, "m": 4},
              "b76a076287c3b06eb12046810db38e04654ddb263d66c38ef16c8e9f4710a65f"),
+            # the L1 radius, the count of changed pixels when k < n, and a
+            # wide per-pixel budget
+            ("de", {"k": 200},
+             "fd5a19f8fa23009f29ea354971b6d5e93ad2ad98971aa438eea788a5e9a32b09"),
+            ("emd", {"n": 100},
+             "35312174b0c0427ac61285da695bb299416bd43aaeaee5172b23dc01be632fe9"),
+            ("emd2", {"n": 6},
+             "79ce2285d7a5cbf6efc21e6deec055b5dc59bb1b1477ba770d80e96202cc355d"),
+            ("femd", {"t": 300},
+             "0844769fdd3e5c920aa8eb925dfe5b97fd74f2e31152ac2004a819d7facef3fc"),
+            ("mpemd", {"n": 8, "key": 5},
+             "6a85ccc06e9ef84e13c77604f59bb74e6b41c72172456ee45f759852d693b5d2"),
         ],
     )
     def test_large_tables_are_pinned(self, name, params, digest):
-        # past the reach of enumeration_table: sha256 over each leaf's
-        # dtype, shape and table bytes, recorded from an exhaustive search
+        # sha256 over each leaf's dtype, shape and table bytes; the first three
+        # are past the reach of enumeration_table and were recorded from an
+        # exhaustive search
         h = hashlib.sha256()
         for spec in plain_specs(make_scheme(name, **params)):
             a = spec.solver_array
@@ -522,16 +525,14 @@ class TestTableSearch:
             make_scheme("gemd", n=16)
         # the guard also wins over the pigeonhole exit
         with pytest.raises(InvalidParameter):
-            schemes._optimal_delta_table(
-                16, (1,) * 16, 2**40, ChangeConstraint(1, 16), OBJECTIVE_L2
-            )
+            schemes._optimal_delta_table(16, (1,) * 16, 2**40, ChangeConstraint(1, 16))
 
     def test_pigeonhole_exit_skips_enumeration(self, monkeypatch):
         monkeypatch.setattr(schemes, "_search_column", _no_search)
         # 9 change vectors cannot reach 10 residues
         constraint = ChangeConstraint(1, 2)
         assert schemes._search_size(2, constraint) == 9
-        assert schemes._optimal_delta_table(2, (1, 3), 10, constraint, OBJECTIVE_L2) is None
+        assert schemes._optimal_delta_table(2, (1, 3), 10, constraint) is None
         # gemd n=1: three vectors, four residues
         with pytest.raises(InfeasibleScheme):
             make_scheme("gemd", n=1)
