@@ -82,6 +82,10 @@ class BenchConfig:
             raise BenchConfigError("config lists no schemes")
         if not 0.0 < self.fill <= 1.0:
             raise BenchConfigError(f"fill {self.fill} outside (0, 1]")
+        for name in ("standard_normalization", "proposed_normalization"):
+            value = getattr(self, name)
+            if value not in bound.NORMALIZATIONS:
+                raise BenchConfigError(f"{name} {value!r} not one of {bound.NORMALIZATIONS}")
         if self.distance_mode not in ("euclidean", "vertical"):
             raise BenchConfigError(f"bad distance mode {self.distance_mode!r}")
         if len(self.distance_domain) != 2:

@@ -25,7 +25,7 @@ NORM_MEAN = "mean"
 NORM_MEAN_PER_PIXEL = "mean-per-pixel"
 
 _METRICS = (METRIC_STANDARD, METRIC_PROPOSED)
-_NORMALIZATIONS = (NORM_LITERAL, NORM_MEAN, NORM_MEAN_PER_PIXEL)
+NORMALIZATIONS = (NORM_LITERAL, NORM_MEAN, NORM_MEAN_PER_PIXEL)
 
 
 class BoundError(ValueError):
@@ -144,9 +144,9 @@ def bound_counts(query: BoundQuery) -> BoundResult:
 def _check_chart(metric: str, normalization: str) -> None:
     if metric not in _METRICS:
         raise ValueError(f"metric {metric!r} not one of {_METRICS}")
-    if normalization not in _NORMALIZATIONS:
+    if normalization not in NORMALIZATIONS:
         raise ValueError(
-            f"normalization {normalization!r} not one of {_NORMALIZATIONS}"
+            f"normalization {normalization!r} not one of {NORMALIZATIONS}"
         )
 
 

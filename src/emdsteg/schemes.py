@@ -77,15 +77,14 @@ class CapacityExceeded(SchemeError):
 class ChangeConstraint:
     """Change budget for one pixel group.
 
-    per_pixel_max bounds |delta_i|, max_changed_pixels bounds the count of
-    nonzero deltas, and l1_radius (when set) bounds sum(|delta_i|). The
+    per_pixel_max bounds |delta_i| and l1_radius (when set) bounds
+    sum(|delta_i|), so a radius r also allows at most r nonzero deltas. The
     budget also sets the order of the table search: a budget with an L1
     radius minimizes sum(|delta_i|) first, any other squared change first.
     """
 
     per_pixel_max: int
-    max_changed_pixels: int
-    l1_radius: int | None = None
+    l1_radius: int | None = field(default=None, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -123,11 +122,11 @@ class SchemeSpec:
 
     @property
     def rho(self) -> int:
-        """Maximum change units per group: the L1 budget when set, else z*k."""
+        """Maximum change units per group: the L1 budget when set, else z*n."""
         c = self.constraint
         if c.l1_radius is not None:
             return c.l1_radius
-        return c.per_pixel_max * c.max_changed_pixels
+        return c.per_pixel_max * self.n
 
     @property
     def is_composite(self) -> bool:
@@ -172,29 +171,32 @@ def _int_type(limit: int, dtype: np.dtype) -> np.dtype:
     return np.promote_types(narrow, dtype)
 
 
+def _search_box(n: int, constraint: ChangeConstraint) -> tuple[int, int]:
+    """The budget's largest change per pixel and most changed pixels: an L1 radius cuts both."""
+    z, radius = constraint.per_pixel_max, constraint.l1_radius
+    if radius is None:
+        return z, n
+    return min(z, radius), min(n, radius)
+
+
 def _search_size(n: int, constraint: ChangeConstraint) -> int:
-    """Count of change vectors with at most k nonzero entries in [-z, z].
-
-    The L1 radius is ignored, so this bounds the search from above.
-    """
-    z = constraint.per_pixel_max
-    return 1 + sum(
-        math.comb(n, j) * (2 * z) ** j
-        for j in range(1, min(constraint.max_changed_pixels, n) + 1)
-    )
+    """Count of the change vectors in the search box, at least the budget's."""
+    z, k = _search_box(n, constraint)
+    return 1 + sum(math.comb(n, j) * (2 * z) ** j for j in range(1, k + 1))
 
 
-def _ranks(z: int, k: int, l1_first: bool) -> tuple[np.ndarray, int]:
+def _ranks(z: int, n: int, l1_first: bool) -> tuple[np.ndarray, int]:
     """Rank D * key + i of changing one pixel by i - z, for each of D = 2z + 1 values.
 
     key folds the change's (primary, secondary) cost, (L1, L2) when l1_first
     else (L2, L1), into one integer, so keys add up along a vector. Also
-    returns a multiple of D above the rank of every vector of at most k changes.
+    returns a multiple of D above the rank of every vector of at most n
+    changes in [-z, z].
     """
     l1 = np.abs(np.arange(-z, z + 1))
-    l1_top = k * z
+    l1_top = n * z
     l2, l2_top = l1 * l1, l1_top * z
-    if k == 1:
+    if n == 1:
         # one changed pixel ranks by its size in either order
         costs = ((l1, l1_top), (0, 0))
     elif l1_first:
@@ -205,8 +207,9 @@ def _ranks(z: int, k: int, l1_first: bool) -> tuple[np.ndarray, int]:
     count = len(l1)
     fold = secondary_top + 1
     ranks = count * (primary * fold + secondary) + np.arange(count)
-    # below 2**63 for every budget within _MAX_SEARCH_STATES: about 2z**2
-    # for k = 1, at most 8z**4 with z < 1600 for k = 2, smaller beyond
+    # below 2**63 for every budget within _MAX_SEARCH_STATES, as its box has
+    # (2z)**n <= 10**7: about 2z**2 < 5 * 10**13 for n = 1, 8z**4 < 5 * 10**13
+    # (z < 1600) for n = 2, and smaller beyond
     return ranks, count * (primary_top + 1) * fold
 
 
@@ -242,68 +245,59 @@ def _optimal_delta_table(
     budget, or None when some residue is unreachable. Vectors rank by
     squared then absolute change, or by absolute then squared change when
     the budget has an L1 radius, and then by lexicographic order, which
-    makes the table deterministic. The radius is checked on the finished
-    table: a residue's L1-first optimum lies within it if any vector does.
+    makes the table deterministic. The search covers _search_box and drops
+    ranks at the top of _ranks, which no vector of the budget reaches; the
+    radius is checked on the finished table: a residue's L1-first optimum
+    lies within it if any vector does.
 
     An exact dynamic program over the columns from the last to the first.
-    Each state keeps the best rank D * key + i of the columns searched so
-    far, so one np.minimum.at ranks candidates by cost and breaks a tie toward
-    the smallest change i - z in the current column; as later columns were
-    ranked first, that is lexicographic order. Only reached states are
-    extended, and the table is read back from the stored choices with one
-    gather per column.
+    Each state, a residue, keeps the best rank D * key + i of the columns
+    searched so far, so one np.minimum.at ranks candidates by cost and breaks
+    a tie toward the smallest change i - z in the current column; as later
+    columns were ranked first, that is lexicographic order. Only reached
+    states are extended, and the table is read back from the stored choices
+    with one gather per column.
     """
     size = _search_size(n, constraint)
     if size > _MAX_SEARCH_STATES:
         raise InvalidParameter(
-            f"change budget enumeration too large for group size {n}"
+            f"change budget of {size} vectors exceeds the limit of {_MAX_SEARCH_STATES}"
         )
     if modulus > size:
         return None  # pigeonhole: fewer change vectors than residues
-    z = constraint.per_pixel_max
-    k = min(constraint.max_changed_pixels, n)
     radius = constraint.l1_radius
-    # A state is a residue times a budget block: the nonzero changes still
-    # allowed, when k < n, and a spare slot past them, so a change that
-    # overruns the budget lands in a slot that is cleared, not the next residue.
-    counts = k + 1 if k < n else 1
-    block = counts + (counts > 1)
+    z, k = _search_box(n, constraint)
     values = np.arange(-z, z + 1)
     count = len(values)
-    steps = (values != 0) * (counts > 1)
     ranks, unreached = _ranks(z, k, radius is not None)
-    # right of the last column every block holds residue 0 at rank 0
-    reached = np.arange(counts)
-    keys = np.zeros(counts, dtype=np.int64)
-    best = np.empty(modulus * block, dtype=np.int64)
+    # right of the last column only residue 0 is reached, at rank 0
+    reached = np.arange(1)
+    keys = np.zeros(1, dtype=np.int64)
+    best = np.empty(modulus, dtype=np.int64)
     choices = []
     for weight in reversed(base):
         # weights mod M keep the int64 shifts far from overflow: M, z <= size
-        shifts = values * (weight % modulus) % modulus
-        moves = shifts * block + steps
-        _search_column(reached, keys, moves - modulus * block, ranks, best, unreached)
-        best.reshape(modulus, block)[:, counts:] = unreached
+        moves = values * (weight % modulus) % modulus
+        _search_column(reached, keys, moves - modulus, ranks, best, unreached)
         reached = np.flatnonzero(best < unreached)
         picked = best[reached]
         keys = picked // count
         keys *= count
         picked -= keys
-        choice = np.zeros(len(best), dtype=np.min_scalar_type(count - 1))
+        choice = np.zeros(modulus, dtype=np.min_scalar_type(count - 1))
         choice[reached] = picked
         choices.append((choice, moves))
-    # every residue is read back from the full budget, in block full
-    full = counts - 1
-    if (best.reshape(modulus, block)[:, full] == unreached).any():
+    if len(reached) < modulus:
         return None
     del best, reached, keys, picked  # free the search's arrays for the table's
-    states = np.arange(modulus) * block + full
-    table = np.empty((modulus, n), dtype=_delta_type(z))
+    states = np.arange(modulus)
+    table = np.empty((modulus, n), dtype=_delta_type(constraint.per_pixel_max))
     deltas = values.astype(table.dtype)
     for column, (choice, moves) in enumerate(reversed(choices)):
         picked = choice[states]
         table[:, column] = deltas[picked]
         states -= moves[picked]
-        _reduce(states, modulus * block)
+        _reduce(states, modulus)
     if radius is not None and (np.abs(table).sum(axis=1) > radius).any():
         return None
     table.flags.writeable = False
@@ -477,7 +471,7 @@ def _make_emd(n: int) -> SchemeSpec:
         n=n,
         base=range(1, n + 1),
         modulus=2 * n + 1,
-        constraint=ChangeConstraint(1, 1),
+        constraint=ChangeConstraint(1, l1_radius=1),
         params={"n": n},
     )
 
@@ -501,7 +495,7 @@ def _make_iemd() -> SchemeSpec:
         n=2,
         base=(1, 3),
         modulus=8,
-        constraint=ChangeConstraint(1, 2),
+        constraint=ChangeConstraint(1),
         params={},
         embed_array=table,
     )
@@ -518,7 +512,7 @@ def _make_pva(t: int) -> SchemeSpec:
         n=1,
         base=(1,),
         modulus=t * t,
-        constraint=ChangeConstraint(z, 1),
+        constraint=ChangeConstraint(z),
         params={"t": t},
     )
 
@@ -531,7 +525,7 @@ def _make_femd(t: int) -> SchemeSpec:
         n=2,
         base=(t - 1, t),
         modulus=t * t,
-        constraint=ChangeConstraint(t // 2, 2),
+        constraint=ChangeConstraint(t // 2),
         params={"t": t},
     )
 
@@ -544,7 +538,7 @@ def _make_de(k: int) -> SchemeSpec:
         n=2,
         base=(2 * k + 1, 1),
         modulus=2 * k * k + 2 * k + 1,
-        constraint=ChangeConstraint(k, 2, l1_radius=k),
+        constraint=ChangeConstraint(k, l1_radius=k),
         params={"k": k},
     )
 
@@ -560,7 +554,7 @@ def _make_mpemd(n: int, key: int = 0) -> SchemeSpec:
         n=n,
         base=range(1, n + 1),
         modulus=2 * n,
-        constraint=ChangeConstraint(1, 1),
+        constraint=ChangeConstraint(1, l1_radius=1),
         key=key,
         params={"n": n, "key": key},
     )
@@ -581,7 +575,7 @@ def _make_emd2(n: int) -> SchemeSpec:
         n=n,
         base=_emd2_weights(n),
         modulus=2 * w + 1,
-        constraint=ChangeConstraint(1, 2),
+        constraint=ChangeConstraint(1, l1_radius=2),
         params={"n": n},
     )
 
@@ -596,7 +590,7 @@ def _make_twoemd(n: int) -> SchemeSpec:
         n=2 * n,
         base=sub.base + sub.base,
         modulus=m * m,
-        constraint=ChangeConstraint(1, 2),
+        constraint=ChangeConstraint(1, l1_radius=2),
         params={"n": n},
         sub_specs=(sub,),
     )
@@ -610,7 +604,7 @@ def _make_gemd(n: int) -> SchemeSpec:
         n=n,
         base=tuple((1 << i) - 1 for i in range(1, n + 1)),
         modulus=1 << (n + 1),
-        constraint=ChangeConstraint(1, n),
+        constraint=ChangeConstraint(1),
         params={"n": n},
     )
 
@@ -630,7 +624,7 @@ def _make_egemd(n: int, n1: int | None = None) -> SchemeSpec:
         n=n,
         base=low.base + high.base,
         modulus=1 << (n + 2),
-        constraint=ChangeConstraint(1, n),
+        constraint=ChangeConstraint(1),
         params={"n": n, "n1": n1},
         sub_specs=(low, high),
     )
@@ -652,7 +646,7 @@ def _make_mbe(n: int, k: int) -> SchemeSpec:
         n=n,
         base=_mbe_weights(n, k),
         modulus=1 << (n * k + 1),
-        constraint=ChangeConstraint((1 << k) - 1, n),
+        constraint=ChangeConstraint((1 << k) - 1),
         params={"n": n, "k": k},
     )
 
@@ -671,7 +665,7 @@ def _make_msd(n: int) -> SchemeSpec:
         n=n,
         base=tuple(1 << i for i in range(n)),
         modulus=_msd_modulus(n),
-        constraint=ChangeConstraint(1, n),
+        constraint=ChangeConstraint(1),
         params={"n": n},
     )
 
@@ -695,7 +689,7 @@ def _make_hemd(n: int, w: int, wbase: int = 0) -> SchemeSpec:
         n=n,
         base=tuple(root**i for i in range(n)),
         modulus=w**n,
-        constraint=ChangeConstraint((w - 1) // 2, n),
+        constraint=ChangeConstraint((w - 1) // 2),
         params={"n": n, "w": w, "wbase": wbase},
     )
 
@@ -709,7 +703,7 @@ def _make_aemd(n: int, m: int) -> SchemeSpec:
         n=n,
         base=tuple(m**i for i in range(n)),
         modulus=m**n,
-        constraint=ChangeConstraint(m // 2, n),
+        constraint=ChangeConstraint(m // 2),
         params={"n": n, "m": m},
     )
 

@@ -50,15 +50,10 @@ def enumerate_oracle(query: BoundQuery) -> BoundResult:
 def allows(constraint: ChangeConstraint, deltas: Sequence[int]) -> bool:
     """Whether one change vector is within a scheme's change budget."""
     total = 0
-    changed = 0
     for d in deltas:
         if abs(d) > constraint.per_pixel_max:
             return False
-        if d:
-            changed += 1
-            total += abs(d)
-    if changed > constraint.max_changed_pixels:
-        return False
+        total += abs(d)
     if constraint.l1_radius is not None and total > constraint.l1_radius:
         return False
     return True

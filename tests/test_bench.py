@@ -231,6 +231,8 @@ class TestConfig:
             {"seeed": 3, "fil": 0.5},
             {"schemes": [{"scheme": "emd", "parms": {"n": 3}}]},
             {"cover": {"kind": "noise", "width": 8, "height": 8, "sede": 3}},
+            {"standard_normalization": "bogus"},
+            {"proposed_normalization": "bogus"},
         ],
         ids=[
             "json-array",
@@ -240,14 +242,17 @@ class TestConfig:
             "misspelt-keys",
             "misspelt-scheme-params",
             "misspelt-cover-key",
+            "unknown-standard-normalization",
+            "unknown-proposed-normalization",
         ],
     )
     def test_cli_exit_on_malformed_config(self, tmp_path, capsys, config):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
-        assert main(["bench", "--config", str(cfg_path),
-                     "--out-dir", str(tmp_path / "out")]) == 2
+        out_dir = tmp_path / "out"
+        assert main(["bench", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "cover_args",

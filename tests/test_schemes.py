@@ -182,7 +182,7 @@ def _feasible_vectors(n, constraint):
     limit = constraint.l1_radius
     yield (0,) * n
     nonzero = [v for v in range(-z, z + 1) if v]
-    for count in range(1, min(constraint.max_changed_pixels, n) + 1):
+    for count in range(1, n + 1):
         for positions in itertools.combinations(range(n), count):
             for values in itertools.product(nonzero, repeat=count):
                 if limit is not None and sum(abs(v) for v in values) > limit:
@@ -432,24 +432,20 @@ class TestTableSearch:
     @given(
         base=st.lists(st.integers(1, 10**6), min_size=1, max_size=5).map(tuple),
         z=st.integers(0, 3),
-        k=st.integers(0, 5),
         l1_radius=st.none() | st.integers(0, 8),
         modulus=st.integers(2, 200),
     )
     @settings(max_examples=150, deadline=None)
     # infeasible past the pigeonhole check: only even residues are reachable
-    @example(base=(2, 4), z=1, k=2, l1_radius=None, modulus=8)
+    @example(base=(2, 4), z=1, l1_radius=None, modulus=8)
     # feasible, with cost ties that only the lexicographic order breaks
-    @example(base=(1, 1, 1), z=2, k=3, l1_radius=3, modulus=5)
+    @example(base=(1, 1, 1), z=2, l1_radius=3, modulus=5)
     # a zero L1 radius allows only the zero vector
-    @example(base=(331097, 964339, 926279, 764469, 824888), z=3, k=5, l1_radius=0,
+    @example(base=(331097, 964339, 926279, 764469, 824888), z=3, l1_radius=0,
              modulus=177)
-    # infeasible: residue 34 needs four changed pixels, two are allowed
-    @example(base=(496785, 119738, 24783, 327161), z=3, k=2, l1_radius=None,
-             modulus=68)
-    def test_matches_enumeration_on_random_budgets(self, base, z, k, l1_radius, modulus):
+    def test_matches_enumeration_on_random_budgets(self, base, z, l1_radius, modulus):
         n = len(base)
-        constraint = ChangeConstraint(z, k, l1_radius)
+        constraint = ChangeConstraint(z, l1_radius=l1_radius)
         got = schemes._optimal_delta_table(n, base, modulus, constraint)
         want = enumeration_table(n, base, modulus, constraint)
         if want is None:
@@ -460,8 +456,8 @@ class TestTableSearch:
     def test_objectives_rank_differently(self):
         # weights (24, 26) mod 19: some residues have an L1 optimum that a
         # vector of smaller squared change beats under L2. A radius of
-        # k * z = 6 excludes no vector but switches the search to L1 first.
-        constraints = (ChangeConstraint(3, 2), ChangeConstraint(3, 2, l1_radius=6))
+        # n * z = 6 excludes no vector but switches the search to L1 first.
+        constraints = (ChangeConstraint(3), ChangeConstraint(3, l1_radius=6))
         tables = [
             schemes._optimal_delta_table(2, (24, 26), 19, constraint)
             for constraint in constraints
@@ -521,16 +517,66 @@ class TestTableSearch:
 
     def test_guard_rejects_before_enumerating(self, monkeypatch):
         monkeypatch.setattr(schemes, "_search_column", _no_search)
-        with pytest.raises(InvalidParameter):
+        # 3**16 vectors
+        with pytest.raises(
+            InvalidParameter,
+            match="change budget of 43046721 vectors exceeds the limit of 10000000",
+        ):
             make_scheme("gemd", n=16)
         # the guard also wins over the pigeonhole exit
-        with pytest.raises(InvalidParameter):
-            schemes._optimal_delta_table(16, (1,) * 16, 2**40, ChangeConstraint(1, 16))
+        with pytest.raises(InvalidParameter, match="exceeds the limit"):
+            schemes._optimal_delta_table(16, (1,) * 16, 2**40, ChangeConstraint(1))
+
+    def test_radius_is_keyword_only(self):
+        # an old positional ChangeConstraint(z, k) must not read k as a radius
+        with pytest.raises(TypeError):
+            ChangeConstraint(1, 2)
+
+    @given(
+        n=st.integers(1, 5),
+        z=st.integers(0, 3),
+        l1_radius=st.none() | st.integers(0, 8),
+    )
+    @settings(max_examples=150, deadline=None)
+    # a radius below both z and n cuts both sides of the box
+    @example(n=5, z=3, l1_radius=2)
+    @example(n=4, z=3, l1_radius=1)
+    @example(n=2, z=3, l1_radius=0)
+    def test_search_size_bounds_the_budget(self, n, z, l1_radius):
+        # the pigeonhole exit trusts _search_size to count at least every
+        # vector of the budget, after the radius cuts the search box
+        constraint = ChangeConstraint(z, l1_radius=l1_radius)
+        count = sum(1 for _ in _feasible_vectors(n, constraint))
+        assert schemes._search_size(n, constraint) >= count
+
+    @given(
+        n=st.integers(1, 30),
+        z=st.integers(0, 20) | st.integers(0, 6_000_000),
+        l1_radius=st.none() | st.integers(0, 40) | st.integers(0, 6_000_000),
+    )
+    @settings(max_examples=300, deadline=None)
+    # budgets at the guard's edge: the largest z for one, two and three
+    # changed pixels, the most unit changes, and radii that cut a box the
+    # guard would refuse down to one it admits
+    @example(n=1, z=4_999_999, l1_radius=None)
+    @example(n=2, z=1580, l1_radius=None)
+    @example(n=3, z=107, l1_radius=None)
+    @example(n=14, z=1, l1_radius=None)
+    @example(n=1, z=6_000_000, l1_radius=4_999_999)
+    @example(n=2, z=6_000_000, l1_radius=1580)
+    @example(n=100, z=1, l1_radius=1)
+    def test_rank_top_fits_int64(self, n, z, l1_radius):
+        constraint = ChangeConstraint(z, l1_radius=l1_radius)
+        box = schemes._search_box(n, constraint)
+        _, top = schemes._ranks(*box, l1_radius is not None)
+        # a candidate adds one column's rank to a reached key below the top
+        admitted = schemes._search_size(n, constraint) <= schemes._MAX_SEARCH_STATES
+        assert not admitted or 2 * top < 2**63
 
     def test_pigeonhole_exit_skips_enumeration(self, monkeypatch):
         monkeypatch.setattr(schemes, "_search_column", _no_search)
         # 9 change vectors cannot reach 10 residues
-        constraint = ChangeConstraint(1, 2)
+        constraint = ChangeConstraint(1)
         assert schemes._search_size(2, constraint) == 9
         assert schemes._optimal_delta_table(2, (1, 3), 10, constraint) is None
         # gemd n=1: three vectors, four residues
@@ -813,7 +859,7 @@ def wide_split_spec():
         make_scheme("twoemd", n=2),
         base=sub.base * 2,
         modulus=sub.modulus**2,
-        constraint=replace(sub.constraint, max_changed_pixels=4),
+        constraint=sub.constraint,
         sub_specs=(sub,),
     )
 
