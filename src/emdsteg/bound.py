@@ -24,8 +24,9 @@ NORM_LITERAL = "literal"
 NORM_MEAN = "mean"
 NORM_MEAN_PER_PIXEL = "mean-per-pixel"
 
-_METRICS = (METRIC_STANDARD, METRIC_PROPOSED)
+METRICS = (METRIC_STANDARD, METRIC_PROPOSED)
 NORMALIZATIONS = (NORM_LITERAL, NORM_MEAN, NORM_MEAN_PER_PIXEL)
+DISTANCE_MODES = ("euclidean", "vertical")
 
 
 class BoundError(ValueError):
@@ -97,7 +98,7 @@ class BoundPoint:
             return self.eff_standard
         if metric == METRIC_PROPOSED:
             return self.eff_proposed
-        raise ValueError(f"metric {metric!r} not one of {_METRICS}")
+        raise ValueError(f"metric {metric!r} not one of {METRICS}")
 
 
 def _running_sums(n: int, z: int, q: int) -> Iterator[tuple[int, int, int]]:
@@ -142,8 +143,8 @@ def bound_counts(query: BoundQuery) -> BoundResult:
 
 
 def _check_chart(metric: str, normalization: str) -> None:
-    if metric not in _METRICS:
-        raise ValueError(f"metric {metric!r} not one of {_METRICS}")
+    if metric not in METRICS:
+        raise ValueError(f"metric {metric!r} not one of {METRICS}")
     if normalization not in NORMALIZATIONS:
         raise ValueError(
             f"normalization {normalization!r} not one of {NORMALIZATIONS}"
@@ -151,23 +152,27 @@ def _check_chart(metric: str, normalization: str) -> None:
 
 
 def _chart_values(
-    n: int, states: int, lin: int, sq: int, normalization: str
+    n: int, z: int, states: int, lin: int, sq: int, normalization: str
 ) -> tuple[float, float, float, float]:
-    """(alpha, inv_alpha, eff_standard, eff_proposed) of one query's exact sums.
+    """(alpha, inv_alpha, eff_standard, eff_proposed) of one (n, z) query's exact sums.
 
-    The normalization is one of bound_point's.
+    The normalization is one of bound_point's. Raises BoundError once a sum
+    no longer fits a float (about (2z+1)^n > 1e308).
     """
     payload = math.log2(states)
     alpha = payload / n
-    if normalization == NORM_LITERAL:
-        eff_std = payload / lin
-        eff_prop = payload / math.sqrt(sq)
-    elif normalization == NORM_MEAN:
-        eff_std = payload * states / lin
-        eff_prop = payload / math.sqrt(sq / states)
-    else:
-        eff_std = payload * states / lin
-        eff_prop = alpha / math.sqrt(sq / (states * n))
+    try:
+        if normalization == NORM_LITERAL:
+            eff_std = payload / lin
+            eff_prop = payload / math.sqrt(sq)
+        elif normalization == NORM_MEAN:
+            eff_std = payload * states / lin
+            eff_prop = payload / math.sqrt(sq / states)
+        else:
+            eff_std = payload * states / lin
+            eff_prop = alpha / math.sqrt(sq / (states * n))
+    except OverflowError:
+        raise BoundError(f"n={n} z={z}: state counts overflow a float") from None
     return alpha, 1.0 / alpha, eff_std, eff_prop
 
 
@@ -194,6 +199,7 @@ def bound_point(
         )
     values = _chart_values(
         query.n,
+        query.z,
         counts.state_count,
         counts.change_sum_linear,
         counts.change_sum_squared,
@@ -233,7 +239,7 @@ def frontier(
             sums = _running_sums(n, z, n)
             next(sums)  # quota 0 is not swept
             for q, (states, lin, sq) in enumerate(sums, 1):
-                values = _chart_values(n, states, lin, sq, normalization)
+                values = _chart_values(n, z, states, lin, sq, normalization)
                 points.append(
                     (values[1], -values[eff_at], len(points), n, z, q, states, lin, sq)
                 )
@@ -247,7 +253,7 @@ def frontier(
                 BoundPoint(
                     BoundQuery(n, z, q),
                     BoundResult(states, lin, sq),
-                    *_chart_values(n, states, lin, sq, normalization),
+                    *_chart_values(n, z, states, lin, sq, normalization),
                     normalization,
                 )
             )
@@ -350,7 +356,7 @@ def distance_to_curve(
     elif mode == "euclidean":
         distance = _euclidean_distance(poly, x0, y0, domain)
     else:
-        raise ValueError(f"mode {mode!r} not one of vertical/euclidean")
+        raise ValueError(f"mode {mode!r} not one of {DISTANCE_MODES}")
     if not math.isfinite(distance):
         raise InvalidDomain(f"distance from {point} to {poly} overflows")
     return distance

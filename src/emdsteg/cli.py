@@ -24,10 +24,10 @@ from .metrics import DimensionMismatch
 from .rng import seeded_bytes
 from .schemes import (
     CapacityExceeded,
-    SchemeError,
     embed_bytes,
     extract_bytes,
     make_scheme,
+    operational_capacity,
 )
 
 EXIT_OK = 0
@@ -101,8 +101,11 @@ def _load_cover(args: argparse.Namespace) -> GrayImage:
     raise ValueError("need --cover PATH or --synthetic WxH:V")
 
 
-def _message(args: argparse.Namespace) -> tuple[bytes, int, int | None]:
-    """(packed bytes, bit length, seed or None) of the message to embed."""
+def _message(args: argparse.Namespace, capacity: int) -> tuple[bytes, int, int | None]:
+    """(packed bytes, bit length, seed or None) of the message to embed.
+
+    Random bits are drawn only once their count fits the capacity.
+    """
     if args.message is not None:
         try:
             data = Path(args.message).read_bytes()
@@ -112,6 +115,8 @@ def _message(args: argparse.Namespace) -> tuple[bytes, int, int | None]:
     if args.random_bits is not None:
         if args.random_bits < 0:
             raise ValueError("--random-bits must be >= 0")
+        if args.random_bits > capacity:
+            raise CapacityExceeded(f"{args.random_bits} bits > capacity {capacity}")
         data = seeded_bytes(args.seed, -(-args.random_bits // 8))
         return data, args.random_bits, args.seed
     raise ValueError("need --message PATH or --random-bits N")
@@ -127,7 +132,7 @@ def _write_bytes(path: str, data: bytes | np.ndarray) -> None:
 def _cmd_embed(args: argparse.Namespace) -> int:
     spec = _scheme_from_args(args)
     cover = _load_cover(args)
-    data, bit_length, seed = _message(args)
+    data, bit_length, seed = _message(args, operational_capacity(cover, spec))
     stego, _ = embed_bytes(cover, spec, data, bit_length)
     _write_bytes(args.out, save_pgm(stego))
     sidecar = {
@@ -354,7 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cover", required=True)
     p.add_argument("--stego", required=True)
     p.add_argument("--bound-poly", help="polynomial JSON for distance")
-    p.add_argument("--mode", choices=("euclidean", "vertical"), default="euclidean")
+    p.add_argument(
+        "--mode", choices=bound_mod.DISTANCE_MODES, default=bound_mod.DISTANCE_MODES[0]
+    )
     p.add_argument("--domain", type=float, nargs=2, default=(0.0, 3.0))
     p.set_defaults(func=_cmd_analyze)
 
@@ -363,16 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-z", type=int, required=True)
     p.add_argument(
         "--metric",
-        choices=(bound_mod.METRIC_STANDARD, bound_mod.METRIC_PROPOSED),
+        choices=bound_mod.METRICS,
         default=bound_mod.METRIC_PROPOSED,
     )
     p.add_argument(
         "--normalization",
-        choices=(
-            bound_mod.NORM_LITERAL,
-            bound_mod.NORM_MEAN,
-            bound_mod.NORM_MEAN_PER_PIXEL,
-        ),
+        choices=bound_mod.NORMALIZATIONS,
         default=bound_mod.NORM_MEAN_PER_PIXEL,
     )
     p.add_argument("--frontier", action="store_true", help="emit the envelope only")
@@ -397,7 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eq43", action="store_true", help="use the reference bound curve")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--y", type=float, required=True)
-    p.add_argument("--mode", choices=("euclidean", "vertical"), default="euclidean")
+    p.add_argument(
+        "--mode", choices=bound_mod.DISTANCE_MODES, default=bound_mod.DISTANCE_MODES[0]
+    )
     p.add_argument("--domain", type=float, nargs=2, default=(0.0, 3.0))
     p.set_defaults(func=_cmd_distance)
 
@@ -415,14 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     except (PgmError, DimensionMismatch, CliDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (
-        SchemeError,
-        CapacityExceeded,
-        BenchConfigError,
-        bound_mod.BoundError,
-        metrics.MetricsError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

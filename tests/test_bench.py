@@ -1,6 +1,8 @@
 import csv
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings
@@ -204,6 +206,24 @@ class TestConfig:
             BenchConfig.from_json(json.dumps({"schemes": [{"scheme": "emd", "parms": {}}]}))
         with pytest.raises(BenchConfigError, match="unknown cover key 'sede'"):
             build_cover({"kind": "noise", "width": 8, "height": 8, "sede": 3})
+        # the bench draws its charts in one setting; bound and distance take others
+        chart_settings = {
+            "standard_normalization": "mean",
+            "proposed_normalization": "mean-per-pixel",
+            "distance_mode": "euclidean",
+            "distance_domain": [0.0, 3.0],
+            "frontier_max_n": 8,
+            "frontier_max_z": 4,
+        }
+        for key, value in chart_settings.items():
+            with pytest.raises(BenchConfigError, match=f"unknown config key '{key}'"):
+                BenchConfig.from_json(json.dumps({key: value}))
+
+    def test_readme_config_names_every_field(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+        BenchConfig.from_json(block)
+        assert set(json.loads(block)) == set(vars(BenchConfig()))
 
     @pytest.mark.parametrize(
         "cover",

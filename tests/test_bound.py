@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emdsteg.bound import (
+    BoundError,
     BoundQuery,
     BoundResult,
     CubicPoly,
@@ -247,6 +248,14 @@ class TestBoundPoint:
     def test_degenerate_query(self):
         with pytest.raises(DegenerateQuery):
             bound_point(BoundQuery(3, 1, 0))
+
+    @pytest.mark.parametrize("normalization", ["literal", "mean", "mean-per-pixel"])
+    def test_float_overflow_names_the_query(self, normalization):
+        query = BoundQuery(400, 4, 400)
+        with pytest.raises(BoundError, match="n=400 z=4"):
+            bound_point(query, "proposed", normalization)
+        with pytest.raises(BoundError, match="n=400 z=4"):
+            frontier([400], [4], "standard", normalization)
 
     def test_inverse_payload(self):
         point = bound_point(BoundQuery(2, 1, 1))

@@ -153,6 +153,14 @@ class TestExitCodes:
             == 2
         )
 
+    def test_huge_random_bits_fail_before_drawing(self, tmp_path, capsys):
+        # 10^14 bytes of message would not fit in memory
+        out = tmp_path / "x.pgm"
+        assert run("embed", "--scheme", "emd", "--n", 2, "--synthetic", "4x4:128",
+                   "--random-bits", 800_000_000_000_000, "--out", out) == 2
+        assert capsys.readouterr().err == "error: 800000000000000 bits > capacity 16\n"
+        assert not out.exists()
+
     def test_unknown_scheme(self, tmp_path):
         assert (
             run(
@@ -245,6 +253,16 @@ class TestExitCodes:
     def test_bad_bound_range(self, tmp_path):
         assert run("bound", "--max-n", 0, "--max-z", 1,
                    "--out", tmp_path / "b.csv") == 2
+
+    @pytest.mark.parametrize("frontier", [[], ["--frontier"]], ids=["table", "frontier"])
+    def test_bound_past_float_range(self, tmp_path, capsys, frontier):
+        # 9^n state counts pass the float range from n = 321 on
+        out = tmp_path / "b.csv"
+        assert run("bound", "--max-n", 400, "--max-z", 4, *frontier, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            "error: n=321 z=4: state counts overflow a float\n"
+        )
+        assert not out.exists()
 
 
 class TestAnalyze:
@@ -694,8 +712,7 @@ def argv_files(tmp_path_factory):
     (root / "bad.json").write_bytes(b'{"c3": \xff')
     (root / "points.csv").write_text("x,y\n0,1\n1,2\n2,0\n3,5\n4,4\n")
     config = {"schemes": [{"scheme": "emd", "params": {"n": 2}}],
-              "cover": {"kind": "noise", "width": 16, "height": 16, "seed": 3},
-              "frontier_max_n": 3, "frontier_max_z": 2}
+              "cover": {"kind": "noise", "width": 16, "height": 16, "seed": 3}}
     (root / "config.json").write_text(json.dumps(config))
     (root / "message.bin").write_bytes(b"\x5a\xa5")
     (root / "dir").mkdir()
