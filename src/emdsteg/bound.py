@@ -91,7 +91,6 @@ class BoundPoint:
     inv_alpha: float
     eff_standard: float
     eff_proposed: float
-    normalization: str
 
     def efficiency(self, metric: str) -> float:
         if metric == METRIC_STANDARD:
@@ -142,9 +141,7 @@ def bound_counts(query: BoundQuery) -> BoundResult:
     return quota_counts(query)[-1]
 
 
-def _check_chart(metric: str, normalization: str) -> None:
-    if metric not in METRICS:
-        raise ValueError(f"metric {metric!r} not one of {METRICS}")
+def _check_normalization(normalization: str) -> None:
     if normalization not in NORMALIZATIONS:
         raise ValueError(
             f"normalization {normalization!r} not one of {NORMALIZATIONS}"
@@ -178,11 +175,10 @@ def _chart_values(
 
 def bound_point(
     query: BoundQuery,
-    metric: str = METRIC_PROPOSED,
     normalization: str = NORM_MEAN_PER_PIXEL,
     counts: BoundResult | None = None,
 ) -> BoundPoint:
-    """Efficiency chart point for one query.
+    """Efficiency chart point for one query; point.efficiency(metric) reads either.
 
     literal divides the payload by the raw change totals as the defining
     equations read; mean divides by the per-state average; mean-per-pixel
@@ -190,7 +186,7 @@ def bound_point(
     commensurate with per-pixel MSE. A caller that already holds the query's
     exact sums passes them as counts; otherwise they are computed here.
     """
-    _check_chart(metric, normalization)
+    _check_normalization(normalization)
     if counts is None:
         counts = bound_counts(query)
     if counts.state_count < 2 or counts.change_sum_linear == 0:
@@ -205,7 +201,7 @@ def bound_point(
         counts.change_sum_squared,
         normalization,
     )
-    return BoundPoint(query, counts, *values, normalization)
+    return BoundPoint(query, counts, *values)
 
 
 def frontier(
@@ -227,7 +223,9 @@ def frontier(
         raise EmptyRange("need at least one n and one z")
     # the smallest n and z are the first the sweep would reject
     BoundQuery(ns[0], zs[0], ns[0])
-    _check_chart(metric, normalization)
+    if metric not in METRICS:
+        raise ValueError(f"metric {metric!r} not one of {METRICS}")
+    _check_normalization(normalization)
     eff_at = 3 if metric == METRIC_PROPOSED else 2
     # sorted by (inv_alpha, -efficiency, generation index): ties in inverse
     # payload put the higher efficiency first, then keep the generation order.
@@ -254,7 +252,6 @@ def frontier(
                     BoundQuery(n, z, q),
                     BoundResult(states, lin, sq),
                     *_chart_values(n, z, states, lin, sq, normalization),
-                    normalization,
                 )
             )
     return envelope
@@ -351,10 +348,13 @@ def distance_to_curve(
             f"polynomial {poly}, point {point} and domain {domain} must be finite"
         )
     x0, y0 = map(float, point)
+    lo, hi = map(float, domain)
+    if not lo < hi:
+        raise InvalidDomain(f"domain [{lo}, {hi}] is empty")
     if mode == "vertical":
         distance = abs(cubic_eval(poly, x0) - y0)
     elif mode == "euclidean":
-        distance = _euclidean_distance(poly, x0, y0, domain)
+        distance = _euclidean_distance(poly, x0, y0, lo, hi)
     else:
         raise ValueError(f"mode {mode!r} not one of {DISTANCE_MODES}")
     if not math.isfinite(distance):
@@ -363,12 +363,8 @@ def distance_to_curve(
 
 
 def _euclidean_distance(
-    poly: CubicPoly, x0: float, y0: float, domain: tuple[float, float]
+    poly: CubicPoly, x0: float, y0: float, lo: float, hi: float
 ) -> float:
-    lo, hi = map(float, domain)
-    if not lo < hi:
-        raise InvalidDomain(f"domain [{lo}, {hi}] is empty")
-
     shifted = (poly.c3, poly.c2, poly.c1, poly.c0 - y0)
     with np.errstate(over="ignore", invalid="ignore"):
         quintic = np.convolve(shifted, (3.0 * poly.c3, 2.0 * poly.c2, poly.c1))

@@ -166,10 +166,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     spec = _scheme_from_args(args)
     cover = _read_image(args.cover)
     stego = _read_image(args.stego)
+    poly = _read_poly(args.bound_poly) if args.bound_poly else None
     report = metrics.analyze_pair(cover, stego, spec)
     record = report.to_record()
-    if args.bound_poly and report.efficiency_proposed is not None:
-        poly = _read_poly(args.bound_poly)
+    if poly is not None and report.efficiency_proposed is not None:
         record["distance"] = bound_mod.distance_to_curve(
             poly,
             (report.alpha, report.efficiency_proposed),
@@ -201,9 +201,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
                 for q, counts in enumerate(all_counts):
                     query = bound_mod.BoundQuery(n, z, q)
                     try:
-                        point = bound_mod.bound_point(
-                            query, args.metric, args.normalization, counts
-                        )
+                        point = bound_mod.bound_point(query, args.normalization, counts)
                     except bound_mod.DegenerateQuery:
                         point = None
                     lines.append(_bound_line(query, counts, point, args))
@@ -237,16 +235,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         cfg = BenchConfig.from_json(text)
     else:
         cfg = BenchConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.fill is not None:
-        cfg.fill = args.fill
-    if args.synthetic:
-        width, height, value = _parse_synthetic(args.synthetic)
-        cfg.cover = {"kind": "flat", "width": width, "height": height, "value": value}
-    elif args.cover:
-        cfg.cover = {"kind": "file", "path": args.cover}
-    cfg.validate()
     try:
         paths = run_bench(cfg, args.out_dir)
     except OSError as exc:
@@ -385,10 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="comparison tables and chart data")
     p.add_argument("--config", help="BenchConfig JSON path")
     p.add_argument("--out-dir", default="bench_out")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--fill", type=float, default=None)
-    p.add_argument("--cover", help="cover PGM path")
-    p.add_argument("--synthetic", help="flat synthetic cover WxH:V")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("fit", help="least-squares cubic through CSV points")

@@ -58,11 +58,9 @@ class MetricsReport:
     psnr_db: float | None
     efficiency_standard: float | None
     efficiency_proposed: float | None
-    distance_from_bound: float | None = None
-    provenance: str = "computed"
 
     def to_record(self) -> dict:
-        """Flat record with the fixed serialization field names."""
+        """Flat record with the fixed serialization field names; callers fill distance."""
         return {
             "scheme": self.scheme_id,
             "params": ";".join(f"{k}={v}" for k, v in sorted(self.params.items())),
@@ -71,8 +69,8 @@ class MetricsReport:
             "psnr_db": self.psnr_db,
             "eff_standard": self.efficiency_standard,
             "eff_proposed": self.efficiency_proposed,
-            "distance": self.distance_from_bound,
-            "provenance": self.provenance,
+            "distance": None,
+            "provenance": "computed",
         }
 
 
@@ -177,5 +175,4 @@ def analyze_pair(cover: GrayImage, stego: GrayImage, spec: SchemeSpec) -> Metric
         psnr_db=psnr(measured),
         efficiency_standard=eff_std,
         efficiency_proposed=eff_prop,
-        provenance="computed",
     )

@@ -28,6 +28,7 @@ from .image import (
     bits_to_symbols,
     bytes_to_symbols,
     clamped_pixels,
+    symbol_bit_width,
     symbols_to_bits,
     symbols_to_bytes,
 )
@@ -102,7 +103,6 @@ class SchemeSpec:
     """
 
     id: str
-    n: int
     base: tuple[int, ...]
     modulus: int
     constraint: ChangeConstraint
@@ -113,12 +113,17 @@ class SchemeSpec:
     sub_specs: tuple["SchemeSpec", ...] = field(default=(), compare=False, repr=False)
 
     @property
+    def n(self) -> int:
+        """Group size: one pixel per weight."""
+        return len(self.base)
+
+    @property
     def payload_bits_exact(self) -> float:
         return math.log2(self.modulus)
 
     @property
     def payload_bits_operational(self) -> int:
-        return self.modulus.bit_length() - 1
+        return symbol_bit_width(self.modulus)
 
     @property
     def rho(self) -> int:
@@ -418,7 +423,6 @@ def embed_group(spec: SchemeSpec, x: Sequence[int], s: int) -> tuple[int, ...]:
 def _finalize(
     *,
     id: str,
-    n: int,
     base: Sequence[int],
     modulus: int,
     constraint: ChangeConstraint,
@@ -431,11 +435,10 @@ def _finalize(
     unless embed_array is given."""
     if modulus < 2:
         raise InvalidParameter(f"{id}: modulus {modulus} < 2")
-    if len(base) != n or any(b < 1 for b in base):
-        raise InvalidParameter(f"{id}: base vector must hold {n} positive weights")
+    if any(b < 1 for b in base):
+        raise InvalidParameter(f"{id}: base vector must hold positive weights")
     spec = SchemeSpec(
         id=id,
-        n=n,
         base=tuple(base),
         modulus=modulus,
         constraint=constraint,
@@ -445,7 +448,7 @@ def _finalize(
     )
     if sub_specs:
         return spec
-    table = _optimal_delta_table(n, spec.base, modulus, constraint)
+    table = _optimal_delta_table(spec.n, spec.base, modulus, constraint)
     if table is None:
         raise InfeasibleScheme(
             f"{id}: some residue mod {modulus} is unreachable within the budget"
@@ -468,7 +471,6 @@ def _make_emd(n: int) -> SchemeSpec:
     n = _require_int("n", n, 2)
     return _finalize(
         id="emd",
-        n=n,
         base=range(1, n + 1),
         modulus=2 * n + 1,
         constraint=ChangeConstraint(1, l1_radius=1),
@@ -492,7 +494,6 @@ def _make_iemd() -> SchemeSpec:
     table.flags.writeable = False
     return _finalize(
         id="iemd",
-        n=2,
         base=(1, 3),
         modulus=8,
         constraint=ChangeConstraint(1),
@@ -509,7 +510,6 @@ def _make_pva(t: int) -> SchemeSpec:
     z = (t * t) // 2
     return _finalize(
         id="pva",
-        n=1,
         base=(1,),
         modulus=t * t,
         constraint=ChangeConstraint(z),
@@ -522,7 +522,6 @@ def _make_femd(t: int) -> SchemeSpec:
     t = _require_int("t", t, 2)
     return _finalize(
         id="femd",
-        n=2,
         base=(t - 1, t),
         modulus=t * t,
         constraint=ChangeConstraint(t // 2),
@@ -535,7 +534,6 @@ def _make_de(k: int) -> SchemeSpec:
     k = _require_int("k", k, 1)
     return _finalize(
         id="de",
-        n=2,
         base=(2 * k + 1, 1),
         modulus=2 * k * k + 2 * k + 1,
         constraint=ChangeConstraint(k, l1_radius=k),
@@ -551,7 +549,6 @@ def _make_mpemd(n: int, key: int = 0) -> SchemeSpec:
         raise InvalidParameter(f"key={key} outside [0, {2 * n})")
     return _finalize(
         id="mpemd",
-        n=n,
         base=range(1, n + 1),
         modulus=2 * n,
         constraint=ChangeConstraint(1, l1_radius=1),
@@ -572,7 +569,6 @@ def _make_emd2(n: int) -> SchemeSpec:
     w = 4 if n == 2 else 8 + 5 * (n - 3)
     return _finalize(
         id="emd2",
-        n=n,
         base=_emd2_weights(n),
         modulus=2 * w + 1,
         constraint=ChangeConstraint(1, l1_radius=2),
@@ -587,7 +583,6 @@ def _make_twoemd(n: int) -> SchemeSpec:
     m = sub.modulus
     return _finalize(
         id="twoemd",
-        n=2 * n,
         base=sub.base + sub.base,
         modulus=m * m,
         constraint=ChangeConstraint(1, l1_radius=2),
@@ -601,7 +596,6 @@ def _make_gemd(n: int) -> SchemeSpec:
     n = _require_int("n", n, 1)
     return _finalize(
         id="gemd",
-        n=n,
         base=tuple((1 << i) - 1 for i in range(1, n + 1)),
         modulus=1 << (n + 1),
         constraint=ChangeConstraint(1),
@@ -621,7 +615,6 @@ def _make_egemd(n: int, n1: int | None = None) -> SchemeSpec:
     high = _make_gemd(n - n1)
     return _finalize(
         id="egemd",
-        n=n,
         base=low.base + high.base,
         modulus=1 << (n + 2),
         constraint=ChangeConstraint(1),
@@ -643,7 +636,6 @@ def _make_mbe(n: int, k: int) -> SchemeSpec:
     k = _require_int("k", k, 1)
     return _finalize(
         id="mbe",
-        n=n,
         base=_mbe_weights(n, k),
         modulus=1 << (n * k + 1),
         constraint=ChangeConstraint((1 << k) - 1),
@@ -662,7 +654,6 @@ def _make_msd(n: int) -> SchemeSpec:
     n = _require_int("n", n, 1)
     return _finalize(
         id="msd",
-        n=n,
         base=tuple(1 << i for i in range(n)),
         modulus=_msd_modulus(n),
         constraint=ChangeConstraint(1),
@@ -686,7 +677,6 @@ def _make_hemd(n: int, w: int, wbase: int = 0) -> SchemeSpec:
     root = w if wbase else n
     return _finalize(
         id="hemd",
-        n=n,
         base=tuple(root**i for i in range(n)),
         modulus=w**n,
         constraint=ChangeConstraint((w - 1) // 2),
@@ -700,7 +690,6 @@ def _make_aemd(n: int, m: int) -> SchemeSpec:
     m = _require_int("m", m, 2)
     return _finalize(
         id="aemd",
-        n=n,
         base=tuple(m**i for i in range(n)),
         modulus=m**n,
         constraint=ChangeConstraint(m // 2),

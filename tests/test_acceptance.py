@@ -162,7 +162,7 @@ def test_criterion_5():
 @criterion(6, "state family agrees with scheme expectation")
 def test_criterion_6():
     for n in range(2, 9):
-        point = bound_point(BoundQuery(n, 1, 1), "standard", "mean")
+        point = bound_point(BoundQuery(n, 1, 1), "mean")
         spec = make_scheme("emd", n=n)
         profile = theoretical_distortion(spec)
         bits_per_expected_change = spec.payload_bits_exact / (

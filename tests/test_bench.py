@@ -275,13 +275,18 @@ class TestConfig:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
-        "cover_args",
-        [["--cover", "no/such/cover.pgm"], ["--synthetic", "4x4:300"]],
+        "cover",
+        [
+            {"kind": "file", "path": "no/such/cover.pgm"},
+            {"kind": "flat", "width": 4, "height": 4, "value": 300},
+        ],
         ids=["missing-file", "flat-value-300"],
     )
-    def test_bad_cover_leaves_no_output_dir(self, tmp_path, capsys, cover_args):
+    def test_bad_cover_leaves_no_output_dir(self, tmp_path, capsys, cover):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"cover": cover}))
         out_dir = tmp_path / "out"
-        assert main(["bench", *cover_args, "--out-dir", str(out_dir)]) == 2
+        assert main(["bench", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out_dir.exists()
 

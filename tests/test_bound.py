@@ -87,7 +87,7 @@ def recursive_counts(query: BoundQuery) -> BoundResult:
 def per_query_frontier(n_values, z_values, metric, normalization):
     """Reference for frontier: one bound_point per query, each with its own count."""
     points = [
-        bound_point(BoundQuery(n, z, q), metric, normalization)
+        bound_point(BoundQuery(n, z, q), normalization)
         for n in sorted(set(n_values))
         for z in sorted(set(z_values))
         for q in range(1, n + 1)
@@ -238,7 +238,7 @@ class TestCounts:
 
 class TestBoundPoint:
     def test_literal_normalization(self):
-        point = bound_point(BoundQuery(2, 1, 2), "standard", "literal")
+        point = bound_point(BoundQuery(2, 1, 2), "literal")
         assert point.eff_standard == pytest.approx(math.log2(9) / 12)
 
     def test_carries_its_counts(self):
@@ -253,7 +253,7 @@ class TestBoundPoint:
     def test_float_overflow_names_the_query(self, normalization):
         query = BoundQuery(400, 4, 400)
         with pytest.raises(BoundError, match="n=400 z=4"):
-            bound_point(query, "proposed", normalization)
+            bound_point(query, normalization)
         with pytest.raises(BoundError, match="n=400 z=4"):
             frontier([400], [4], "standard", normalization)
 
@@ -265,7 +265,7 @@ class TestBoundPoint:
         # bits per expected unit change of the single-change scheme equals
         # the mean-normalized standard efficiency of its state family
         for n in range(2, 9):
-            point = bound_point(BoundQuery(n, 1, 1), "standard", "mean")
+            point = bound_point(BoundQuery(n, 1, 1), "mean")
             spec = make_scheme("emd", n=n)
             profile = theoretical_distortion(spec)
             expected = spec.payload_bits_exact / (
@@ -292,7 +292,7 @@ class TestFrontier:
         for n in range(2, 7):
             for z in range(1, 4):
                 for q in range(1, n + 1):
-                    point = bound_point(BoundQuery(n, z, q), "proposed", "mean-per-pixel")
+                    point = bound_point(BoundQuery(n, z, q), "mean-per-pixel")
                     ceiling = frontier_value_at(envelope, point.inv_alpha, "proposed")
                     assert point.eff_proposed <= ceiling + 1e-9
 
@@ -309,8 +309,9 @@ class TestFrontier:
         "metric,normalization", [("rmse", "mean"), ("standard", "per-pixel")]
     )
     def test_bad_chart_args_match_bound_point(self, metric, normalization):
+        # bound_point takes no metric; its point names a bad one as frontier does
         with pytest.raises(ValueError) as expected:
-            bound_point(BoundQuery(2, 1, 1), metric, normalization)
+            bound_point(BoundQuery(2, 1, 1), normalization).efficiency(metric)
         with pytest.raises(ValueError) as got:
             frontier([2], [1], metric, normalization)
         assert str(got.value) == str(expected.value)
@@ -466,6 +467,12 @@ class TestDistance:
     def test_rejects_overflowing_quintic(self):
         with pytest.raises(InvalidDomain):
             distance_to_curve(CubicPoly(1e200, 1e200, 0.0, 0.0), (1.0, 1.0))
+
+    @pytest.mark.parametrize("mode", ["vertical", "euclidean"])
+    @pytest.mark.parametrize("domain", [(2.0, 2.0), (3.0, 0.0)], ids=["empty", "reversed"])
+    def test_rejects_empty_domain(self, mode, domain):
+        with pytest.raises(InvalidDomain, match="is empty"):
+            distance_to_curve(REFERENCE_BOUND_POLY, (1.0, 1.0), mode, domain)
 
     @pytest.mark.parametrize("mode", ["vertical", "euclidean"])
     def test_rejects_overflowing_distance(self, mode):

@@ -2,6 +2,8 @@ import contextlib
 import csv
 import io
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from emdsteg import bound as bound_mod
 from emdsteg.bench import _fmt
-from emdsteg.cli import main
+from emdsteg.cli import build_parser, main
 from emdsteg.image import GrayImage, save_pgm
 from emdsteg.rng import seeded_bits, seeded_bytes
 from emdsteg.schemes import embed_message, make_scheme
@@ -35,6 +37,23 @@ SCHEME_ARGS = {
 
 def run(*args) -> int:
     return main([str(a) for a in args])
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argv of every emdsteg line in README's fenced blocks, continuations joined."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    commands, fenced = [], False
+    for line in readme.replace("\\\n", " ").splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("emdsteg "):
+            commands.append(shlex.split(line)[1:])
+    return commands
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_commands_parse(argv):
+    build_parser().parse_args(argv)
 
 
 class TestEmbedExtract:
@@ -210,7 +229,10 @@ class TestExitCodes:
         }[target]
         if target == "csv-is-a-directory":
             (out_dir / "table3.csv").mkdir(parents=True)
-        assert run("bench", "--synthetic", "16x16:128", "--out-dir", out_dir) == 3
+        config = tmp_path / "cfg.json"
+        cover = {"kind": "flat", "width": 16, "height": 16, "value": 128}
+        config.write_text(json.dumps({"cover": cover}))
+        assert run("bench", "--config", config, "--out-dir", out_dir) == 3
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith(f"error: cannot write to {out_dir}: ")
@@ -276,6 +298,17 @@ class TestAnalyze:
         assert record["psnr_db"] == "inf"
         assert record["eff_proposed"] is None
         assert record["provenance"] == "computed"
+
+    def test_poly_is_read_for_an_identical_pair(self, tmp_path, capsys):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(save_pgm(GrayImage.flat(8, 8, 77)))
+        poly = tmp_path / "missing.json"
+        assert run("analyze", "--scheme", "emd", "--n", 2, "--cover", path,
+                   "--stego", path, "--bound-poly", poly) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"error: cannot read {poly}: ")
+        assert out.err.count("\n") == 1
 
     def test_distance_for_on_curve_point(self, tmp_path, capsys):
         # a stego pair whose proposed efficiency is irrelevant; checks the
@@ -383,7 +416,7 @@ class TestBoundCommand:
                     query = bound_mod.BoundQuery(n, z, q)
                     counts = bound_mod.bound_counts(query)
                     try:
-                        point = bound_mod.bound_point(query, metric, normalization)
+                        point = bound_mod.bound_point(query, normalization)
                         floats = (point.alpha, point.inv_alpha, point.efficiency(metric))
                     except bound_mod.DegenerateQuery:
                         floats = (None, None, None)
@@ -464,9 +497,9 @@ class TestFitDistance:
 
     def test_negative_e_notation_reaches_validation(self, tmp_path, capsys):
         # read as a value, so the option's own check reports it
-        assert run("bench", "--fill", "-1e-3", "--synthetic", "4x4:1",
-                   "--out-dir", tmp_path / "out") == 2
-        assert capsys.readouterr().err.startswith("error: fill -0.001 outside")
+        assert run("distance", "--eq43", "--x", 1, "--y", 1,
+                   "--domain", "-1e-3", "-2e-3") == 2
+        assert capsys.readouterr().err == "error: domain [-0.001, -0.002] is empty\n"
         assert run("bound", "--max-n", "-1e1", "--max-z", 1,
                    "--out", tmp_path / "b.csv") == 2
         assert "invalid int value: '-1e1'" in capsys.readouterr().err
@@ -657,7 +690,6 @@ _ARG_VALUES = {
     "--max-z": _tokens(st.integers(-1, 4).map(str)),
     "--metric": _tokens(st.sampled_from(["standard", "proposed", "bogus"])),
     "--normalization": _tokens(st.sampled_from(["literal", "mean", "mean-per-pixel", "x"])),
-    "--fill": _number_tokens,
     "--x": _number_tokens,
     "--y": _number_tokens,
     "--frontier": st.just([]),
@@ -671,7 +703,7 @@ _COMMANDS = {
     "analyze": (("--scheme", "--cover", "--stego"),
                 _SCHEME_FLAGS + ("--bound-poly", "--mode", "--domain")),
     "bound": (("--max-n", "--max-z", "--out"), ("--metric", "--normalization", "--frontier")),
-    "bench": (("--out-dir",), ("--seed", "--fill")),
+    "bench": (("--config", "--out-dir"), ()),
     "fit": (("--points",), ()),
     "distance": (("--x", "--y"), ("--poly", "--eq43", "--mode", "--domain")),
 }
@@ -686,15 +718,11 @@ def _options(flags):
 def _argvs(draw):
     command = draw(st.sampled_from(sorted(_COMMANDS)))
     required, optional = _COMMANDS[command]
-    if command == "bench":
-        required += (draw(st.sampled_from(["--config", "--synthetic", "--cover"])),)
     groups = [draw(_ARG_VALUES[flag].map([flag].__add__)) for flag in required]
     if optional:
         groups += draw(st.lists(_options(optional), max_size=4))
     if draw(st.integers(0, 3)) == 0:
         foreign = [flag for flag in _ARG_VALUES if flag not in required + optional]
-        if command == "bench":
-            foreign = [flag for flag in foreign if flag not in ("--config", "--cover")]
         groups.append(draw(_options(foreign)))
     groups = draw(st.permutations(groups))
     argv = [command] + [token for group in groups for token in group]

@@ -202,7 +202,6 @@ class TestAnalyzePair:
         assert report.mse == 0.0
         assert math.isinf(report.psnr_db)
         assert report.efficiency_proposed is None
-        assert report.provenance == "computed"
 
     def test_full_fill_matches_expectation(self):
         # interior-valued random cover: no clamping charge, and the
