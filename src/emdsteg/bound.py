@@ -327,6 +327,16 @@ def fit_residual(poly: CubicPoly, points: Sequence[tuple[float, float]]) -> floa
     return float(sum((cubic_eval(poly, x) - y) ** 2 for x, y in points))
 
 
+def check_domain(domain: tuple[float, float]) -> tuple[float, float]:
+    """The domain as floats (lo, hi); raises InvalidDomain unless both are finite and lo < hi."""
+    lo, hi = map(float, domain)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidDomain(f"domain [{lo}, {hi}] must be finite")
+    if not lo < hi:
+        raise InvalidDomain(f"domain [{lo}, {hi}] is empty")
+    return lo, hi
+
+
 def distance_to_curve(
     poly: CubicPoly,
     point: tuple[float, float],
@@ -343,14 +353,10 @@ def distance_to_curve(
     finite, the domain is empty, or a value on the way overflows: the
     quintic's coefficients or the distance itself.
     """
-    if not all(math.isfinite(v) for v in (*poly.coefficients(), *point, *domain)):
-        raise InvalidDomain(
-            f"polynomial {poly}, point {point} and domain {domain} must be finite"
-        )
+    if not all(math.isfinite(v) for v in (*poly.coefficients(), *point)):
+        raise InvalidDomain(f"polynomial {poly} and point {point} must be finite")
     x0, y0 = map(float, point)
-    lo, hi = map(float, domain)
-    if not lo < hi:
-        raise InvalidDomain(f"domain [{lo}, {hi}] is empty")
+    lo, hi = check_domain(domain)
     if mode == "vertical":
         distance = abs(cubic_eval(poly, x0) - y0)
     elif mode == "euclidean":

@@ -164,6 +164,7 @@ def _json_value(value):
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     spec = _scheme_from_args(args)
+    domain = bound_mod.check_domain(args.domain)
     cover = _read_image(args.cover)
     stego = _read_image(args.stego)
     poly = _read_poly(args.bound_poly) if args.bound_poly else None
@@ -174,7 +175,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             poly,
             (report.alpha, report.efficiency_proposed),
             args.mode,
-            (args.domain[0], args.domain[1]),
+            domain,
         )
     record = {key: _json_value(val) for key, val in record.items()}
     print(json.dumps(record, indent=2))
@@ -305,15 +306,14 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_distance(args: argparse.Namespace) -> int:
+    domain = bound_mod.check_domain(args.domain)
     if args.eq43:
         poly = bound_mod.REFERENCE_BOUND_POLY
     elif args.poly:
         poly = _read_poly(args.poly)
     else:
         raise ValueError("need --poly PATH or --eq43")
-    value = bound_mod.distance_to_curve(
-        poly, (args.x, args.y), args.mode, (args.domain[0], args.domain[1])
-    )
+    value = bound_mod.distance_to_curve(poly, (args.x, args.y), args.mode, domain)
     print(f"{value:.12g}")
     return EXIT_OK
 

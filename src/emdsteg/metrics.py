@@ -2,7 +2,8 @@
 
 MSE/PSNR between cover and stego, the payload and efficiency figures used
 to compare schemes (bits per pixel, bits per change unit, bits per RMSE
-unit), exact per-scheme distortion expectations, and image capacity.
+unit), exact per-scheme distortion expectations read off the embed tables,
+and image capacity.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image import GrayImage
-from .schemes import SchemeSpec, _embed_groups
+from .schemes import SchemeSpec, _int_type, _parts
 
 PEAK_SQ = 255.0 * 255.0
 
@@ -121,28 +122,51 @@ def proposed_efficiency(alpha: float, mse_value: float) -> float:
     return alpha / math.sqrt(mse_value)
 
 
+def _change_sums(spec: SchemeSpec) -> tuple[int, int, int]:
+    """Sum of squared changes, sum of absolute changes and the largest group
+    L1 over embedding every symbol once, read off the embed tables.
+
+    A plain scheme applies row (s - key - sum(pixel * weight)) mod M for
+    symbol s, so the M symbols apply every row once. A split scheme's
+    symbols run over every pair of part digits once, so each part's sums
+    count M / M_part times, and the largest L1 values of the parts add up.
+    """
+    if spec.is_composite:
+        sq_sum = abs_sum = worst = 0
+        for sub, _, _ in _parts(spec):
+            sub_sq, sub_abs, sub_worst = _change_sums(sub)
+            repeats = spec.modulus // sub.modulus
+            sq_sum += repeats * sub_sq
+            abs_sum += repeats * sub_abs
+            worst += sub_worst
+        return sq_sum, abs_sum, worst
+    table = spec.embed_array
+    # the row L1s add up one column at a time in a dtype that holds n * z,
+    # int32 at most for a buildable table; einsum sums the squares in int64
+    # without an int64 copy
+    acc = _int_type(spec.n * spec.constraint.per_pixel_max, table.dtype)
+    first, *rest = table.T
+    row_l1 = np.abs(first).astype(acc)
+    for column in rest:
+        row_l1 += np.abs(column)
+    sq_sum = int(np.einsum("ij,ij->", table, table, dtype=np.int64))
+    return sq_sum, int(row_l1.sum(dtype=np.int64)), int(row_l1.max())
+
+
 def theoretical_distortion(spec: SchemeSpec) -> DistortionProfile:
-    """Embed every symbol once into an interior reference group and average.
+    """Exact distortion of embedding a uniform symbol into an interior group.
 
     Valid for any scheme whose change vector depends on the group only
     through the extraction residue, which holds for the whole registry on
     interior (pre-clamped) pixels. The sums are Python ints, so the profile
     holds plain floats.
     """
-    # one reference group per symbol; the kernel embeds in place, and less
-    # the reference value the groups hold the changes. int32 holds 128 + z
-    # for any budget far past a buildable table; squares pass 2^31 from
-    # z = 46341 on, and einsum sums them in int64 without an int64 copy.
-    deltas = np.full((spec.modulus, spec.n), 128, dtype=np.int32)
-    _embed_groups(spec, deltas, np.arange(spec.modulus))
-    deltas -= 128
-    sq_sum = int(np.einsum("ij,ij->", deltas, deltas, dtype=np.int64))
-    abs_sums = np.abs(deltas, out=deltas).sum(axis=1, dtype=np.int64)
+    sq_sum, abs_sum, worst = _change_sums(spec)
     denom = spec.modulus * spec.n
     return DistortionProfile(
-        expected_abs_per_pixel=int(abs_sums.sum()) / denom,
+        expected_abs_per_pixel=abs_sum / denom,
         expected_sq_per_pixel=sq_sum / denom,
-        max_group_change=int(abs_sums.max()),
+        max_group_change=worst,
     )
 
 

@@ -196,7 +196,7 @@ def _ranks(z: int, n: int, l1_first: bool) -> tuple[np.ndarray, int]:
     key folds the change's (primary, secondary) cost, (L1, L2) when l1_first
     else (L2, L1), into one integer, so keys add up along a vector. Also
     returns a multiple of D above the rank of every vector of at most n
-    changes in [-z, z].
+    changes in [-z, z]: the top.
     """
     l1 = np.abs(np.arange(-z, z + 1))
     l1_top = n * z
@@ -211,11 +211,17 @@ def _ranks(z: int, n: int, l1_first: bool) -> tuple[np.ndarray, int]:
     (primary, primary_top), (secondary, secondary_top) = costs
     count = len(l1)
     fold = secondary_top + 1
+    top = count * (primary_top + 1) * fold
+    # The search adds one column's rank to a reached state's key and drops
+    # every sum from the top on. Both addends lie below the top, so every
+    # candidate sum lies below 2 * top, and the ranks take the narrowest
+    # dtype that holds it: int16 for every unit-change budget the guard
+    # admits (2 * 3 * 15**2 for n = 14), and never past int64, as 2 * top
+    # < 2**63 for every budget within _MAX_SEARCH_STATES: its box has
+    # (2z)**n <= 10**7, so about 2z**2 < 5 * 10**13 for n = 1, 8z**4
+    # < 5 * 10**13 (z < 1600) for n = 2, and smaller beyond.
     ranks = count * (primary * fold + secondary) + np.arange(count)
-    # below 2**63 for every budget within _MAX_SEARCH_STATES, as its box has
-    # (2z)**n <= 10**7: about 2z**2 < 5 * 10**13 for n = 1, 8z**4 < 5 * 10**13
-    # (z < 1600) for n = 2, and smaller beyond
-    return ranks, count * (primary_top + 1) * fold
+    return ranks.astype(_int_type(2 * top, np.int16)), top
 
 
 def _search_column(reached, keys, moves, ranks, best, unreached: int) -> None:
@@ -277,8 +283,8 @@ def _optimal_delta_table(
     ranks, unreached = _ranks(z, k, radius is not None)
     # right of the last column only residue 0 is reached, at rank 0
     reached = np.arange(1)
-    keys = np.zeros(1, dtype=np.int64)
-    best = np.empty(modulus, dtype=np.int64)
+    keys = np.zeros(1, dtype=ranks.dtype)
+    best = np.empty(modulus, dtype=ranks.dtype)
     choices = []
     for weight in reversed(base):
         # weights mod M keep the int64 shifts far from overflow: M, z <= size

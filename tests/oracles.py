@@ -3,7 +3,8 @@
 Each recomputes, in its plainest form, something emdsteg computes with its
 own fast path, so a test can compare the two: the bound's state counts by
 walking every change vector, a change budget check per vector, one group's
-extraction value, the inverse of psnr, and SplitMix64 word by word.
+extraction value, the distortion profile by embedding every symbol, the
+inverse of psnr, and SplitMix64 word by word.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from emdsteg.bound import BoundError, BoundQuery, BoundResult
-from emdsteg.metrics import PEAK_SQ
+from emdsteg.metrics import PEAK_SQ, DistortionProfile
 from emdsteg.rng import _GAMMA, _MASK, _MIX1, _MIX2
-from emdsteg.schemes import ChangeConstraint, SchemeSpec, _extract_groups
+from emdsteg.schemes import ChangeConstraint, SchemeSpec, _embed_groups, _extract_groups
 
 _ORACLE_LIMIT = 10**8
 
@@ -62,6 +63,25 @@ def allows(constraint: ChangeConstraint, deltas: Sequence[int]) -> bool:
 def extraction_value(spec: SchemeSpec, group: Sequence[int]) -> int:
     """Symbol a receiver reads from one pixel group: a one-row _extract_groups."""
     return int(_extract_groups(spec, np.array([group], dtype=np.int64))[0])
+
+
+def embedded_distortion(spec: SchemeSpec) -> DistortionProfile:
+    """theoretical_distortion by embedding every symbol once into an interior group."""
+    # one reference group per symbol; the kernel embeds in place, and less
+    # the reference value the groups hold the changes. int32 holds 128 + z
+    # for any budget far past a buildable table; squares pass 2^31 from
+    # z = 46341 on, and einsum sums them in int64 without an int64 copy.
+    deltas = np.full((spec.modulus, spec.n), 128, dtype=np.int32)
+    _embed_groups(spec, deltas, np.arange(spec.modulus))
+    deltas -= 128
+    sq_sum = int(np.einsum("ij,ij->", deltas, deltas, dtype=np.int64))
+    abs_sums = np.abs(deltas, out=deltas).sum(axis=1, dtype=np.int64)
+    denom = spec.modulus * spec.n
+    return DistortionProfile(
+        expected_abs_per_pixel=int(abs_sums.sum()) / denom,
+        expected_sq_per_pixel=sq_sum / denom,
+        max_group_change=int(abs_sums.max()),
+    )
 
 
 def mse_from_psnr(psnr_db: float) -> float:

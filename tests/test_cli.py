@@ -342,6 +342,43 @@ class TestAnalyze:
         )
         assert record["distance"] == want
 
+    @pytest.mark.parametrize(
+        "domain,error",
+        [
+            ((3, 0), "domain [3.0, 0.0] is empty"),
+            ((1, 1), "domain [1.0, 1.0] is empty"),
+            (("nan", 3), "domain [nan, 3.0] must be finite"),
+            ((0, "-inf"), "domain [0.0, -inf] must be finite"),
+        ],
+    )
+    @pytest.mark.parametrize("poly", [False, True], ids=["no-poly", "poly"])
+    @pytest.mark.parametrize("pair", ["identical", "differing"])
+    def test_bad_domain_is_usage_error(self, tmp_path, capsys, domain, error, poly, pair):
+        # checked up front, whether or not a distance is computed
+        cover = tmp_path / "c.pgm"
+        stego = tmp_path / "s.pgm"
+        cover.write_bytes(save_pgm(GrayImage(2, 1, [100, 100])))
+        stego_pixels = [100, 100] if pair == "identical" else [101, 100]
+        stego.write_bytes(save_pgm(GrayImage(2, 1, stego_pixels)))
+        args = ["--cover", cover, "--stego", stego, "--domain", *domain]
+        if poly:
+            path = tmp_path / "poly.json"
+            path.write_text(json.dumps({"c3": 0.0, "c2": 0.0, "c1": 1.0, "c0": 0.0}))
+            args += ["--bound-poly", path]
+        assert run("analyze", "--scheme", "emd", "--n", 2, *args) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {error}\n"
+
+    def test_bad_domain_is_checked_before_the_inputs(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        assert run("analyze", "--scheme", "emd", "--n", 2, "--cover", missing,
+                   "--stego", missing, "--domain", 3, 0) == 2
+        assert capsys.readouterr().err == "error: domain [3.0, 0.0] is empty\n"
+        assert run("distance", "--poly", missing, "--x", 1, "--y", 1,
+                   "--domain", 3, 0) == 2
+        assert capsys.readouterr().err == "error: domain [3.0, 0.0] is empty\n"
+
     def test_dimension_mismatch_is_data_error(self, tmp_path):
         a = tmp_path / "a.pgm"
         b = tmp_path / "b.pgm"

@@ -31,7 +31,7 @@ from emdsteg.schemes import (
     operational_capacity,
 )
 
-from oracles import allows, extraction_value
+from oracles import allows, embedded_distortion, extraction_value
 
 # One canonical configuration per implemented scheme family.
 CANONICAL_CONFIGS = [
@@ -409,6 +409,30 @@ def _no_search(*args):
     raise AssertionError("the change budget was searched")
 
 
+def rank_budgets(test):
+    """Run a rank test on random budgets and on budgets at the guard's edge:
+    the largest z for one, two and three changed pixels, the most unit
+    changes, and radii that cut a box the guard would refuse down to one it
+    admits."""
+    edges = [
+        dict(n=1, z=4_999_999, l1_radius=None),
+        dict(n=2, z=1580, l1_radius=None),
+        dict(n=3, z=107, l1_radius=None),
+        dict(n=14, z=1, l1_radius=None),
+        dict(n=1, z=6_000_000, l1_radius=4_999_999),
+        dict(n=2, z=6_000_000, l1_radius=1580),
+        dict(n=100, z=1, l1_radius=1),
+    ]
+    for edge in edges:
+        test = example(**edge)(test)
+    test = settings(max_examples=300, deadline=None)(test)
+    return given(
+        n=st.integers(1, 30),
+        z=st.integers(0, 20) | st.integers(0, 6_000_000),
+        l1_radius=st.none() | st.integers(0, 40) | st.integers(0, 6_000_000),
+    )(test)
+
+
 class TestTableSearch:
     @pytest.mark.parametrize(
         "name,params",
@@ -549,22 +573,7 @@ class TestTableSearch:
         count = sum(1 for _ in _feasible_vectors(n, constraint))
         assert schemes._search_size(n, constraint) >= count
 
-    @given(
-        n=st.integers(1, 30),
-        z=st.integers(0, 20) | st.integers(0, 6_000_000),
-        l1_radius=st.none() | st.integers(0, 40) | st.integers(0, 6_000_000),
-    )
-    @settings(max_examples=300, deadline=None)
-    # budgets at the guard's edge: the largest z for one, two and three
-    # changed pixels, the most unit changes, and radii that cut a box the
-    # guard would refuse down to one it admits
-    @example(n=1, z=4_999_999, l1_radius=None)
-    @example(n=2, z=1580, l1_radius=None)
-    @example(n=3, z=107, l1_radius=None)
-    @example(n=14, z=1, l1_radius=None)
-    @example(n=1, z=6_000_000, l1_radius=4_999_999)
-    @example(n=2, z=6_000_000, l1_radius=1580)
-    @example(n=100, z=1, l1_radius=1)
+    @rank_budgets
     def test_rank_top_fits_int64(self, n, z, l1_radius):
         constraint = ChangeConstraint(z, l1_radius=l1_radius)
         box = schemes._search_box(n, constraint)
@@ -572,6 +581,20 @@ class TestTableSearch:
         # a candidate adds one column's rank to a reached key below the top
         admitted = schemes._search_size(n, constraint) <= schemes._MAX_SEARCH_STATES
         assert not admitted or 2 * top < 2**63
+
+    @rank_budgets
+    def test_rank_dtype_holds_every_candidate_sum(self, n, z, l1_radius):
+        constraint = ChangeConstraint(z, l1_radius=l1_radius)
+        if schemes._search_size(n, constraint) > schemes._MAX_SEARCH_STATES:
+            return
+        box = schemes._search_box(n, constraint)
+        ranks, top = schemes._ranks(*box, l1_radius is not None)
+        # one column's rank plus a reached key, each below the top
+        assert ranks.max() < top
+        assert 2 * top <= np.iinfo(ranks.dtype).max
+        # and no narrower dtype would hold it
+        narrower = {np.int32: np.int16, np.int64: np.int32}.get(ranks.dtype.type)
+        assert narrower is None or 2 * top > np.iinfo(narrower).max
 
     def test_pigeonhole_exit_skips_enumeration(self, monkeypatch):
         monkeypatch.setattr(schemes, "_search_column", _no_search)
@@ -774,6 +797,38 @@ class TestDistortionProfile:
         denom = spec.modulus * spec.n
         expected = DistortionProfile(total_abs / denom, total_sq / denom, worst)
         assert repr(theoretical_distortion(spec)) == repr(expected)
+
+    @pytest.mark.parametrize(
+        "name,params",
+        CANONICAL_CONFIGS
+        + [
+            # int16 tables, whose squares pass 2**15 from z = 182 on, one
+            # with an L1 radius below z * n, and an int32 table
+            ("de", {"k": 200}),
+            ("femd", {"t": 300}),
+            ("aemd", {"n": 1, "m": 364}),
+            ("mbe", {"n": 2, "k": 8}),
+            ("aemd", {"n": 1, "m": 100_000}),
+            # splits other than the default ones
+            ("egemd", {"n": 9, "n1": 2}),
+            ("twoemd", {"n": 5}),
+        ],
+    )
+    def test_matches_embedding_every_symbol(self, name, params):
+        spec = make_scheme(name, **params)
+        assert repr(theoretical_distortion(spec)) == repr(embedded_distortion(spec))
+
+    def test_reads_the_embed_table_not_the_solver_table(self):
+        # IEMD embeds with its case table, which differs from the solver's
+        spec = make_scheme("iemd")
+        assert not np.array_equal(spec.embed_array, spec.solver_array)
+        assert repr(theoretical_distortion(spec)) == repr(embedded_distortion(spec))
+        # a costlier row 0 that still reaches residue 0: 3 - 3 = 0 mod 8
+        table = spec.embed_array.copy()
+        table[0] = (3, -1)
+        costly = replace(spec, embed_array=table)
+        assert repr(theoretical_distortion(costly)) == repr(embedded_distortion(costly))
+        assert theoretical_distortion(costly) != theoretical_distortion(spec)
 
 
 # ---------------------------------------------------------------------------
