@@ -30,27 +30,12 @@ DISTANCE_MODES = ("euclidean", "vertical")
 
 
 class BoundError(ValueError):
-    pass
-
-
-class InvalidQuery(BoundError):
-    pass
+    """A bad query, sweep range, fit sample or domain, or a count past the
+    float range."""
 
 
 class DegenerateQuery(BoundError):
     """Only the all-zero state exists; efficiency is unbounded."""
-
-
-class EmptyRange(BoundError):
-    pass
-
-
-class RankDeficient(BoundError):
-    pass
-
-
-class InvalidDomain(BoundError):
-    pass
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,7 +48,7 @@ class BoundQuery:
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.z < 1 or not 0 <= self.q <= self.n:
-            raise InvalidQuery(f"bad query n={self.n} z={self.z} q={self.q}")
+            raise BoundError(f"bad query n={self.n} z={self.z} q={self.q}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,7 +205,7 @@ def frontier(
     ns = sorted(set(n_values))
     zs = sorted(set(z_values))
     if not ns or not zs:
-        raise EmptyRange("need at least one n and one z")
+        raise BoundError("need at least one n and one z")
     # the smallest n and z are the first the sweep would reject
     BoundQuery(ns[0], zs[0], ns[0])
     if metric not in METRICS:
@@ -257,22 +242,6 @@ def frontier(
     return envelope
 
 
-def frontier_value_at(
-    envelope: Sequence[BoundPoint], inv_alpha: float, metric: str
-) -> float:
-    """Best efficiency the envelope certifies at a given inverse payload.
-
-    The envelope is a rising staircase; any point at larger inverse payload
-    can always fall back on the best smaller-or-equal entry, so the value
-    is the running maximum (the last envelope entry at or left of x).
-    """
-    value = -math.inf
-    for point in envelope:
-        if point.inv_alpha <= inv_alpha + 1e-12:
-            value = max(value, point.efficiency(metric))
-    return value
-
-
 # ---------------------------------------------------------------------------
 # cubic reference curve
 
@@ -305,19 +274,19 @@ def cubic_fit(points: Sequence[tuple[float, float]]) -> CubicPoly:
 
     Needs at least four distinct x values; solved with numpy's QR-based
     least squares, so exact samples of a cubic are recovered to rounding.
-    Raises InvalidDomain for a non-finite sample, or for an x whose cube
+    Raises BoundError for a non-finite sample, or for an x whose cube
     overflows: LAPACK cannot fit either, and may not return on an inf.
     """
     xs = np.asarray([p[0] for p in points], dtype=float)
     ys = np.asarray([p[1] for p in points], dtype=float)
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-        raise InvalidDomain("fit samples must be finite")
+        raise BoundError("fit samples must be finite")
     if len(set(xs.tolist())) < 4:
-        raise RankDeficient("need at least 4 distinct x values")
+        raise BoundError("need at least 4 distinct x values")
     with np.errstate(over="ignore"):
         design = np.vander(xs, 4)
     if not np.isfinite(design).all():
-        raise InvalidDomain("fit samples overflow: some x^3 is not finite")
+        raise BoundError("fit samples overflow: some x^3 is not finite")
     coeffs, *_ = np.linalg.lstsq(design, ys, rcond=None)
     return CubicPoly(*(float(c) for c in coeffs))
 
@@ -328,12 +297,12 @@ def fit_residual(poly: CubicPoly, points: Sequence[tuple[float, float]]) -> floa
 
 
 def check_domain(domain: tuple[float, float]) -> tuple[float, float]:
-    """The domain as floats (lo, hi); raises InvalidDomain unless both are finite and lo < hi."""
+    """The domain as floats (lo, hi); raises BoundError unless both are finite and lo < hi."""
     lo, hi = map(float, domain)
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise InvalidDomain(f"domain [{lo}, {hi}] must be finite")
+        raise BoundError(f"domain [{lo}, {hi}] must be finite")
     if not lo < hi:
-        raise InvalidDomain(f"domain [{lo}, {hi}] is empty")
+        raise BoundError(f"domain [{lo}, {hi}] is empty")
     return lo, hi
 
 
@@ -349,12 +318,12 @@ def distance_to_curve(
     straight-line distance over the domain: the nearest point is an endpoint
     or a root of the quintic (x - x0) + (poly(x) - y0) * poly'(x). Complex
     roots only add their clipped real parts as harmless extra candidates.
-    Raises InvalidDomain when the polynomial, the point or the domain is not
+    Raises BoundError when the polynomial, the point or the domain is not
     finite, the domain is empty, or a value on the way overflows: the
     quintic's coefficients or the distance itself.
     """
     if not all(math.isfinite(v) for v in (*poly.coefficients(), *point)):
-        raise InvalidDomain(f"polynomial {poly} and point {point} must be finite")
+        raise BoundError(f"polynomial {poly} and point {point} must be finite")
     x0, y0 = map(float, point)
     lo, hi = check_domain(domain)
     if mode == "vertical":
@@ -364,7 +333,7 @@ def distance_to_curve(
     else:
         raise ValueError(f"mode {mode!r} not one of {DISTANCE_MODES}")
     if not math.isfinite(distance):
-        raise InvalidDomain(f"distance from {point} to {poly} overflows")
+        raise BoundError(f"distance from {point} to {poly} overflows")
     return distance
 
 
@@ -376,7 +345,7 @@ def _euclidean_distance(
         quintic = np.convolve(shifted, (3.0 * poly.c3, 2.0 * poly.c2, poly.c1))
         quintic[-2:] += (1.0, -x0)
     if not np.isfinite(quintic).all():
-        raise InvalidDomain(f"polynomial {poly} overflows the distance equation")
+        raise BoundError(f"polynomial {poly} overflows the distance equation")
     slope = quintic[:-1] * np.arange(5, 0, -1)
     # Leading terms under rounding on the whole domain only add huge roots,
     # which cost the eigenvalue solver accuracy on all the others: drop them,

@@ -22,13 +22,7 @@ from .bench import BenchConfig, BenchConfigError, run_bench
 from .image import GrayImage, PgmError, load_pgm, save_pgm
 from .metrics import DimensionMismatch
 from .rng import seeded_bytes
-from .schemes import (
-    CapacityExceeded,
-    embed_bytes,
-    extract_bytes,
-    make_scheme,
-    operational_capacity,
-)
+from .schemes import SchemeSpec, _check_capacity, embed_bytes, extract_bytes, make_scheme
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -93,15 +87,9 @@ def _read_image(path: str) -> GrayImage:
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def _load_cover(args: argparse.Namespace) -> GrayImage:
-    if getattr(args, "synthetic", None):
-        return GrayImage.flat(*_parse_synthetic(args.synthetic))
-    if getattr(args, "cover", None):
-        return _read_image(args.cover)
-    raise ValueError("need --cover PATH or --synthetic WxH:V")
-
-
-def _message(args: argparse.Namespace, capacity: int) -> tuple[bytes, int, int | None]:
+def _message(
+    args: argparse.Namespace, cover: GrayImage, spec: SchemeSpec
+) -> tuple[bytes, int, int | None]:
     """(packed bytes, bit length, seed or None) of the message to embed.
 
     Random bits are drawn only once their count fits the capacity.
@@ -112,14 +100,9 @@ def _message(args: argparse.Namespace, capacity: int) -> tuple[bytes, int, int |
         except OSError as exc:
             raise CliDataError(f"cannot read {args.message}: {exc}") from None
         return data, 8 * len(data), None
-    if args.random_bits is not None:
-        if args.random_bits < 0:
-            raise ValueError("--random-bits must be >= 0")
-        if args.random_bits > capacity:
-            raise CapacityExceeded(f"{args.random_bits} bits > capacity {capacity}")
-        data = seeded_bytes(args.seed, -(-args.random_bits // 8))
-        return data, args.random_bits, args.seed
-    raise ValueError("need --message PATH or --random-bits N")
+    _check_capacity(cover, spec, args.random_bits)
+    data = seeded_bytes(args.seed, -(-args.random_bits // 8))
+    return data, args.random_bits, args.seed
 
 
 def _write_bytes(path: str, data: bytes | np.ndarray) -> None:
@@ -130,9 +113,20 @@ def _write_bytes(path: str, data: bytes | np.ndarray) -> None:
 
 
 def _cmd_embed(args: argparse.Namespace) -> int:
+    # every usage error before the first file is read
     spec = _scheme_from_args(args)
-    cover = _load_cover(args)
-    data, bit_length, seed = _message(args, operational_capacity(cover, spec))
+    if not (args.synthetic or args.cover):
+        raise ValueError("need --cover PATH or --synthetic WxH:V")
+    if args.message is None:
+        if args.random_bits is None:
+            raise ValueError("need --message PATH or --random-bits N")
+        if args.random_bits < 0:
+            raise ValueError("--random-bits must be >= 0")
+    if args.synthetic:
+        cover = GrayImage.flat(*_parse_synthetic(args.synthetic))
+    else:
+        cover = _read_image(args.cover)
+    data, bit_length, seed = _message(args, cover, spec)
     stego, _ = embed_bytes(cover, spec, data, bit_length)
     _write_bytes(args.out, save_pgm(stego))
     sidecar = {
@@ -147,9 +141,9 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 
 def _cmd_extract(args: argparse.Namespace) -> int:
     spec = _scheme_from_args(args)
-    stego = _read_image(args.stego)
     if args.bits < 0:
         raise ValueError("--bits must be >= 0")
+    stego = _read_image(args.stego)
     _write_bytes(args.out, extract_bytes(stego, spec, args.bits))
     return EXIT_OK
 

@@ -18,23 +18,8 @@ _WHITESPACE = b" \t\n\r\v\f"
 
 
 class PgmError(ValueError):
-    """A PGM byte stream that cannot be decoded."""
-
-
-class MalformedHeader(PgmError):
-    """Missing P5 magic, or unreadable width/height/maxval fields."""
-
-
-class UnsupportedMaxval(PgmError):
-    """Only maxval 255 (one byte per pixel) is supported."""
-
-
-class TruncatedPayload(PgmError):
-    """Raster holds fewer bytes than width * height."""
-
-
-class LengthOverrun(ValueError):
-    """Requested more bits than the symbol stream encodes."""
+    """A PGM byte stream that cannot be decoded: a bad header, a maxval
+    other than 255, or a raster shorter than width * height."""
 
 
 class GrayImage:
@@ -133,25 +118,25 @@ def load_pgm(data: bytes) -> GrayImage:
     """
     magic, pos = _token(data, 0)
     if magic != b"P5":
-        raise MalformedHeader(f"not a binary PGM (magic {magic!r})")
+        raise PgmError(f"not a binary PGM (magic {magic!r})")
     fields = []
     for name in ("width", "height", "maxval"):
         tok, pos = _token(data, pos)
         if not tok or not tok.isdigit():
-            raise MalformedHeader(f"missing or non-numeric {name}")
+            raise PgmError(f"missing or non-numeric {name}")
         fields.append(int(tok))
     width, height, maxval = fields
     if width == 0 or height == 0:
-        raise MalformedHeader("zero image dimension")
+        raise PgmError("zero image dimension")
     if maxval != 255:
-        raise UnsupportedMaxval(f"maxval {maxval} not supported, expected 255")
+        raise PgmError(f"maxval {maxval} not supported, expected 255")
     if pos < len(data):
         if data[pos] not in _WHITESPACE:
-            raise MalformedHeader("missing separator before raster")
+            raise PgmError("missing separator before raster")
         pos += 1
     size = width * height
     if len(data) - pos < size:
-        raise TruncatedPayload(f"raster has {len(data) - pos} bytes, needs {size}")
+        raise PgmError(f"raster has {len(data) - pos} bytes, needs {size}")
     pixels = np.frombuffer(data, dtype=np.uint8, count=size, offset=pos)
     if not isinstance(data, bytes):
         pixels = pixels.copy()
@@ -261,7 +246,7 @@ def symbols_to_bytes(
         raise ValueError("bit_length must be >= 0")
     arr = np.asarray(symbols).ravel()
     if bit_length > arr.size * width:
-        raise LengthOverrun(
+        raise ValueError(
             f"{bit_length} bits requested, stream encodes {arr.size * width}"
         )
     used = arr[: -(-bit_length // width)]

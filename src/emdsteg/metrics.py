@@ -20,23 +20,12 @@ PEAK_SQ = 255.0 * 255.0
 
 
 class MetricsError(ValueError):
-    pass
+    """A metric undefined for its inputs: a negative MSE, a zero budget or
+    zero distortion."""
 
 
 class DimensionMismatch(MetricsError):
-    pass
-
-
-class NegativeMSE(MetricsError):
-    pass
-
-
-class ZeroRho(MetricsError):
-    pass
-
-
-class ZeroMSE(MetricsError):
-    pass
+    """Cover and stego differ in size: a data error, not a usage error."""
 
 
 @dataclass(frozen=True)
@@ -94,7 +83,7 @@ def mse(cover: GrayImage, stego: GrayImage) -> float:
 def psnr(mse_value: float) -> float:
     """Peak signal-to-noise ratio in dB; +inf for identical images."""
     if mse_value < 0:
-        raise NegativeMSE(f"mse {mse_value} < 0")
+        raise MetricsError(f"mse {mse_value} < 0")
     if mse_value == 0:
         return math.inf
     return 10.0 * math.log10(PEAK_SQ / mse_value)
@@ -111,14 +100,14 @@ def relative_payload(spec: SchemeSpec) -> float:
 def standard_efficiency(payload_bits: float, rho: float) -> float:
     """Bits embedded per unit of worst-case group change."""
     if rho <= 0:
-        raise ZeroRho("change budget must be positive")
+        raise MetricsError("change budget must be positive")
     return payload_bits / rho
 
 
 def proposed_efficiency(alpha: float, mse_value: float) -> float:
     """Bits per pixel divided by RMSE; undefined at zero distortion."""
     if mse_value <= 0:
-        raise ZeroMSE("efficiency undefined for zero distortion")
+        raise MetricsError("efficiency undefined for zero distortion")
     return alpha / math.sqrt(mse_value)
 
 

@@ -43,35 +43,7 @@ _ROW_SLICE = 4096
 
 
 class SchemeError(ValueError):
-    """Base class for scheme construction and embedding failures."""
-
-
-class UnknownScheme(SchemeError):
-    pass
-
-
-class InvalidParameter(SchemeError):
-    pass
-
-
-class InvalidSplit(InvalidParameter):
-    pass
-
-
-class InfeasibleScheme(SchemeError):
-    """Some residue cannot be reached within the change budget."""
-
-
-class GroupSizeMismatch(SchemeError):
-    pass
-
-
-class SymbolOutOfRange(SchemeError):
-    pass
-
-
-class CapacityExceeded(SchemeError):
-    pass
+    """A scheme that cannot be built, or a message or group it cannot embed."""
 
 
 @dataclass(frozen=True)
@@ -271,7 +243,7 @@ def _optimal_delta_table(
     """
     size = _search_size(n, constraint)
     if size > _MAX_SEARCH_STATES:
-        raise InvalidParameter(
+        raise SchemeError(
             f"change budget of {size} vectors exceeds the limit of {_MAX_SEARCH_STATES}"
         )
     if modulus > size:
@@ -412,11 +384,11 @@ def _embed_groups(spec: SchemeSpec, groups: np.ndarray, symbols: np.ndarray) -> 
 def embed_group(spec: SchemeSpec, x: Sequence[int], s: int) -> tuple[int, ...]:
     """Embed one symbol into one pre-clamped group: a one-row _embed_groups."""
     if len(x) != spec.n:
-        raise GroupSizeMismatch(
+        raise SchemeError(
             f"group has {len(x)} pixels, {spec.id} expects {spec.n}"
         )
     if not 0 <= s < spec.modulus:
-        raise SymbolOutOfRange(f"symbol {s} outside [0, {spec.modulus})")
+        raise SchemeError(f"symbol {s} outside [0, {spec.modulus})")
     row = np.array(x, dtype=np.int64).reshape(1, spec.n)
     _embed_groups(spec, row, np.array([s]))
     return tuple(row[0].tolist())
@@ -440,9 +412,9 @@ def _finalize(
     """Build a spec; a plain one gets its solver table, and embeds with it
     unless embed_array is given."""
     if modulus < 2:
-        raise InvalidParameter(f"{id}: modulus {modulus} < 2")
+        raise SchemeError(f"{id}: modulus {modulus} < 2")
     if any(b < 1 for b in base):
-        raise InvalidParameter(f"{id}: base vector must hold positive weights")
+        raise SchemeError(f"{id}: base vector must hold positive weights")
     spec = SchemeSpec(
         id=id,
         base=tuple(base),
@@ -456,7 +428,7 @@ def _finalize(
         return spec
     table = _optimal_delta_table(spec.n, spec.base, modulus, constraint)
     if table is None:
-        raise InfeasibleScheme(
+        raise SchemeError(
             f"{id}: some residue mod {modulus} is unreachable within the budget"
         )
     if embed_array is None:
@@ -466,9 +438,9 @@ def _finalize(
 
 def _require_int(name: str, value, minimum: int | None = None) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidParameter(f"{name} must be an integer, got {value!r}")
+        raise SchemeError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
-        raise InvalidParameter(f"{name}={value} below minimum {minimum}")
+        raise SchemeError(f"{name}={value} below minimum {minimum}")
     return value
 
 
@@ -512,7 +484,7 @@ def _make_pva(t: int) -> SchemeSpec:
     """Single pixel mod t^2, shifted by at most floor(t^2/2)."""
     t = _require_int("t", t)
     if not 2 <= t <= 4:
-        raise InvalidParameter(f"t={t} outside [2, 4]")
+        raise SchemeError(f"t={t} outside [2, 4]")
     z = (t * t) // 2
     return _finalize(
         id="pva",
@@ -552,7 +524,7 @@ def _make_mpemd(n: int, key: int = 0) -> SchemeSpec:
     n = _require_int("n", n, 2)
     key = _require_int("key", key, 0)
     if key >= 2 * n:
-        raise InvalidParameter(f"key={key} outside [0, {2 * n})")
+        raise SchemeError(f"key={key} outside [0, {2 * n})")
     return _finalize(
         id="mpemd",
         base=range(1, n + 1),
@@ -616,7 +588,7 @@ def _make_egemd(n: int, n1: int | None = None) -> SchemeSpec:
         n1 = n // 2
     n1 = _require_int("n1", n1)
     if not 1 <= n1 < n:
-        raise InvalidSplit(f"n1={n1} outside [1, {n - 1}]")
+        raise SchemeError(f"n1={n1} outside [1, {n - 1}]")
     low = _make_gemd(n1)
     high = _make_gemd(n - n1)
     return _finalize(
@@ -677,9 +649,9 @@ def _make_hemd(n: int, w: int, wbase: int = 0) -> SchemeSpec:
     w = _require_int("w", w, 3)
     wbase = _require_int("wbase", wbase, 0)
     if w % 2 == 0:
-        raise InvalidParameter(f"w={w} must be odd")
+        raise SchemeError(f"w={w} must be odd")
     if wbase not in (0, 1):
-        raise InvalidParameter("wbase must be 0 or 1")
+        raise SchemeError("wbase must be 0 or 1")
     root = w if wbase else n
     return _finalize(
         id="hemd",
@@ -726,19 +698,18 @@ SCHEME_NAMES = tuple(sorted(_BUILDERS))
 def make_scheme(name: str, **params) -> SchemeSpec:
     """Build a SchemeSpec from a scheme token and its integer parameters.
 
-    Raises UnknownScheme for a bad token, InvalidParameter for bad or
-    missing parameters, and InfeasibleScheme when the change budget cannot
-    reach every residue.
+    Raises SchemeError for a bad token, for bad or missing parameters, and
+    when the change budget cannot reach every residue.
     """
     builder = _BUILDERS.get(name.strip().lower())
     if builder is None:
-        raise UnknownScheme(
+        raise SchemeError(
             f"unknown scheme {name!r}; known: {', '.join(SCHEME_NAMES)}"
         )
     try:
         return builder(**params)
     except TypeError as exc:
-        raise InvalidParameter(f"{name}: {exc}") from None
+        raise SchemeError(f"{name}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +723,7 @@ def operational_capacity(img: GrayImage, spec: SchemeSpec) -> int:
 
 def _check_capacity(img: GrayImage, spec: SchemeSpec, bit_length: int) -> None:
     if bit_length > operational_capacity(img, spec):
-        raise CapacityExceeded(
+        raise SchemeError(
             f"{bit_length} bits > capacity {operational_capacity(img, spec)}"
         )
 
@@ -773,7 +744,7 @@ def embed_message(
     """Clamp, partition, and embed a list or array of bits; returns (stego, used groups).
 
     Groups past the message and the row-major tail keep their clamped
-    values. Raises CapacityExceeded when the message does not fit.
+    values. Raises SchemeError when the message does not fit.
     """
     _check_capacity(img, spec, len(bits))
     return _embed_symbols(img, spec, bits_to_symbols(bits, spec.modulus))

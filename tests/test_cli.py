@@ -1,7 +1,10 @@
 import contextlib
 import csv
+import importlib
+import inspect
 import io
 import json
+import pkgutil
 import shlex
 from pathlib import Path
 
@@ -10,12 +13,15 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import emdsteg
 from emdsteg import bound as bound_mod
-from emdsteg.bench import _fmt
-from emdsteg.cli import build_parser, main
-from emdsteg.image import GrayImage, save_pgm
+from emdsteg import cli
+from emdsteg.bench import BenchConfigError, _fmt
+from emdsteg.cli import CliDataError, build_parser, main
+from emdsteg.image import GrayImage, PgmError, save_pgm
+from emdsteg.metrics import DimensionMismatch, MetricsError
 from emdsteg.rng import seeded_bits, seeded_bytes
-from emdsteg.schemes import embed_message, make_scheme
+from emdsteg.schemes import SchemeError, embed_message, make_scheme
 
 SCHEME_ARGS = {
     "emd": ["--n", "2"],
@@ -284,6 +290,72 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: n=321 z=4: state counts overflow a float\n"
         )
+        assert not out.exists()
+
+
+# every error class emdsteg defines, and the exit code the CLI maps it to
+_EXIT_CODES = {
+    SchemeError: 2,
+    PgmError: 3,
+    MetricsError: 2,
+    DimensionMismatch: 3,
+    bound_mod.BoundError: 2,
+    bound_mod.DegenerateQuery: 2,
+    BenchConfigError: 2,
+    CliDataError: 3,
+}
+
+
+class TestErrorClasses:
+    def test_every_error_class_is_mapped(self):
+        defined = set()
+        for info in pkgutil.iter_modules(emdsteg.__path__):
+            if info.name == "__main__":
+                continue  # importing it runs the CLI
+            module = importlib.import_module(f"emdsteg.{info.name}")
+            defined |= {
+                obj for _, obj in inspect.getmembers(module, inspect.isclass)
+                if issubclass(obj, BaseException) and obj.__module__ == module.__name__
+            }
+        assert defined == set(_EXIT_CODES)
+
+    @pytest.mark.parametrize(
+        "error,code", [*_EXIT_CODES.items(), (ValueError, 2)],
+        ids=lambda value: getattr(value, "__name__", str(value)),
+    )
+    def test_exit_code_map(self, monkeypatch, capsys, error, code):
+        def fail(args):
+            raise error("bad input")
+
+        monkeypatch.setattr(cli, "_cmd_distance", fail)
+        assert run("distance", "--eq43", "--x", 1, "--y", 1) == code
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: bad input\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["extract", "--scheme", "emd", "--n", 2, "--stego", "@image", "--bits", -1],
+             "--bits must be >= 0"),
+            (["embed", "--scheme", "emd", "--n", 2, "--cover", "@image", "--random-bits", -1],
+             "--random-bits must be >= 0"),
+            (["embed", "--scheme", "emd", "--n", 2, "--cover", "@image"],
+             "need --message PATH or --random-bits N"),
+        ],
+        ids=["extract-negative-bits", "embed-negative-random-bits", "embed-no-message"],
+    )
+    @pytest.mark.parametrize("present", [False, True], ids=["missing", "present"])
+    def test_usage_error_before_reading(self, tmp_path, capsys, argv, message, present):
+        image = tmp_path / "c.pgm"
+        if present:
+            image.write_bytes(save_pgm(GrayImage.flat(4, 4, 50)))
+        out = tmp_path / "o"
+        argv = [image if token == "@image" else token for token in argv]
+        assert run(*argv, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
         assert not out.exists()
 
 

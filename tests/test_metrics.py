@@ -6,9 +6,7 @@ import pytest
 from emdsteg.image import GrayImage
 from emdsteg.metrics import (
     DimensionMismatch,
-    NegativeMSE,
-    ZeroMSE,
-    ZeroRho,
+    MetricsError,
     analyze_pair,
     capacity,
     mse,
@@ -72,7 +70,7 @@ class TestPsnr:
         assert math.isinf(psnr(0.0))
 
     def test_negative_rejected(self):
-        with pytest.raises(NegativeMSE):
+        with pytest.raises(MetricsError, match=r"^mse -1e-09 < 0$"):
             psnr(-1e-9)
 
     def test_inverse_round_trip(self):
@@ -104,14 +102,14 @@ class TestPayloadAndEfficiency:
         assert standard_efficiency(3.0, 2.0) == 1.5
         assert standard_efficiency(math.log2(27), 3.0) == pytest.approx(1.58, abs=0.01)
         assert standard_efficiency(2.0, 2.0) == 1.0
-        with pytest.raises(ZeroRho):
+        with pytest.raises(MetricsError, match=r"^change budget must be positive$"):
             standard_efficiency(1.0, 0.0)
 
     def test_proposed_efficiency(self):
         assert proposed_efficiency(1.0, 1.0) == 1.0
         assert proposed_efficiency(0.9357, 0.8572) == pytest.approx(1.0107, abs=1e-3)
         assert proposed_efficiency(1.1609, 0.4) == pytest.approx(1.8356, abs=1e-3)
-        with pytest.raises(ZeroMSE):
+        with pytest.raises(MetricsError, match=r"^efficiency undefined for zero distortion$"):
             proposed_efficiency(1.0, 0.0)
 
     def test_quoted_efficiency_table_rows(self):

@@ -13,14 +13,8 @@ from emdsteg import schemes
 from emdsteg.image import GrayImage, bits_to_symbols, clamp_for_scheme, clamped_pixels
 from emdsteg.metrics import DistortionProfile, theoretical_distortion
 from emdsteg.schemes import (
-    CapacityExceeded,
     ChangeConstraint,
-    GroupSizeMismatch,
-    InfeasibleScheme,
-    InvalidParameter,
-    InvalidSplit,
-    SymbolOutOfRange,
-    UnknownScheme,
+    SchemeError,
     embed_bytes,
     embed_group,
     embed_message,
@@ -87,9 +81,9 @@ def emd_embed_group(x, s, n):
     """
     modulus = 2 * n + 1
     if not 0 <= s < modulus:
-        raise SymbolOutOfRange(f"symbol {s} outside [0, {modulus})")
+        raise SchemeError(f"symbol {s} outside [0, {modulus})")
     if len(x) != n:
-        raise GroupSizeMismatch(f"group has {len(x)} pixels, expected {n}")
+        raise SchemeError(f"group has {len(x)} pixels, expected {n}")
     f = sum(v * i for v, i in zip(x, range(1, n + 1))) % modulus
     if s == f:
         return tuple(x)
@@ -108,9 +102,9 @@ _IEMD_CASES = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1))
 def iemd_embed_group(x, s):
     """Pair embedding with weights (1, 3) mod 8; first matching case wins."""
     if len(x) != 2:
-        raise GroupSizeMismatch("expects a pixel pair")
+        raise SchemeError("expects a pixel pair")
     if not 0 <= s < 8:
-        raise SymbolOutOfRange(f"symbol {s} outside [0, 8)")
+        raise SchemeError(f"symbol {s} outside [0, 8)")
     x1, x2 = x
     if (x1 + 3 * x2) % 8 == s:
         return (x1, x2)
@@ -129,10 +123,10 @@ def pva_embed_pixel(x, s, t):
     pixel moves down.
     """
     if not 2 <= t <= 4:
-        raise InvalidParameter(f"t={t} outside [2, 4]")
+        raise SchemeError(f"t={t} outside [2, 4]")
     modulus = t * t
     if not 0 <= s < modulus:
-        raise SymbolOutOfRange(f"symbol {s} outside [0, {modulus})")
+        raise SchemeError(f"symbol {s} outside [0, {modulus})")
     raw = (x - s) % modulus
     r = raw if raw <= modulus // 2 else raw - modulus
     return x - r
@@ -245,7 +239,7 @@ class TestExtraction:
     def test_group_size_checked(self):
         # the one-row embed wrapper checks the group size; extraction has no
         # one-row entry point in emdsteg
-        with pytest.raises(GroupSizeMismatch):
+        with pytest.raises(SchemeError, match=r"^group has 3 pixels, emd expects 2$"):
             embed_group(make_scheme("emd", n=2), (1, 2, 3), 0)
 
 
@@ -264,22 +258,28 @@ class TestMakeScheme:
         assert spec.modulus == 2 * 13 + 1
 
     def test_hemd_even_width_rejected(self):
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(SchemeError, match=r"^w=4 must be odd$"):
             make_scheme("hemd", n=3, w=4)
 
     def test_unknown_scheme(self):
-        with pytest.raises(UnknownScheme):
+        with pytest.raises(SchemeError, match=r"^unknown scheme 'nope'; known: aemd, "):
             make_scheme("nope")
 
     def test_missing_parameter(self):
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(
+            SchemeError, match=r"^emd: .*missing 1 required positional argument: 'n'$"
+        ):
             make_scheme("emd")
 
     def test_infeasible_budget_rejected(self):
         # weights 1, 3, 9 cannot reach every residue mod 5^3 with |d| <= 2
-        with pytest.raises(InfeasibleScheme):
+        with pytest.raises(
+            SchemeError, match=r"^hemd: some residue mod 125 is unreachable within the budget$"
+        ):
             make_scheme("hemd", n=3, w=5)
-        with pytest.raises(InfeasibleScheme):
+        with pytest.raises(
+            SchemeError, match=r"^gemd: some residue mod 4 is unreachable within the budget$"
+        ):
             make_scheme("egemd", n=3)
 
     def test_msd_modulus_series(self):
@@ -288,7 +288,7 @@ class TestMakeScheme:
         assert make_scheme("msd", n=4).modulus == 21
 
     def test_mpemd_key_range(self):
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(SchemeError, match=r"^key=4 outside \[0, 4\)$"):
             make_scheme("mpemd", n=2, key=4)
 
     def test_hemd_weight_flag(self):
@@ -316,7 +316,7 @@ class TestExplicitEmbedders:
         assert emd_embed_group((5, 5), 1, 2) == (6, 5)
 
     def test_single_change_symbol_range(self):
-        with pytest.raises(SymbolOutOfRange):
+        with pytest.raises(SchemeError, match=r"^symbol 5 outside \[0, 5\)$"):
             emd_embed_group((100, 100), 5, 2)
 
     def test_pair_cases(self):
@@ -342,7 +342,7 @@ class TestExplicitEmbedders:
         assert extraction_value(spec, out) == 0b100101
 
     def test_split_size_validated(self):
-        with pytest.raises(InvalidSplit):
+        with pytest.raises(SchemeError, match=r"^n1=0 outside \[1, 3\]$"):
             make_scheme("egemd", n=4, n1=0)
 
 
@@ -361,7 +361,7 @@ class TestSolver:
 
     def test_symbol_range_checked(self):
         spec = make_scheme("gemd", n=2)
-        with pytest.raises(SymbolOutOfRange):
+        with pytest.raises(SchemeError, match=r"^symbol 8 outside \[0, 8\)$"):
             embed_group(spec, (10, 20), 8)
 
     @pytest.mark.parametrize(
@@ -543,12 +543,15 @@ class TestTableSearch:
         monkeypatch.setattr(schemes, "_search_column", _no_search)
         # 3**16 vectors
         with pytest.raises(
-            InvalidParameter,
-            match="change budget of 43046721 vectors exceeds the limit of 10000000",
+            SchemeError,
+            match=r"^change budget of 43046721 vectors exceeds the limit of 10000000$",
         ):
             make_scheme("gemd", n=16)
         # the guard also wins over the pigeonhole exit
-        with pytest.raises(InvalidParameter, match="exceeds the limit"):
+        with pytest.raises(
+            SchemeError,
+            match=r"^change budget of 43046721 vectors exceeds the limit of 10000000$",
+        ):
             schemes._optimal_delta_table(16, (1,) * 16, 2**40, ChangeConstraint(1))
 
     def test_radius_is_keyword_only(self):
@@ -603,7 +606,9 @@ class TestTableSearch:
         assert schemes._search_size(2, constraint) == 9
         assert schemes._optimal_delta_table(2, (1, 3), 10, constraint) is None
         # gemd n=1: three vectors, four residues
-        with pytest.raises(InfeasibleScheme):
+        with pytest.raises(
+            SchemeError, match=r"^gemd: some residue mod 4 is unreachable within the budget$"
+        ):
             make_scheme("gemd", n=1)
 
     def test_kernel_never_builds_table_views(self):
@@ -718,13 +723,14 @@ class TestMessagePipeline:
         bits = [0] * cap
         stego, _ = embed_message(img, spec, bits)
         assert extract_message(stego, spec, cap) == bits
-        with pytest.raises(CapacityExceeded):
+        over = rf"^{cap + 1} bits > capacity {cap}$"
+        with pytest.raises(SchemeError, match=over):
             embed_message(img, spec, [0] * (cap + 1))
-        with pytest.raises(CapacityExceeded):
+        with pytest.raises(SchemeError, match=over):
             extract_message(stego, spec, cap + 1)
-        with pytest.raises(CapacityExceeded):
+        with pytest.raises(SchemeError, match=over):
             embed_bytes(img, spec, bytes(cap // 8 + 1), cap + 1)
-        with pytest.raises(CapacityExceeded):
+        with pytest.raises(SchemeError, match=over):
             extract_bytes(stego, spec, cap + 1)
         with pytest.raises(ValueError):
             extract_bytes(stego, spec, -1)
