@@ -2,7 +2,8 @@
 
 Embedding/extraction for the EMD family of pixel-group schemes, image
 quality and embedding-efficiency metrics, and exact computation of the
-efficiency upper bound.
+efficiency upper bound. Messages cross the package API as packed bytes plus
+a bit length.
 """
 
 from .bound import (
@@ -21,19 +22,15 @@ from .bound import (
 )
 from .image import (
     GrayImage,
-    bits_to_symbols,
     bytes_to_symbols,
-    clamp_for_scheme,
     load_pgm,
     save_pgm,
-    symbols_to_bits,
     symbols_to_bytes,
 )
 from .metrics import (
     DistortionProfile,
     MetricsReport,
     analyze_pair,
-    capacity,
     mse,
     proposed_efficiency,
     psnr,
@@ -41,17 +38,13 @@ from .metrics import (
     standard_efficiency,
     theoretical_distortion,
 )
-from .rng import seeded_bits, seeded_bytes
+from .rng import seeded_bytes
 from .schemes import (
     ChangeConstraint,
     SchemeSpec,
     SCHEME_NAMES,
     embed_bytes,
-    embed_group,
-    embed_message,
-    extract_bits,
     extract_bytes,
-    extract_message,
     make_scheme,
 )
 
@@ -70,21 +63,14 @@ __all__ = [
     "SCHEME_NAMES",
     "SchemeSpec",
     "analyze_pair",
-    "bits_to_symbols",
     "bound_counts",
-    "bytes_to_symbols",
     "bound_point",
-    "capacity",
-    "clamp_for_scheme",
+    "bytes_to_symbols",
     "cubic_eval",
     "cubic_fit",
     "distance_to_curve",
     "embed_bytes",
-    "embed_group",
-    "embed_message",
-    "extract_bits",
     "extract_bytes",
-    "extract_message",
     "frontier",
     "load_pgm",
     "make_scheme",
@@ -94,10 +80,8 @@ __all__ = [
     "quota_counts",
     "relative_payload",
     "save_pgm",
-    "seeded_bits",
     "seeded_bytes",
     "standard_efficiency",
-    "symbols_to_bits",
     "symbols_to_bytes",
     "theoretical_distortion",
 ]

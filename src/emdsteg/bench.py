@@ -242,15 +242,16 @@ _TABLES = (
     ("table5", reported.REPORTED_BOUND_DISTANCE, lambda r: r.distance),
 )
 
-# (csv name, bound metric, bound normalization, value, quoted rows). Each
-# frontier uses the normalization its schemes' values are measured in: fig3
-# plots alpha / sqrt(per-pixel E[d^2]), the mean-per-pixel form. fig3 plots
-# the exact per-scheme expectation rather than one sampled run, so frontier
-# dominance is a property of the scheme, not the seed.
+# (csv name, bound metric, value, quoted rows). Both frontiers take
+# frontier's mean-per-pixel normalization, the form fig3's scheme values are
+# measured in (alpha / sqrt(per-pixel E[d^2])); the standard efficiency reads
+# the same under mean and mean-per-pixel. fig3 plots the exact per-scheme
+# expectation rather than one sampled run, so frontier dominance is a
+# property of the scheme, not the seed.
 _FIGURES = (
-    ("fig2", bound.METRIC_STANDARD, bound.NORM_MEAN,
+    ("fig2", bound.METRIC_STANDARD,
      lambda r: r.report.efficiency_standard, reported.REPORTED_STANDARD_EFFICIENCY),
-    ("fig3", bound.METRIC_PROPOSED, bound.NORM_MEAN_PER_PIXEL,
+    ("fig3", bound.METRIC_PROPOSED,
      lambda r: r.theoretical_eff_proposed, reported.REPORTED_PROPOSED_EFFICIENCY),
 )
 
@@ -274,7 +275,7 @@ def run_bench(cfg: BenchConfig, out_dir: str | Path) -> dict[str, Path]:
             delta = None if reference is None else q.value - reference
             rows.append([q.scheme_id, "", q.condition, q.alpha, q.value, "reported", delta])
         paths[name] = _write_csv(out / f"{name}.csv", _TABLE_HEADER, rows)
-    for name, metric, normalization, value, quoted_rows in _FIGURES:
+    for name, metric, value, quoted_rows in _FIGURES:
         rows = [
             [r.spec.id, _params_token(r.spec.params), 1.0 / r.report.alpha, value(r), "computed"]
             for r in computed
@@ -285,7 +286,7 @@ def run_bench(cfg: BenchConfig, out_dir: str | Path) -> dict[str, Path]:
         ]
         rows += [
             ["bound", "", point.inv_alpha, point.efficiency(metric), "computed"]
-            for point in bound.frontier(range(1, 9), range(1, 5), metric, normalization)
+            for point in bound.frontier(range(1, 9), range(1, 5), metric)
         ]
         paths[name] = _write_csv(out / f"{name}.csv", _FIGURE_HEADER, rows)
     return paths

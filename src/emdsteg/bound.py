@@ -147,12 +147,15 @@ def _chart_values(
         if normalization == NORM_LITERAL:
             eff_std = payload / lin
             eff_prop = payload / math.sqrt(sq)
-        elif normalization == NORM_MEAN:
-            eff_std = payload * states / lin
-            eff_prop = payload / math.sqrt(sq / states)
         else:
             eff_std = payload * states / lin
-            eff_prop = alpha / math.sqrt(sq / (states * n))
+            if eff_std == math.inf:
+                # payload * states passed the float range; the ratio did not
+                eff_std = payload * (states / lin)
+            if normalization == NORM_MEAN:
+                eff_prop = payload / math.sqrt(sq / states)
+            else:
+                eff_prop = alpha / math.sqrt(sq / (states * n))
     except OverflowError:
         raise BoundError(f"n={n} z={z}: state counts overflow a float") from None
     return alpha, 1.0 / alpha, eff_std, eff_prop

@@ -76,13 +76,29 @@ def _parse_synthetic(token: str) -> tuple[int, int, int]:
     return tuple(int(g) for g in match.groups())
 
 
-def _read_image(path: str) -> GrayImage:
+def _read(path: str) -> bytes:
     try:
-        data = Path(path).read_bytes()
+        return Path(path).read_bytes()
     except OSError as exc:
         raise CliDataError(f"cannot read {path}: {exc}") from None
+
+
+def _read_text(path: str, error: type[Exception] = CliDataError) -> str:
+    """The file as text in the locale's encoding, with universal newlines.
+
+    Undecodable text raises error, so a config file can make it a usage error.
+    """
     try:
-        return load_pgm(data)
+        return Path(path).read_text()
+    except OSError as exc:
+        raise CliDataError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: undecodable text: {exc}") from None
+
+
+def _read_image(path: str) -> GrayImage:
+    try:
+        return load_pgm(_read(path))
     except PgmError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
@@ -95,10 +111,7 @@ def _message(
     Random bits are drawn only once their count fits the capacity.
     """
     if args.message is not None:
-        try:
-            data = Path(args.message).read_bytes()
-        except OSError as exc:
-            raise CliDataError(f"cannot read {args.message}: {exc}") from None
+        data = _read(args.message)
         return data, 8 * len(data), None
     _check_capacity(cover, spec, args.random_bits)
     data = seeded_bytes(args.seed, -(-args.random_bits // 8))
@@ -117,6 +130,10 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     spec = _scheme_from_args(args)
     if not (args.synthetic or args.cover):
         raise ValueError("need --cover PATH or --synthetic WxH:V")
+    if args.synthetic and args.cover:
+        raise ValueError("give --cover PATH or --synthetic WxH:V, not both")
+    if args.message is not None and args.random_bits is not None:
+        raise ValueError("give --message PATH or --random-bits N, not both")
     if args.message is None:
         if args.random_bits is None:
             raise ValueError("need --message PATH or --random-bits N")
@@ -144,7 +161,13 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     if args.bits < 0:
         raise ValueError("--bits must be >= 0")
     stego = _read_image(args.stego)
-    _write_bytes(args.out, extract_bytes(stego, spec, args.bits))
+    _check_capacity(stego, spec, args.bits)
+    try:
+        data = extract_bytes(stego, spec, args.bits)
+    except ValueError as exc:
+        # the bit count fits, so the image holds a group that decodes to no symbol
+        raise CliDataError(f"{args.stego}: {exc}") from None
+    _write_bytes(args.out, data)
     return EXIT_OK
 
 
@@ -221,13 +244,7 @@ def _bound_line(query, counts, point, args) -> str:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.config:
-        try:
-            text = Path(args.config).read_text()
-        except OSError as exc:
-            raise CliDataError(f"cannot read {args.config}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise BenchConfigError(f"{args.config}: undecodable text: {exc}") from None
-        cfg = BenchConfig.from_json(text)
+        cfg = BenchConfig.from_json(_read_text(args.config, BenchConfigError))
     else:
         cfg = BenchConfig()
     try:
@@ -241,12 +258,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _read_poly(path: str) -> bound_mod.CubicPoly:
+    text = _read_text(path)
     try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise CliDataError(f"cannot read {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise CliDataError(f"{path}: undecodable text: {exc}") from None
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliDataError(f"{path}: not valid JSON: {exc}") from None
     try:
@@ -260,13 +274,7 @@ def _read_poly(path: str) -> bound_mod.CubicPoly:
 
 
 def _read_points_csv(path: str) -> list[tuple[float, float]]:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliDataError(f"cannot read {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise CliDataError(f"{path}: undecodable text: {exc}") from None
-    lines = enumerate(text.splitlines(), 1)
+    lines = enumerate(_read_text(path).splitlines(), 1)
     rows = [(number, line) for number, line in lines if line.strip()]
     points = []
     for index, (number, line) in enumerate(rows):
@@ -301,6 +309,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def _cmd_distance(args: argparse.Namespace) -> int:
     domain = bound_mod.check_domain(args.domain)
+    if args.eq43 and args.poly:
+        raise ValueError("give --poly PATH or --eq43, not both")
     if args.eq43:
         poly = bound_mod.REFERENCE_BOUND_POLY
     elif args.poly:

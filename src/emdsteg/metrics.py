@@ -2,8 +2,8 @@
 
 MSE/PSNR between cover and stego, the payload and efficiency figures used
 to compare schemes (bits per pixel, bits per change unit, bits per RMSE
-unit), exact per-scheme distortion expectations read off the embed tables,
-and image capacity.
+unit), and exact per-scheme distortion expectations read off the embed
+tables.
 """
 
 from __future__ import annotations
@@ -157,14 +157,6 @@ def theoretical_distortion(spec: SchemeSpec) -> DistortionProfile:
         expected_sq_per_pixel=sq_sum / denom,
         max_group_change=worst,
     )
-
-
-def capacity(img: GrayImage, spec: SchemeSpec) -> float:
-    """Message bits the image can carry at log2(M) bits per whole group.
-
-    schemes.operational_capacity counts the bits the codec actually packs.
-    """
-    return img.size // spec.n * spec.payload_bits_exact
 
 
 def analyze_pair(cover: GrayImage, stego: GrayImage, spec: SchemeSpec) -> MetricsReport:

@@ -2,9 +2,10 @@
 
 Several EMD-family methods are compared in the benchmark output without
 being implemented here (their embedding procedures live in external
-references). Their published payload, efficiency, PSNR, and bound-distance
-figures are kept verbatim as static rows tagged provenance="reported" so
-chart and table output can always show the full field.
+references). Their published payload, efficiency and bound-distance
+figures are kept verbatim as static rows, which the benchmark writes
+tagged provenance="reported", so chart and table output can always show
+the full field.
 
 Values for implemented schemes are also kept; the benchmark emits them
 next to the computed rows together with the per-row delta.
@@ -25,10 +26,6 @@ class ReportedValue:
     params: tuple[tuple[str, int], ...]
     alpha: float
     value: float
-
-    @property
-    def provenance(self) -> str:
-        return "reported"
 
 
 def _row(scheme_id, method, condition, params, alpha, value):
@@ -104,29 +101,4 @@ REPORTED_BOUND_DISTANCE = (
     _row("aemd", "AEMD", "", (), 2.037, 0.6385),
     _row("twofunc", "2-Function", "", (), 2.5, 0.2354),
     _row("eemdhw", "EEMDHW", "", (), 3.0, 0.3395),
-)
-
-# Quoted PSNR figures; most methods report two values for different fills,
-# without stating the corresponding capacities, so both are kept.
-REPORTED_PSNR: tuple[tuple[str, str, tuple[float, ...]], ...] = (
-    ("emd", "EMD", (56.15, 54.14)),
-    ("iemd", "IEMD", (50.17,)),
-    ("emd2", "EMD-2", (52.03, 49.89)),
-    ("de", "DE", (52.10, 47.80)),
-    ("femd", "FEMD", (52.39, 46.75)),
-    ("appm", "APPM", (52.11, 47.80)),
-    ("gemd", "GEMD", (50.78, 51.02)),
-    ("egemd", "EGEMD", (47.69, 47.78)),
-    ("rgemd", "RGEMD", (44.74,)),
-    ("pvd", "Pixel Value Differencing", (42.46,)),
-    ("mbe", "Multi Bit Encoding", (50.50, 43.00)),
-    ("msd", "MSD Base", (52.11, 51.85)),
-    ("hemd", "HEMD", (49.89, 34.33)),
-    ("pva", "Pixel Value Adjustment", (42.84, 37.04)),
-    ("eemdhw", "EEMDHW", (48.52,)),
-    ("mpemd", "MPEMD", (55.00, 53.47)),
-    ("kirsch", "Kirsch Base", (44.90, 37.35)),
-    ("aemd", "AEMD", (46.21,)),
-    ("catalan", "Catalan Base", (48.62, 27.93)),
-    ("twofunc", "2-Function", (43.72, 34.80)),
 )

@@ -767,18 +767,14 @@ def _extract_symbols(img: GrayImage, spec: SchemeSpec, bit_length: int) -> np.nd
     return _extract_groups(spec, img.pixels[: used * spec.n].reshape(used, spec.n))
 
 
-def extract_bits(img: GrayImage, spec: SchemeSpec, bit_length: int) -> np.ndarray:
-    """Read bit_length bits back out of a stego image as a uint8 array; needs no cover."""
-    symbols = _extract_symbols(img, spec, bit_length)
-    return symbols_to_bits(symbols, spec.modulus, bit_length)
-
-
 def extract_bytes(img: GrayImage, spec: SchemeSpec, bit_length: int) -> np.ndarray:
-    """extract_bits packed MSB first into a uint8 array, pad bits zeroed."""
+    """Read bit_length bits back out of a stego image, packed MSB first into a
+    uint8 array with the pad bits zeroed; needs no cover."""
     symbols = _extract_symbols(img, spec, bit_length)
     return symbols_to_bytes(symbols, spec.modulus, bit_length)
 
 
 def extract_message(img: GrayImage, spec: SchemeSpec, bit_length: int) -> list[int]:
-    """extract_bits as a list of ints."""
-    return extract_bits(img, spec, bit_length).tolist()
+    """extract_bytes as a list of 0/1 ints."""
+    symbols = _extract_symbols(img, spec, bit_length)
+    return symbols_to_bits(symbols, spec.modulus, bit_length).tolist()

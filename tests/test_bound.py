@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from functools import cache
 
 import numpy as np
@@ -251,6 +252,23 @@ class TestBoundPoint:
             bound_point(query, normalization)
         with pytest.raises(BoundError, match="n=400 z=4"):
             frontier([400], [4], "standard", normalization)
+
+    @pytest.mark.parametrize("normalization", ["mean", "mean-per-pixel"])
+    def test_standard_efficiency_finite_at_float_edge(self, normalization):
+        # at n = 640, z = 1 payload * states passes the float range for q >= 436,
+        # though the efficiency itself is about 2.38
+        all_counts = quota_counts(BoundQuery(640, 1, 640))
+        for q in range(1, 641):
+            counts = all_counts[q]
+            point = bound_point(BoundQuery(640, 1, q), normalization, counts)
+            exact = (
+                Fraction(math.log2(counts.state_count))
+                * counts.state_count
+                / counts.change_sum_linear
+            )
+            assert abs(Fraction(point.eff_standard) - exact) <= 2 * math.ulp(point.eff_standard)
+        envelope = frontier([640], [1], "standard", normalization)
+        assert all(math.isfinite(point.eff_standard) for point in envelope)
 
     def test_inverse_payload(self):
         point = bound_point(BoundQuery(2, 1, 1))

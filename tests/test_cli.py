@@ -342,8 +342,15 @@ class TestErrorClasses:
              "--random-bits must be >= 0"),
             (["embed", "--scheme", "emd", "--n", 2, "--cover", "@image"],
              "need --message PATH or --random-bits N"),
+            (["embed", "--scheme", "emd", "--n", 2, "--synthetic", "4x4:50",
+              "--message", "@image", "--random-bits", 4, "--seed", 9],
+             "give --message PATH or --random-bits N, not both"),
+            (["embed", "--scheme", "emd", "--n", 2, "--synthetic", "8x8:100",
+              "--cover", "@image", "--random-bits", 4],
+             "give --cover PATH or --synthetic WxH:V, not both"),
         ],
-        ids=["extract-negative-bits", "embed-negative-random-bits", "embed-no-message"],
+        ids=["extract-negative-bits", "embed-negative-random-bits", "embed-no-message",
+             "embed-message-and-random-bits", "embed-cover-and-synthetic"],
     )
     @pytest.mark.parametrize("present", [False, True], ids=["missing", "present"])
     def test_usage_error_before_reading(self, tmp_path, capsys, argv, message, present):
@@ -356,6 +363,58 @@ class TestErrorClasses:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["embed", "--scheme", "emd", "--n", 2, "--cover", "@absent",
+             "--random-bits", 4, "--out", "@out"],
+            ["embed", "--scheme", "emd", "--n", 2, "--synthetic", "4x4:50",
+             "--message", "@absent", "--out", "@out"],
+            ["extract", "--scheme", "emd", "--n", 2, "--stego", "@absent",
+             "--bits", 4, "--out", "@out"],
+            ["analyze", "--scheme", "emd", "--n", 2, "--cover", "@absent",
+             "--stego", "@image"],
+            ["analyze", "--scheme", "emd", "--n", 2, "--cover", "@image",
+             "--stego", "@image", "--bound-poly", "@absent"],
+            ["bench", "--config", "@absent", "--out-dir", "@out"],
+            ["distance", "--poly", "@absent", "--x", 1, "--y", 1],
+            ["fit", "--points", "@absent"],
+        ],
+        ids=["embed-cover", "embed-message", "extract-stego", "analyze-cover",
+             "analyze-bound-poly", "bench-config", "distance-poly", "fit-points"],
+    )
+    def test_unreadable_input_is_data_error(self, tmp_path, capsys, argv):
+        image = tmp_path / "c.pgm"
+        image.write_bytes(save_pgm(GrayImage.flat(4, 4, 50)))
+        absent, out = tmp_path / "absent", tmp_path / "o"
+        places = {"@absent": absent, "@image": image, "@out": out}
+        assert run(*(places.get(token, token) for token in argv)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {absent}: ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "bits,code,message",
+        [
+            (2, 3, "@stego: symbol 4 wider than 2 bits"),
+            (3, 2, "3 bits > capacity 2"),
+        ],
+        ids=["undecodable-group", "over-capacity"],
+    )
+    def test_extract_bad_stego_is_data_error(self, tmp_path, capsys, bits, code, message):
+        # residue 4 mod 5 has no 2-bit symbol: the fault is in the image
+        stego, out = tmp_path / "r.pgm", tmp_path / "m.bin"
+        stego.write_bytes(save_pgm(GrayImage(2, 1, [4, 0])))
+        assert run("extract", "--scheme", "emd", "--n", 2, "--stego", stego,
+                   "--bits", bits, "--out", out) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: " + message.replace("@stego", str(stego)) + "\n"
         assert not out.exists()
 
 
@@ -543,6 +602,14 @@ class TestFitDistance:
         assert run("distance", "--eq43", "--x", 0, "--y", -1.098,
                    "--mode", "vertical") == 0
         assert float(capsys.readouterr().out) == 0.0
+
+    @pytest.mark.parametrize("present", [False, True], ids=["missing", "present"])
+    def test_poly_and_eq43_is_usage_error(self, tmp_path, capsys, present):
+        poly = tmp_path / "poly.json"
+        if present:
+            poly.write_text(json.dumps({"c3": 1, "c2": 0, "c1": 0, "c0": 0}))
+        assert run("distance", "--eq43", "--poly", poly, "--x", 1, "--y", 1) == 2
+        assert capsys.readouterr() == ("", "error: give --poly PATH or --eq43, not both\n")
 
     def test_distance_euclidean_matches_module(self, capsys):
         from emdsteg.bound import REFERENCE_BOUND_POLY, distance_to_curve

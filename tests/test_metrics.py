@@ -8,7 +8,6 @@ from emdsteg.metrics import (
     DimensionMismatch,
     MetricsError,
     analyze_pair,
-    capacity,
     mse,
     proposed_efficiency,
     psnr,
@@ -181,16 +180,9 @@ class TestCapacity:
         img = GrayImage.flat(512, 512, 128)
         assert operational_capacity(img, make_scheme("emd", n=2)) == 262144
 
-    def test_exact(self):
-        img = GrayImage.flat(512, 512, 128)
-        expected = 131072 * math.log2(5)
-        assert capacity(img, make_scheme("emd", n=2)) == pytest.approx(
-            expected
-        )
-
     def test_too_small_for_a_group(self):
         img = GrayImage.flat(1, 1, 128)
-        assert capacity(img, make_scheme("emd", n=2)) == 0.0
+        assert operational_capacity(img, make_scheme("emd", n=2)) == 0
 
 
 class TestAnalyzePair:

@@ -18,7 +18,6 @@ from emdsteg.schemes import (
     embed_bytes,
     embed_group,
     embed_message,
-    extract_bits,
     extract_bytes,
     extract_message,
     make_scheme,
@@ -783,7 +782,7 @@ class TestMessagePipeline:
         bits = rng.integers(0, 2, nbits).astype(np.uint8)
         stego, used = embed_message(img, wide, bits)
         assert (stego, used) == embed_message(img, narrow, bits)
-        assert np.array_equal(extract_bits(stego, wide, nbits), bits)
+        assert extract_message(stego, wide, nbits) == bits.tolist()
 
 
 class TestDistortionProfile:
@@ -974,10 +973,9 @@ class TestKernelMatchesMatmulReference:
         assert not np.shares_memory(stego.pixels, img.pixels)
         assert not np.shares_memory(stego.pixels, clamped_img.pixels)
 
-        got = extract_bits(stego, spec, nbits)
-        assert got.dtype == np.uint8
-        assert np.array_equal(got, matmul_extract_bits(stego, spec, nbits))
-        assert np.array_equal(got, bits)
+        got = extract_message(stego, spec, nbits)
+        assert got == matmul_extract_bits(stego, spec, nbits).tolist()
+        assert got == bits.tolist()
 
     @given(build=st.sampled_from(KERNEL_SPECS), data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -998,8 +996,8 @@ class TestKernelMatchesMatmulReference:
         got = extract_bytes(stego, spec, nbits)
         assert got.dtype == np.uint8
         assert got.tobytes() == np.packbits(bits).tobytes()
-        bits_out = extract_bits(stego, spec, nbits)
-        assert np.array_equal(np.unpackbits(got, count=nbits), bits_out)
+        bits_out = extract_message(stego, spec, nbits)
+        assert np.unpackbits(got, count=nbits).tolist() == bits_out
 
     @given(build=st.sampled_from(KERNEL_SPECS + [WIDE_TABLE_SPEC]), data=st.data())
     @settings(max_examples=300, deadline=None)
