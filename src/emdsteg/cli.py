@@ -113,9 +113,10 @@ def _message(
     if args.message is not None:
         data = _read(args.message)
         return data, 8 * len(data), None
+    seed = 0 if args.seed is None else args.seed
     _check_capacity(cover, spec, args.random_bits)
-    data = seeded_bytes(args.seed, -(-args.random_bits // 8))
-    return data, args.random_bits, args.seed
+    data = seeded_bytes(seed, -(-args.random_bits // 8))
+    return data, args.random_bits, seed
 
 
 def _write_bytes(path: str, data: bytes | np.ndarray) -> None:
@@ -139,6 +140,8 @@ def _cmd_embed(args: argparse.Namespace) -> int:
             raise ValueError("need --message PATH or --random-bits N")
         if args.random_bits < 0:
             raise ValueError("--random-bits must be >= 0")
+    elif args.seed is not None:
+        raise ValueError("give --seed only with --random-bits")
     if args.synthetic:
         cover = GrayImage.flat(*_parse_synthetic(args.synthetic))
     else:
@@ -335,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--synthetic", help="flat synthetic cover WxH:V")
     p.add_argument("--message", help="message file (bytes)")
     p.add_argument("--random-bits", type=int, default=None, help="seeded random bits")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="seed of --random-bits (0)")
     p.add_argument("--out", required=True, help="stego PGM path")
     p.set_defaults(func=_cmd_embed)
 
@@ -410,6 +413,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # the size came from a flag or a config, so it is a usage error
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -274,10 +274,11 @@ def bits_to_symbols(bits: Sequence[int] | np.ndarray, modulus: int) -> np.ndarra
     """bytes_to_symbols for a list or array of 0/1 bits: check, then np.packbits."""
     arr = None
     if isinstance(bits, list):
-        # bytes() reads a list of small ints far faster than np.asarray; what
-        # it refuses takes the general path below, with its error messages
+        # bytearray() reads a list of small ints faster than bytes() and far
+        # faster than np.asarray; what it refuses takes the general path
+        # below, with its error messages
         try:
-            arr = np.frombuffer(bytes(bits), np.uint8)
+            arr = np.frombuffer(bytearray(bits), np.uint8)
         except (TypeError, ValueError):
             pass
     if arr is None:

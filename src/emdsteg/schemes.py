@@ -238,8 +238,21 @@ def _optimal_delta_table(
     searched so far, so one np.minimum.at ranks candidates by cost and breaks
     a tie toward the smallest change i - z in the current column; as later
     columns were ranked first, that is lexicographic order. Only reached
-    states are extended, and the table is read back from the stored choices
-    with one gather per column.
+    states are extended. Each column's choices hold the signed change i - z
+    of every state, in the delta dtype of the search box's z, and the table
+    is read back with one intp-indexed gather per column: the change is the
+    table's column, and the state steps back by change * weight mod M.
+
+    The arrays, for M residues, n columns, a rank dtype of R bytes (2 for
+    every unit-change budget) and a delta dtype of d bytes (1 for z <= 127):
+    - ranks: the best rank of every state, M * R, and the keys of the
+      reached states, at most M * R, plus one candidate chunk of
+      _SEARCH_CHUNK intp states and ranks;
+    - reached states: at most M * 8 (intp);
+    - choices: n * M * d, kept from the search to the read-back;
+    - table: M * n * d;
+    - states: M * 8 (intp), plus one intp temporary for the step and one for
+      its reduction.
     """
     size = _search_size(n, constraint)
     if size > _MAX_SEARCH_STATES:
@@ -260,26 +273,27 @@ def _optimal_delta_table(
     choices = []
     for weight in reversed(base):
         # weights mod M keep the int64 shifts far from overflow: M, z <= size
-        moves = values * (weight % modulus) % modulus
+        step = weight % modulus
+        moves = values * step % modulus
         _search_column(reached, keys, moves - modulus, ranks, best, unreached)
         reached = np.flatnonzero(best < unreached)
         picked = best[reached]
         keys = picked // count
         keys *= count
         picked -= keys
-        choice = np.zeros(modulus, dtype=np.min_scalar_type(count - 1))
-        choice[reached] = picked
-        choices.append((choice, moves))
+        choice = np.zeros(modulus, dtype=_delta_type(z))
+        choice[reached] = picked - z
+        choices.append((choice, np.intp(step)))
     if len(reached) < modulus:
         return None
     del best, reached, keys, picked  # free the search's arrays for the table's
     states = np.arange(modulus)
     table = np.empty((modulus, n), dtype=_delta_type(constraint.per_pixel_max))
-    deltas = values.astype(table.dtype)
-    for column, (choice, moves) in enumerate(reversed(choices)):
-        picked = choice[states]
-        table[:, column] = deltas[picked]
-        states -= moves[picked]
+    for column, (choice, step) in enumerate(reversed(choices)):
+        delta = choice[states]
+        table[:, column] = delta
+        # the intp step makes the product intp: |delta * step| <= z * M < 2**63
+        states -= delta * step
         _reduce(states, modulus)
     if radius is not None and (np.abs(table).sum(axis=1) > radius).any():
         return None
@@ -777,4 +791,5 @@ def extract_bytes(img: GrayImage, spec: SchemeSpec, bit_length: int) -> np.ndarr
 def extract_message(img: GrayImage, spec: SchemeSpec, bit_length: int) -> list[int]:
     """extract_bytes as a list of 0/1 ints."""
     symbols = _extract_symbols(img, spec, bit_length)
-    return symbols_to_bits(symbols, spec.modulus, bit_length).tolist()
+    # a byte string's items are Python ints, made faster than tolist() makes them
+    return list(symbols_to_bits(symbols, spec.modulus, bit_length).tobytes())

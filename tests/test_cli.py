@@ -10,10 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import emdsteg
+from emdsteg import bench as bench_mod
 from emdsteg import bound as bound_mod
 from emdsteg import cli
 from emdsteg.bench import BenchConfigError, _fmt
@@ -143,6 +144,16 @@ class TestEmbedExtract:
         assert run("extract", "--scheme", "emd", "--n", 2, "--stego", stego,
                    "--bits", 13, "--out", out) == 0
         assert out.read_bytes() == b"\x63\x00"
+
+    def test_random_bits_without_seed_use_seed_0(self, tmp_path):
+        stego = tmp_path / "s.pgm"
+        assert run("embed", "--scheme", "emd", "--n", 2, "--synthetic", "4x4:128",
+                   "--random-bits", 13, "--out", stego) == 0
+        sidecar = json.loads((tmp_path / "s.pgm.json").read_text())
+        assert (sidecar["bit_length"], sidecar["seed"]) == (13, 0)
+        expected, _ = embed_message(GrayImage.flat(4, 4, 128), make_scheme("emd", n=2),
+                                    seeded_bits(0, 13))
+        assert stego.read_bytes() == save_pgm(expected)
 
     def test_message_file_round_trip_at_capacity(self, tmp_path):
         message, stego, out = tmp_path / "msg.bin", tmp_path / "s.pgm", tmp_path / "m.bin"
@@ -333,6 +344,43 @@ class TestErrorClasses:
         assert out.out == ""
         assert out.err == "error: bad input\n"
 
+    # a size from a flag or a config that does not fit in memory; the
+    # builders are patched, so no test asks for the real array
+    @pytest.mark.parametrize("target", ["subcommand", "embed-synthetic", "bench-noise"])
+    def test_memory_error_is_usage_error(self, monkeypatch, capsys, tmp_path, target):
+        message = "Unable to allocate 37.3 GiB for an array with shape (200000, 200000)"
+
+        def fail(*args, **kwargs):
+            raise MemoryError(message)
+
+        if target == "subcommand":
+            monkeypatch.setattr(cli, "_cmd_distance", fail)
+            argv = ["distance", "--eq43", "--x", 1, "--y", 1]
+        elif target == "embed-synthetic":
+            monkeypatch.setattr(GrayImage, "flat", fail)
+            argv = ["embed", "--scheme", "emd", "--n", 2, "--synthetic",
+                    "200000x200000:100", "--random-bits", 4, "--out", tmp_path / "o.pgm"]
+        else:
+            monkeypatch.setattr(bench_mod, "noise_image", fail)
+            config = tmp_path / "cfg.json"
+            cover = {"kind": "noise", "width": 200000, "height": 200000}
+            config.write_text(json.dumps({"cover": cover}))
+            argv = ["bench", "--config", config, "--out-dir", tmp_path / "out"]
+        assert run(*argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: out of memory: {message}\n"
+        written = {path.name for path in tmp_path.iterdir()}
+        assert written == ({"cfg.json"} if target == "bench-noise" else set())
+
+    def test_bare_memory_error_is_one_line(self, monkeypatch, capsys):
+        def fail(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_cmd_distance", fail)
+        assert run("distance", "--eq43", "--x", 1, "--y", 1) == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
+
     @pytest.mark.parametrize(
         "argv,message",
         [
@@ -348,9 +396,13 @@ class TestErrorClasses:
             (["embed", "--scheme", "emd", "--n", 2, "--synthetic", "8x8:100",
               "--cover", "@image", "--random-bits", 4],
              "give --cover PATH or --synthetic WxH:V, not both"),
+            (["embed", "--scheme", "emd", "--n", 2, "--synthetic", "4x4:50",
+              "--message", "@image", "--seed", 9],
+             "give --seed only with --random-bits"),
         ],
         ids=["extract-negative-bits", "embed-negative-random-bits", "embed-no-message",
-             "embed-message-and-random-bits", "embed-cover-and-synthetic"],
+             "embed-message-and-random-bits", "embed-cover-and-synthetic",
+             "embed-message-and-seed"],
     )
     @pytest.mark.parametrize("present", [False, True], ids=["missing", "present"])
     def test_usage_error_before_reading(self, tmp_path, capsys, argv, message, present):
@@ -925,6 +977,8 @@ def argv_files(tmp_path_factory):
 
 class TestArgvFuzz:
     @given(_argvs())
+    @example(["embed", "--scheme", "emd", "--n", "2", "--synthetic", "4x4:50",
+              "--message", "@message.bin", "--seed", "9", "--out", "@out.bin"])
     @settings(max_examples=200, deadline=None)
     def test_exit_codes_without_traceback(self, argv_files, argv):
         argv = [str(argv_files / a[1:]) if a.startswith("@") else a for a in argv]
@@ -934,3 +988,6 @@ class TestArgvFuzz:
         event(f"{argv[0]} exit {code}")
         assert code in (0, 2, 3), (argv, stderr.getvalue())
         assert "Traceback" not in stderr.getvalue()
+        if {"--message", "--seed"} <= set(argv) and not {"-h", "--help"} & set(argv):
+            # a seed means nothing to a message file
+            assert code != 0, argv
