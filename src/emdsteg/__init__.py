@@ -18,7 +18,7 @@ from .bound import (
     cubic_fit,
     distance_to_curve,
     frontier,
-    quota_counts,
+    sweep,
 )
 from .image import (
     GrayImage,
@@ -77,11 +77,11 @@ __all__ = [
     "mse",
     "proposed_efficiency",
     "psnr",
-    "quota_counts",
     "relative_payload",
     "save_pgm",
     "seeded_bytes",
     "standard_efficiency",
+    "sweep",
     "symbols_to_bytes",
     "theoretical_distortion",
 ]

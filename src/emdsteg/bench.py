@@ -176,10 +176,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _params_token(params: dict) -> str:
-    return ";".join(f"{k}={v}" for k, v in sorted(params.items()))
-
-
 @dataclass
 class _ComputedRow:
     spec: SchemeSpec
@@ -266,7 +262,7 @@ def run_bench(cfg: BenchConfig, out_dir: str | Path) -> dict[str, Path]:
     paths: dict[str, Path] = {}
     for name, quoted_rows, value in _TABLES:
         rows = [
-            [r.spec.id, _params_token(r.spec.params), "", r.report.alpha, value(r), "computed", None]
+            [r.spec.id, r.report.to_record()["params"], "", r.report.alpha, value(r), "computed", None]
             for r in computed
         ]
         for q in quoted_rows:
@@ -277,7 +273,7 @@ def run_bench(cfg: BenchConfig, out_dir: str | Path) -> dict[str, Path]:
         paths[name] = _write_csv(out / f"{name}.csv", _TABLE_HEADER, rows)
     for name, metric, value, quoted_rows in _FIGURES:
         rows = [
-            [r.spec.id, _params_token(r.spec.params), 1.0 / r.report.alpha, value(r), "computed"]
+            [r.spec.id, r.report.to_record()["params"], 1.0 / r.report.alpha, value(r), "computed"]
             for r in computed
             if value(r) is not None
         ]

@@ -13,7 +13,9 @@ fitting of envelope points, and point-to-curve distance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from collections import deque
+from dataclasses import astuple, dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -116,14 +118,16 @@ def _running_sums(n: int, z: int, q: int) -> Iterator[tuple[int, int, int]]:
         ways = ways * 2 * rest // (j + 1)
 
 
-def quota_counts(query: BoundQuery) -> list[BoundResult]:
-    """Exact counts of every quota 0..query.q for query's n and z, one running sum."""
-    return [BoundResult(*sums) for sums in _running_sums(query.n, query.z, query.q)]
+def _corner_sums(n: int, z: int) -> tuple[int, int, int]:
+    """_running_sums(n, z, n)'s last item in closed form: every pixel in [-z, z]."""
+    base = 2 * z + 1
+    lin = n * z * (z + 1) * base ** (n - 1)
+    return base**n, lin, lin * base // 3
 
 
 def bound_counts(query: BoundQuery) -> BoundResult:
     """States, sum |delta| and sum delta^2 for one query, exactly: O(q) terms."""
-    return quota_counts(query)[-1]
+    return BoundResult(*deque(_running_sums(query.n, query.z, query.q), maxlen=1)[0])
 
 
 def _check_normalization(normalization: str) -> None:
@@ -162,34 +166,58 @@ def _chart_values(
 
 
 def bound_point(
-    query: BoundQuery,
-    normalization: str = NORM_MEAN_PER_PIXEL,
-    counts: BoundResult | None = None,
+    query: BoundQuery, normalization: str = NORM_MEAN_PER_PIXEL
 ) -> BoundPoint:
     """Efficiency chart point for one query; point.efficiency(metric) reads either.
 
     literal divides the payload by the raw change totals as the defining
     equations read; mean divides by the per-state average; mean-per-pixel
     additionally spreads the average over the n pixels so the value is
-    commensurate with per-pixel MSE. A caller that already holds the query's
-    exact sums passes them as counts; otherwise they are computed here.
+    commensurate with per-pixel MSE.
     """
     _check_normalization(normalization)
-    if counts is None:
-        counts = bound_counts(query)
-    if counts.state_count < 2 or counts.change_sum_linear == 0:
+    counts = bound_counts(query)
+    if counts.change_sum_linear == 0:
         raise DegenerateQuery(
             f"query {query} admits only the zero state; efficiency unbounded"
         )
-    values = _chart_values(
-        query.n,
-        query.z,
-        counts.state_count,
-        counts.change_sum_linear,
-        counts.change_sum_squared,
-        normalization,
-    )
+    values = _chart_values(query.n, query.z, *astuple(counts), normalization)
     return BoundPoint(query, counts, *values)
+
+
+def sweep(
+    n_values: Iterable[int],
+    z_values: Iterable[int],
+    normalization: str = NORM_MEAN_PER_PIXEL,
+) -> Iterator[tuple]:
+    """(n, z, q, states, lin, sq, values) of every query with q in [0, n], in order.
+
+    One running sum per (n, z) gives the exact sums; values is bound_point's
+    (alpha, inv_alpha, eff_standard, eff_proposed), or None for the
+    degenerate query (lin == 0). Every error is raised before the first row.
+    """
+    ns = sorted(set(n_values))
+    zs = sorted(set(z_values))
+    if not ns or not zs:
+        raise BoundError("need at least one n and one z")
+    # the smallest n and z are the first the sweep would reject
+    BoundQuery(ns[0], zs[0], ns[0])
+    _check_normalization(normalization)
+    # The sums grow with n, z and q, so the q = n corner at the largest z is
+    # the first of each n to pass the float range.
+    for n in ns:
+        try:
+            _chart_values(n, zs[-1], *_corner_sums(n, zs[-1]), normalization)
+        except BoundError:
+            for z in zs:  # raises at the first z past the edge
+                _chart_values(n, z, *_corner_sums(n, z), normalization)
+    return (
+        (n, z, q, states, lin, sq,
+         _chart_values(n, z, states, lin, sq, normalization) if lin else None)
+        for n in ns
+        for z in zs
+        for q, (states, lin, sq) in enumerate(_running_sums(n, z, n))
+    )
 
 
 def frontier(
@@ -198,51 +226,39 @@ def frontier(
     metric: str = METRIC_PROPOSED,
     normalization: str = NORM_MEAN_PER_PIXEL,
 ) -> list[BoundPoint]:
-    """Upper envelope of the (inv_alpha, efficiency) sweep.
+    """Upper envelope of the (inv_alpha, efficiency) sweep over q in [1, n].
 
-    Generates every (n, z, q) point with q in [1, n] from one running sum
-    per (n, z), sorts by inverse payload, and keeps only points whose
-    efficiency strictly exceeds everything at smaller-or-equal inverse
-    payload. Points are plain tuples until they reach the envelope.
+    Keeps the points whose efficiency strictly exceeds everything at
+    smaller-or-equal inverse payload (of two equal points, the earlier in the
+    sweep), updating the envelope as the sweep goes so only it is held.
     """
-    ns = sorted(set(n_values))
-    zs = sorted(set(z_values))
-    if not ns or not zs:
-        raise BoundError("need at least one n and one z")
-    # the smallest n and z are the first the sweep would reject
-    BoundQuery(ns[0], zs[0], ns[0])
+    rows = sweep(n_values, z_values, normalization)
     if metric not in METRICS:
         raise ValueError(f"metric {metric!r} not one of {METRICS}")
-    _check_normalization(normalization)
     eff_at = 3 if metric == METRIC_PROPOSED else 2
-    # sorted by (inv_alpha, -efficiency, generation index): ties in inverse
-    # payload put the higher efficiency first, then keep the generation order.
-    # Only the sort key and the exact sums are kept per point; envelope
-    # points recompute their floats, which keeps the sweep's peak small.
-    points = []
-    for n in ns:
-        for z in zs:
-            sums = _running_sums(n, z, n)
-            next(sums)  # quota 0 is not swept
-            for q, (states, lin, sq) in enumerate(sums, 1):
-                values = _chart_values(n, z, states, lin, sq, normalization)
-                points.append(
-                    (values[1], -values[eff_at], len(points), n, z, q, states, lin, sq)
-                )
-    points.sort()
-    envelope: list[BoundPoint] = []
-    best = -math.inf
-    for _, neg_eff, _, n, z, q, states, lin, sq in points:
-        if -neg_eff > best:
-            best = -neg_eff
-            envelope.append(
-                BoundPoint(
-                    BoundQuery(n, z, q),
-                    BoundResult(states, lin, sq),
-                    *_chart_values(n, z, states, lin, sq, normalization),
-                )
-            )
-    return envelope
+    # inverse payloads and efficiencies of the envelope, both strictly rising
+    invs, effs, kept = [], [], []
+    for row in rows:
+        if not row[2]:
+            continue  # quota 0 is not swept
+        inv, eff = row[6][1], row[6][eff_at]
+        right = bisect_right(invs, inv)
+        # the envelope point at or left of inv is the best it has there
+        if right and effs[right - 1] >= eff:
+            continue
+        # a point that beats it replaces the one at its own inverse payload
+        # and the run to its right that is no more efficient (a short scan)
+        lo = right - 1 if right and invs[right - 1] == inv else right
+        hi = lo
+        while hi < len(effs) and effs[hi] <= eff:
+            hi += 1
+        invs[lo:hi] = (inv,)
+        effs[lo:hi] = (eff,)
+        kept[lo:hi] = (row,)
+    return [
+        BoundPoint(BoundQuery(n, z, q), BoundResult(states, lin, sq), *values)
+        for n, z, q, states, lin, sq, values in kept
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +293,9 @@ def cubic_fit(points: Sequence[tuple[float, float]]) -> CubicPoly:
 
     Needs at least four distinct x values; solved with numpy's QR-based
     least squares, so exact samples of a cubic are recovered to rounding.
-    Raises BoundError for a non-finite sample, or for an x whose cube
-    overflows: LAPACK cannot fit either, and may not return on an inf.
+    Raises BoundError for a non-finite sample or an x whose cube overflows
+    (LAPACK cannot fit either, and may not return on an inf), and for a
+    fitted coefficient that is not finite.
     """
     xs = np.asarray([p[0] for p in points], dtype=float)
     ys = np.asarray([p[1] for p in points], dtype=float)
@@ -291,12 +308,20 @@ def cubic_fit(points: Sequence[tuple[float, float]]) -> CubicPoly:
     if not np.isfinite(design).all():
         raise BoundError("fit samples overflow: some x^3 is not finite")
     coeffs, *_ = np.linalg.lstsq(design, ys, rcond=None)
+    if not np.isfinite(coeffs).all():
+        raise BoundError("fit overflows: some coefficient is not finite")
     return CubicPoly(*(float(c) for c in coeffs))
 
 
 def fit_residual(poly: CubicPoly, points: Sequence[tuple[float, float]]) -> float:
-    """Sum of squared residuals of a fit."""
-    return float(sum((cubic_eval(poly, x) - y) ** 2 for x, y in points))
+    """Sum of squared residuals of a fit; raises BoundError when it overflows."""
+    try:
+        residual = float(sum((cubic_eval(poly, x) - y) ** 2 for x, y in points))
+    except OverflowError:
+        residual = math.inf
+    if not math.isfinite(residual):
+        raise BoundError("fit residual overflows a float")
+    return residual
 
 
 def check_domain(domain: tuple[float, float]) -> tuple[float, float]:

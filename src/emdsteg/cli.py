@@ -12,6 +12,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -205,44 +206,32 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_bound(args: argparse.Namespace) -> int:
     if args.max_n < 1 or args.max_z < 1:
         raise ValueError("--max-n and --max-z must be >= 1")
-    lines = ["n,z,q,f_M,f_rho_lin,f_rho_sq,alpha,inv_alpha,eff,metric,normalization"]
+    ns = range(1, args.max_n + 1)
+    zs = range(1, args.max_z + 1)
+    # every range error is raised here, before the file is opened
     if args.frontier:
-        points = bound_mod.frontier(
-            range(1, args.max_n + 1),
-            range(1, args.max_z + 1),
-            args.metric,
-            args.normalization,
+        rows = (
+            (p.query.n, p.query.z, p.query.q, p.counts.state_count,
+             p.counts.change_sum_linear, p.counts.change_sum_squared,
+             (p.alpha, p.inv_alpha, p.eff_standard, p.eff_proposed))
+            for p in bound_mod.frontier(ns, zs, args.metric, args.normalization)
         )
-        for point in points:
-            lines.append(_bound_line(point.query, point.counts, point, args))
     else:
-        for n in range(1, args.max_n + 1):
-            for z in range(1, args.max_z + 1):
-                all_counts = bound_mod.quota_counts(bound_mod.BoundQuery(n, z, n))
-                for q, counts in enumerate(all_counts):
-                    query = bound_mod.BoundQuery(n, z, q)
-                    try:
-                        point = bound_mod.bound_point(query, args.normalization, counts)
-                    except bound_mod.DegenerateQuery:
-                        point = None
-                    lines.append(_bound_line(query, counts, point, args))
-    _write_bytes(args.out, ("\n".join(lines) + "\n").encode())
+        rows = bound_mod.sweep(ns, zs, args.normalization)
+    eff_at = 3 if args.metric == bound_mod.METRIC_PROPOSED else 2
+    tail = f",{args.metric},{args.normalization}\n"
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write("n,z,q,f_M,f_rho_lin,f_rho_sq,alpha,inv_alpha,eff,metric,normalization\n")
+            for n, z, q, states, lin, sq, values in rows:
+                # a degenerate query (no values) leaves its three float cells empty
+                floats = ",,"
+                if values is not None:
+                    floats = f"{values[0]:.10g},{values[1]:.10g},{values[eff_at]:.10g}"
+                fh.write(f"{n},{z},{q},{states},{lin},{sq},{floats}{tail}")
+    except OSError as exc:
+        raise CliDataError(f"cannot write {args.out}: {exc}") from None
     return EXIT_OK
-
-
-def _bound_line(query, counts, point, args) -> str:
-    """One CSV row; a degenerate query (no point) leaves its three float cells empty."""
-    floats = ",,"
-    if point is not None:
-        floats = (
-            f"{point.alpha:.10g},{point.inv_alpha:.10g},"
-            f"{point.efficiency(args.metric):.10g}"
-        )
-    return (
-        f"{query.n},{query.z},{query.q},{counts.state_count},"
-        f"{counts.change_sum_linear},{counts.change_sum_squared},"
-        f"{floats},{args.metric},{args.normalization}"
-    )
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -299,13 +288,7 @@ def _read_points_csv(path: str) -> list[tuple[float, float]]:
 def _cmd_fit(args: argparse.Namespace) -> int:
     points = _read_points_csv(args.points)
     poly = bound_mod.cubic_fit(points)
-    record = {
-        "c3": poly.c3,
-        "c2": poly.c2,
-        "c1": poly.c1,
-        "c0": poly.c0,
-        "residual": bound_mod.fit_residual(poly, points),
-    }
+    record = {**asdict(poly), "residual": bound_mod.fit_residual(poly, points)}
     print(json.dumps(record, indent=2))
     return EXIT_OK
 

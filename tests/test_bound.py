@@ -14,13 +14,15 @@ from emdsteg.bound import (
     CubicPoly,
     DegenerateQuery,
     REFERENCE_BOUND_POLY,
+    _corner_sums,
+    _running_sums,
     bound_counts,
     bound_point,
     cubic_eval,
     cubic_fit,
     distance_to_curve,
     frontier,
-    quota_counts,
+    sweep,
 )
 from emdsteg.metrics import theoretical_distortion
 from emdsteg.schemes import make_scheme
@@ -187,12 +189,22 @@ class TestCounts:
                     assert bound_counts(query) == recursive_counts(query), query
 
     def test_quota_counts_hold_every_smaller_quota(self):
-        for n in range(1, 41):
-            for z in range(1, 11):
-                want = [recursive_counts(BoundQuery(n, z, q)) for q in range(n + 1)]
-                assert quota_counts(BoundQuery(n, z, n)) == want, (n, z)
-        # a smaller quota stops the same sum early
-        assert quota_counts(BoundQuery(9, 3, 4)) == quota_counts(BoundQuery(9, 3, 9))[:5]
+        rows = {}
+        for n, z, q, states, lin, sq, _ in sweep(range(1, 41), range(1, 11)):
+            assert q == len(rows.setdefault((n, z), []))
+            rows[n, z].append(BoundResult(states, lin, sq))
+        assert list(rows) == [(n, z) for n in range(1, 41) for z in range(1, 11)]
+        for (n, z), got in rows.items():
+            want = [recursive_counts(BoundQuery(n, z, q)) for q in range(n + 1)]
+            assert got == want, (n, z)
+        # one running sum holds every quota's per-query count
+        assert rows[9, 3] == [bound_counts(BoundQuery(9, 3, q)) for q in range(10)]
+
+    def test_corner_sums_close_the_running_sum(self):
+        for n in range(1, 13):
+            for z in range(1, 7):
+                *_, last = _running_sums(n, z, n)
+                assert _corner_sums(n, z) == last, (n, z)
 
     def test_deep_quota_obeys_first_pixel_recurrence(self):
         # beyond recursive_counts' reach (RecursionError); split on the first
@@ -257,15 +269,12 @@ class TestBoundPoint:
     def test_standard_efficiency_finite_at_float_edge(self, normalization):
         # at n = 640, z = 1 payload * states passes the float range for q >= 436,
         # though the efficiency itself is about 2.38
-        all_counts = quota_counts(BoundQuery(640, 1, 640))
-        for q in range(1, 641):
-            counts = all_counts[q]
-            point = bound_point(BoundQuery(640, 1, q), normalization, counts)
-            exact = (
-                Fraction(math.log2(counts.state_count))
-                * counts.state_count
-                / counts.change_sum_linear
-            )
+        for _, _, q, states, lin, _, values in sweep([640], [1], normalization):
+            if q == 0:
+                continue
+            point = bound_point(BoundQuery(640, 1, q), normalization)
+            assert point.eff_standard == values[2]
+            exact = Fraction(math.log2(states)) * states / lin
             assert abs(Fraction(point.eff_standard) - exact) <= 2 * math.ulp(point.eff_standard)
         envelope = frontier([640], [1], "standard", normalization)
         assert all(math.isfinite(point.eff_standard) for point in envelope)

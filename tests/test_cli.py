@@ -303,6 +303,20 @@ class TestExitCodes:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("frontier", [[], ["--frontier"]], ids=["table", "frontier"])
+    def test_bound_edge_checked_before_sweeping(self, tmp_path, capsys, monkeypatch, frontier):
+        # 3^n passes the float range from n = 641 on; no running sum is started
+        def no_running_sums(n, z, q):
+            raise AssertionError(f"_running_sums({n}, {z}, {q}) ran past the edge")
+
+        monkeypatch.setattr(bound_mod, "_running_sums", no_running_sums)
+        out = tmp_path / "b.csv"
+        assert run("bound", "--max-n", 100000, "--max-z", 1, *frontier, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            "error: n=641 z=1: state counts overflow a float\n"
+        )
+        assert not out.exists()
+
 
 # every error class emdsteg defines, and the exit code the CLI maps it to
 _EXIT_CODES = {
@@ -849,6 +863,25 @@ class TestFitDistance:
         assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "rows",
+        [
+            # least squares returns infinite coefficients
+            "0,1e308\n1,2\n2,3\n3,4\n",
+            # the coefficients fit, the sum of squared residuals does not
+            "0,1e200\n1,-1e200\n2,1e200\n3,-1e200\n4,1e200\n",
+        ],
+        ids=["coefficients", "residual"],
+    )
+    def test_fit_rejects_overflowing_fit(self, tmp_path, rows, capsys):
+        points = tmp_path / "pts.csv"
+        points.write_text(rows)
+        assert run("fit", "--points", points) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+        assert "overflows" in out.err
+
+    @pytest.mark.parametrize(
         "name,data,args",
         [
             ("pts.csv", b"x,y\n0,0\n\xff,1\n", ("fit", "--points")),
@@ -870,14 +903,15 @@ class TestFitDistance:
 # options and some of its other options (sometimes another subcommand's) with
 # values from the strategies below, plus stray tokens. Sizes are bounded:
 # synthetic covers at most 64x64, --random-bits and --bits at most 4096,
-# --max-n at most 8 and --max-z at most 4, scheme parameters in -1..4 (the
+# --max-n at most 8 (or 700 and 100000, past the float edge, which is checked
+# before any row is made) and --max-z at most 4, scheme parameters in -1..4 (the
 # largest table search they reach, 923 521 vectors for mbe n=4 k=4, is under
 # a tenth of the 10M search guard). bench always gets a cover option, so it never builds its default
 # 256x256 cover; the one valid config holds a 16x16 cover. A value "@name"
 # names a file under the test's temporary directory; inputs and outputs use
 # separate names, so no draw rewrites another's input.
 _INPUTS = ("cover.pgm", "bad.pgm", "poly.json", "bad.json", "points.csv",
-           "config.json", "message.bin", "absent", "dir")
+           "huge_points.csv", "config.json", "message.bin", "absent", "dir")
 _OUTPUTS = ("out.bin", "dir", "absent/out.bin")
 _OUT_DIRS = ("outdir", "cover.pgm", "absent/outdir")
 _SCHEME_FLAGS = tuple(f"--{flag}" for flag in ("n", "t", "k", "w", "m", "key", "n1", "wbase"))
@@ -914,7 +948,7 @@ _ARG_VALUES = {
     "--out-dir": _tokens(st.sampled_from(_OUT_DIRS).map("@".__add__)),
     "--mode": _tokens(st.sampled_from(["euclidean", "vertical", "bogus"])),
     "--domain": st.tuples(_number_tokens, _number_tokens).map(lambda pair: pair[0] + pair[1]),
-    "--max-n": _tokens(st.integers(-1, 8).map(str)),
+    "--max-n": _tokens(st.integers(-1, 8).map(str) | st.sampled_from(["700", "100000"])),
     "--max-z": _tokens(st.integers(-1, 4).map(str)),
     "--metric": _tokens(st.sampled_from(["standard", "proposed", "bogus"])),
     "--normalization": _tokens(st.sampled_from(["literal", "mean", "mean-per-pixel", "x"])),
@@ -967,6 +1001,8 @@ def argv_files(tmp_path_factory):
     (root / "poly.json").write_text(json.dumps({"c3": 1, "c2": -2, "c1": 1, "c0": 0.5}))
     (root / "bad.json").write_bytes(b'{"c3": \xff')
     (root / "points.csv").write_text("x,y\n0,1\n1,2\n2,0\n3,5\n4,4\n")
+    # least squares returns infinite coefficients
+    (root / "huge_points.csv").write_text("x,y\n0,1e308\n1,2\n2,3\n3,4\n")
     config = {"schemes": [{"scheme": "emd", "params": {"n": 2}}],
               "cover": {"kind": "noise", "width": 16, "height": 16, "seed": 3}}
     (root / "config.json").write_text(json.dumps(config))
@@ -975,10 +1011,16 @@ def argv_files(tmp_path_factory):
     return root
 
 
+def _reject_constant(name):
+    raise AssertionError(f"fit printed {name}")
+
+
 class TestArgvFuzz:
     @given(_argvs())
     @example(["embed", "--scheme", "emd", "--n", "2", "--synthetic", "4x4:50",
               "--message", "@message.bin", "--seed", "9", "--out", "@out.bin"])
+    @example(["fit", "--points", "@huge_points.csv"])
+    @example(["bound", "--max-n", "100000", "--max-z", "4", "--frontier", "--out", "@out.bin"])
     @settings(max_examples=200, deadline=None)
     def test_exit_codes_without_traceback(self, argv_files, argv):
         argv = [str(argv_files / a[1:]) if a.startswith("@") else a for a in argv]
@@ -991,3 +1033,6 @@ class TestArgvFuzz:
         if {"--message", "--seed"} <= set(argv) and not {"-h", "--help"} & set(argv):
             # a seed means nothing to a message file
             assert code != 0, argv
+        if argv[0] == "fit" and code == 0 and not {"-h", "--help"} & set(argv):
+            # strict JSON: no NaN or Infinity in the record
+            json.loads(stdout.getvalue(), parse_constant=_reject_constant)
