@@ -280,9 +280,10 @@ def run_bench(cfg: BenchConfig, out_dir: str | Path) -> dict[str, Path]:
         rows += [
             [q.scheme_id, q.condition, 1.0 / q.alpha, q.value, "reported"] for q in quoted_rows
         ]
+        eff_at = 3 if metric == bound.METRIC_PROPOSED else 2
         rows += [
-            ["bound", "", point.inv_alpha, point.efficiency(metric), "computed"]
-            for point in bound.frontier(range(1, 9), range(1, 5), metric)
+            ["bound", "", values[1], values[eff_at], "computed"]
+            for *_, values in bound.frontier(range(1, 9), range(1, 5), metric)
         ]
         paths[name] = _write_csv(out / f"{name}.csv", _FIGURE_HEADER, rows)
     return paths

@@ -13,7 +13,6 @@ fitting of envelope points, and point-to-curve distance.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import deque
 from dataclasses import astuple, dataclass
 from typing import Iterable, Iterator, Sequence
@@ -225,40 +224,47 @@ def frontier(
     z_values: Iterable[int],
     metric: str = METRIC_PROPOSED,
     normalization: str = NORM_MEAN_PER_PIXEL,
-) -> list[BoundPoint]:
+) -> list[tuple]:
     """Upper envelope of the (inv_alpha, efficiency) sweep over q in [1, n].
 
-    Keeps the points whose efficiency strictly exceeds everything at
-    smaller-or-equal inverse payload (of two equal points, the earlier in the
-    sweep), updating the envelope as the sweep goes so only it is held.
+    Returns the sweep's rows whose efficiency strictly exceeds every row's
+    at smaller-or-equal inverse payload (of two equal rows, the earlier in
+    the sweep), by rising inverse payload. Each n's rows are merged into the
+    envelope as one block, or sooner once they outnumber it, so only the
+    envelope and one block are held.
     """
     rows = sweep(n_values, z_values, normalization)
     if metric not in METRICS:
         raise ValueError(f"metric {metric!r} not one of {METRICS}")
     eff_at = 3 if metric == METRIC_PROPOSED else 2
-    # inverse payloads and efficiencies of the envelope, both strictly rising
-    invs, effs, kept = [], [], []
+    envelope, invs, effs = np.empty(0, dtype=object), np.empty(0), np.empty(0)
+    block = []
     for row in rows:
         if not row[2]:
             continue  # quota 0 is not swept
-        inv, eff = row[6][1], row[6][eff_at]
-        right = bisect_right(invs, inv)
-        # the envelope point at or left of inv is the best it has there
-        if right and effs[right - 1] >= eff:
-            continue
-        # a point that beats it replaces the one at its own inverse payload
-        # and the run to its right that is no more efficient (a short scan)
-        lo = right - 1 if right and invs[right - 1] == inv else right
-        hi = lo
-        while hi < len(effs) and effs[hi] <= eff:
-            hi += 1
-        invs[lo:hi] = (inv,)
-        effs[lo:hi] = (eff,)
-        kept[lo:hi] = (row,)
-    return [
-        BoundPoint(BoundQuery(n, z, q), BoundResult(states, lin, sq), *values)
-        for n, z, q, states, lin, sq, values in kept
-    ]
+        if block and (row[0] != block[-1][0] or len(block) > len(envelope)):
+            envelope, invs, effs = _merge(envelope, invs, effs, block, eff_at)
+            block = []
+        block.append(row)
+    return _merge(envelope, invs, effs, block, eff_at)[0].tolist()
+
+
+def _merge(
+    envelope: np.ndarray, invs: np.ndarray, effs: np.ndarray, block: list[tuple], eff_at: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The envelope of envelope + block, with its inverse payloads and efficiencies.
+
+    One stable sort orders the rows by rising inverse payload, then falling
+    efficiency, then sweep order (the envelope's rows precede the block's);
+    a row stays when it raises the running maximum of efficiency.
+    """
+    rows = np.concatenate((envelope, np.fromiter(block, dtype=object, count=len(block))))
+    invs = np.concatenate((invs, [row[6][1] for row in block]))
+    effs = np.concatenate((effs, [row[6][eff_at] for row in block]))
+    order = np.lexsort((-effs, invs))
+    best = np.maximum.accumulate(effs[order])
+    keep = order[best > np.concatenate(([-np.inf], best[:-1]))]
+    return rows[keep], invs[keep], effs[keep]
 
 
 # ---------------------------------------------------------------------------

@@ -210,12 +210,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     zs = range(1, args.max_z + 1)
     # every range error is raised here, before the file is opened
     if args.frontier:
-        rows = (
-            (p.query.n, p.query.z, p.query.q, p.counts.state_count,
-             p.counts.change_sum_linear, p.counts.change_sum_squared,
-             (p.alpha, p.inv_alpha, p.eff_standard, p.eff_proposed))
-            for p in bound_mod.frontier(ns, zs, args.metric, args.normalization)
-        )
+        rows = bound_mod.frontier(ns, zs, args.metric, args.normalization)
     else:
         rows = bound_mod.sweep(ns, zs, args.normalization)
     eff_at = 3 if args.metric == bound_mod.METRIC_PROPOSED else 2

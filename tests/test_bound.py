@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 from fractions import Fraction
 from functools import cache
 
@@ -83,21 +84,24 @@ def recursive_counts(query: BoundQuery) -> BoundResult:
 
 
 def per_query_frontier(n_values, z_values, metric, normalization):
-    """Reference for frontier: one bound_point per query, each with its own count."""
-    points = [
-        bound_point(BoundQuery(n, z, q), normalization)
-        for n in sorted(set(n_values))
-        for z in sorted(set(z_values))
-        for q in range(1, n + 1)
-    ]
-    points.sort(key=lambda p: p.efficiency(metric), reverse=True)
-    points.sort(key=lambda p: p.inv_alpha)
+    """Reference for frontier: sweep rows from one bound_counts and bound_point per query."""
+    eff_at = 3 if metric == "proposed" else 2
+    rows = []
+    for n in sorted(set(n_values)):
+        for z in sorted(set(z_values)):
+            for q in range(1, n + 1):
+                query = BoundQuery(n, z, q)
+                point = bound_point(query, normalization)
+                values = (point.alpha, point.inv_alpha, point.eff_standard, point.eff_proposed)
+                rows.append((n, z, q, *astuple(bound_counts(query)), values))
+    rows.sort(key=lambda row: row[6][eff_at], reverse=True)
+    rows.sort(key=lambda row: row[6][1])
     envelope = []
     best = -math.inf
-    for point in points:
-        if point.efficiency(metric) > best:
-            envelope.append(point)
-            best = point.efficiency(metric)
+    for row in rows:
+        if row[6][eff_at] > best:
+            envelope.append(row)
+            best = row[6][eff_at]
     return envelope
 
 
@@ -277,7 +281,7 @@ class TestBoundPoint:
             exact = Fraction(math.log2(states)) * states / lin
             assert abs(Fraction(point.eff_standard) - exact) <= 2 * math.ulp(point.eff_standard)
         envelope = frontier([640], [1], "standard", normalization)
-        assert all(math.isfinite(point.eff_standard) for point in envelope)
+        assert all(math.isfinite(values[2]) for *_, values in envelope)
 
     def test_inverse_payload(self):
         point = bound_point(BoundQuery(2, 1, 1))
@@ -303,8 +307,8 @@ class TestFrontier:
 
     def test_dominated_point_removed(self):
         envelope = frontier(range(1, 4), [1], "proposed", "mean-per-pixel")
-        effs = [p.eff_proposed for p in envelope]
-        invs = [p.inv_alpha for p in envelope]
+        effs = [values[3] for *_, values in envelope]
+        invs = [values[1] for *_, values in envelope]
         assert effs == sorted(effs)
         assert all(a < b for a, b in zip(effs, effs[1:]))
         assert invs == sorted(invs)
@@ -317,9 +321,9 @@ class TestFrontier:
                     point = bound_point(BoundQuery(n, z, q), "mean-per-pixel")
                     # best envelope efficiency at inverse payload <= the point's
                     reachable = [
-                        p.eff_proposed
-                        for p in envelope
-                        if p.inv_alpha <= point.inv_alpha + 1e-12
+                        values[3]
+                        for *_, values in envelope
+                        if values[1] <= point.inv_alpha + 1e-12
                     ]
                     ceiling = max(reachable, default=-math.inf)
                     assert point.eff_proposed <= ceiling + 1e-9
@@ -355,10 +359,32 @@ class TestFrontier:
     )
     def test_matches_per_query_sweep(self, metric, normalization, ns, zs):
         envelope = frontier(ns, zs, metric, normalization)
-        # same points, same order, same floats and counts
+        # same rows, same order, same floats and counts
         assert envelope == per_query_frontier(ns, zs, metric, normalization)
-        for point in envelope:
-            assert point.counts == recursive_counts(point.query)
+        for n, z, q, *counts, _ in envelope:
+            assert BoundResult(*counts) == recursive_counts(BoundQuery(n, z, q))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ns=st.lists(st.integers(1, 40), min_size=1, max_size=5),
+        zs=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+        metric=st.sampled_from(["standard", "proposed"]),
+        normalization=st.sampled_from(["literal", "mean", "mean-per-pixel"]),
+    )
+    def test_matches_per_query_sweep_on_random_ranges(self, ns, zs, metric, normalization):
+        # unsorted, duplicated n and z, merged in blocks of every size
+        assert frontier(ns, zs, metric, normalization) == per_query_frontier(
+            ns, zs, metric, normalization
+        )
+
+    # at n = 2 every row is on the envelope, so no merge drops a held row;
+    # only the proposed metric's first row, (2, 1, 1), falls below the next,
+    # (2, 1, 2)
+    @pytest.mark.parametrize("metric,kept", [("standard", 4000), ("proposed", 3999)])
+    def test_keeps_every_point_of_a_wide_sweep(self, metric, kept):
+        envelope = frontier([2], range(1, 2001), metric)
+        assert len(envelope) == kept
+        assert envelope == per_query_frontier([2], range(1, 2001), metric, "mean-per-pixel")
 
 
 class TestCubic:
@@ -431,7 +457,7 @@ class TestCubic:
     def test_refit_of_envelope_is_reportable(self):
         # the envelope sweep always offers enough distinct points for a fit
         envelope = frontier(range(1, 7), range(1, 4), "proposed", "mean-per-pixel")
-        points = [(p.inv_alpha, p.eff_proposed) for p in envelope]
+        points = [(values[1], values[3]) for *_, values in envelope]
         fit = cubic_fit(points)
         assert all(math.isfinite(c) for c in fit.coefficients())
 
