@@ -7,12 +7,8 @@ a bit length.
 """
 
 from .bound import (
-    BoundPoint,
-    BoundQuery,
-    BoundResult,
     CubicPoly,
     REFERENCE_BOUND_POLY,
-    bound_counts,
     bound_point,
     cubic_eval,
     cubic_fit,
@@ -51,9 +47,6 @@ from .schemes import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundPoint",
-    "BoundQuery",
-    "BoundResult",
     "ChangeConstraint",
     "CubicPoly",
     "DistortionProfile",
@@ -63,7 +56,6 @@ __all__ = [
     "SCHEME_NAMES",
     "SchemeSpec",
     "analyze_pair",
-    "bound_counts",
     "bound_point",
     "bytes_to_symbols",
     "cubic_eval",

@@ -5,16 +5,15 @@ allowed to use the full +/-z change (the rest stay within +/-(z-1)), this
 module counts the admissible change states and their total linear and
 squared change, exactly, with arbitrary-precision integers.
 
-On top of the counts sit the chart primitives: efficiency points per
-(n, z, q) query, the upper envelope over a sweep, cubic least-squares
+On top of the counts sit the chart primitives: one row of efficiency values
+per (n, z, q) query, the upper envelope over a sweep, cubic least-squares
 fitting of envelope points, and point-to-curve distance.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -26,6 +25,8 @@ NORM_MEAN = "mean"
 NORM_MEAN_PER_PIXEL = "mean-per-pixel"
 
 METRICS = (METRIC_STANDARD, METRIC_PROPOSED)
+# where each metric's efficiency sits in a row's values
+EFFICIENCY_SLOT = {METRIC_STANDARD: 2, METRIC_PROPOSED: 3}
 NORMALIZATIONS = (NORM_LITERAL, NORM_MEAN, NORM_MEAN_PER_PIXEL)
 DISTANCE_MODES = ("euclidean", "vertical")
 
@@ -33,57 +34,6 @@ DISTANCE_MODES = ("euclidean", "vertical")
 class BoundError(ValueError):
     """A bad query, sweep range, fit sample or domain, or a count past the
     float range."""
-
-
-class DegenerateQuery(BoundError):
-    """Only the all-zero state exists; efficiency is unbounded."""
-
-
-@dataclass(frozen=True, slots=True)
-class BoundQuery:
-    """State-family query: n pixels, cap z, at most q pixels at the full cap."""
-
-    n: int
-    z: int
-    q: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.z < 1 or not 0 <= self.q <= self.n:
-            raise BoundError(f"bad query n={self.n} z={self.z} q={self.q}")
-
-
-@dataclass(frozen=True, slots=True)
-class BoundResult:
-    """Exact counts for one query: states, sum |delta|, sum delta^2."""
-
-    state_count: int
-    change_sum_linear: int
-    change_sum_squared: int
-
-
-@dataclass(frozen=True, slots=True)
-class BoundPoint:
-    """One chart point: payload and efficiencies derived from the counts.
-
-    Under the mean-per-pixel normalization the standard efficiency equals
-    its mean value (the per-pixel factors cancel), so eff_standard is
-    always populated; eff_proposed carries the requested normalization.
-    counts holds the exact sums the point was derived from.
-    """
-
-    query: BoundQuery
-    counts: BoundResult
-    alpha: float
-    inv_alpha: float
-    eff_standard: float
-    eff_proposed: float
-
-    def efficiency(self, metric: str) -> float:
-        if metric == METRIC_STANDARD:
-            return self.eff_standard
-        if metric == METRIC_PROPOSED:
-            return self.eff_proposed
-        raise ValueError(f"metric {metric!r} not one of {METRICS}")
 
 
 def _running_sums(n: int, z: int, q: int) -> Iterator[tuple[int, int, int]]:
@@ -124,9 +74,9 @@ def _corner_sums(n: int, z: int) -> tuple[int, int, int]:
     return base**n, lin, lin * base // 3
 
 
-def bound_counts(query: BoundQuery) -> BoundResult:
-    """States, sum |delta| and sum delta^2 for one query, exactly: O(q) terms."""
-    return BoundResult(*deque(_running_sums(query.n, query.z, query.q), maxlen=1)[0])
+def _check_query(n: int, z: int, q: int) -> None:
+    if n < 1 or z < 1 or not 0 <= q <= n:
+        raise BoundError(f"bad query n={n} z={z} q={q}")
 
 
 def _check_normalization(normalization: str) -> None:
@@ -141,8 +91,8 @@ def _chart_values(
 ) -> tuple[float, float, float, float]:
     """(alpha, inv_alpha, eff_standard, eff_proposed) of one (n, z) query's exact sums.
 
-    The normalization is one of bound_point's. Raises BoundError once a sum
-    no longer fits a float (about (2z+1)^n > 1e308).
+    The normalization is one of sweep's. Raises BoundError once a sum no
+    longer fits a float (about (2z+1)^n > 1e308).
     """
     payload = math.log2(states)
     alpha = payload / n
@@ -164,24 +114,18 @@ def _chart_values(
     return alpha, 1.0 / alpha, eff_std, eff_prop
 
 
-def bound_point(
-    query: BoundQuery, normalization: str = NORM_MEAN_PER_PIXEL
-) -> BoundPoint:
-    """Efficiency chart point for one query; point.efficiency(metric) reads either.
+def bound_point(n: int, z: int, q: int, normalization: str = NORM_MEAN_PER_PIXEL) -> tuple:
+    """sweep([n], [z], normalization)'s row of quota q, from one O(q) running sum.
 
-    literal divides the payload by the raw change totals as the defining
-    equations read; mean divides by the per-state average; mean-per-pixel
-    additionally spreads the average over the n pixels so the value is
-    commensurate with per-pixel MSE.
+    Only this row is checked against the float edge, so a query below it
+    counts even where a sweep of its (n, z) would raise.
     """
+    _check_query(n, z, q)
     _check_normalization(normalization)
-    counts = bound_counts(query)
-    if counts.change_sum_linear == 0:
-        raise DegenerateQuery(
-            f"query {query} admits only the zero state; efficiency unbounded"
-        )
-    values = _chart_values(query.n, query.z, *astuple(counts), normalization)
-    return BoundPoint(query, counts, *values)
+    for states, lin, sq in _running_sums(n, z, q):
+        pass  # the last sums are those of quota q
+    values = _chart_values(n, z, states, lin, sq, normalization) if lin else None
+    return n, z, q, states, lin, sq, values
 
 
 def sweep(
@@ -191,16 +135,19 @@ def sweep(
 ) -> Iterator[tuple]:
     """(n, z, q, states, lin, sq, values) of every query with q in [0, n], in order.
 
-    One running sum per (n, z) gives the exact sums; values is bound_point's
-    (alpha, inv_alpha, eff_standard, eff_proposed), or None for the
-    degenerate query (lin == 0). Every error is raised before the first row.
+    One running sum per (n, z) gives the exact sums; values is (alpha,
+    inv_alpha, eff_standard, eff_proposed), or None for the degenerate query
+    (lin == 0). Every error is raised before the first row. literal divides
+    the payload by the raw change totals; mean by the per-state average;
+    mean-per-pixel also spreads the average over the n pixels, to match
+    per-pixel MSE.
     """
     ns = sorted(set(n_values))
     zs = sorted(set(z_values))
     if not ns or not zs:
         raise BoundError("need at least one n and one z")
     # the smallest n and z are the first the sweep would reject
-    BoundQuery(ns[0], zs[0], ns[0])
+    _check_query(ns[0], zs[0], ns[0])
     _check_normalization(normalization)
     # The sums grow with n, z and q, so the q = n corner at the largest z is
     # the first of each n to pass the float range.
@@ -236,7 +183,7 @@ def frontier(
     rows = sweep(n_values, z_values, normalization)
     if metric not in METRICS:
         raise ValueError(f"metric {metric!r} not one of {METRICS}")
-    eff_at = 3 if metric == METRIC_PROPOSED else 2
+    eff_at = EFFICIENCY_SLOT[metric]
     envelope, invs, effs = np.empty(0, dtype=object), np.empty(0), np.empty(0)
     block = []
     for row in rows:

@@ -213,7 +213,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         rows = bound_mod.frontier(ns, zs, args.metric, args.normalization)
     else:
         rows = bound_mod.sweep(ns, zs, args.normalization)
-    eff_at = 3 if args.metric == bound_mod.METRIC_PROPOSED else 2
+    eff_at = bound_mod.EFFICIENCY_SLOT[args.metric]
     tail = f",{args.metric},{args.normalization}\n"
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

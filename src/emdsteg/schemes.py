@@ -157,9 +157,28 @@ def _search_box(n: int, constraint: ChangeConstraint) -> tuple[int, int]:
 
 
 def _search_size(n: int, constraint: ChangeConstraint) -> int:
-    """Count of the change vectors in the search box, at least the budget's."""
+    """Count of the change vectors in the search box, at least the budget's.
+
+    Summed by the count of changed pixels only until it passes
+    _MAX_SEARCH_STATES, so past the limit it is some count above it.
+    """
     z, k = _search_box(n, constraint)
-    return 1 + sum(math.comb(n, j) * (2 * z) ** j for j in range(1, k + 1))
+    size = term = 1
+    for j in range(1, k + 1):
+        # comb(n, j) * (2z)^j from the term of j - 1, exactly
+        term = term * (n - j + 1) * 2 * z // j
+        size += term
+        if size > _MAX_SEARCH_STATES:
+            break
+    return size
+
+
+def _check_search_size(n: int, constraint: ChangeConstraint) -> int:
+    """_search_size of an n-pixel budget; raises SchemeError past _MAX_SEARCH_STATES."""
+    size = _search_size(n, constraint)
+    if size > _MAX_SEARCH_STATES:
+        raise SchemeError(f"change budget exceeds the limit of {_MAX_SEARCH_STATES} vectors")
+    return size
 
 
 def _ranks(z: int, n: int, l1_first: bool) -> tuple[np.ndarray, int]:
@@ -254,11 +273,7 @@ def _optimal_delta_table(
     - states: M * 8 (intp), plus one intp temporary for the step and one for
       its reduction.
     """
-    size = _search_size(n, constraint)
-    if size > _MAX_SEARCH_STATES:
-        raise SchemeError(
-            f"change budget of {size} vectors exceeds the limit of {_MAX_SEARCH_STATES}"
-        )
+    size = _check_search_size(n, constraint)
     if modulus > size:
         return None  # pigeonhole: fewer change vectors than residues
     radius = constraint.l1_radius
@@ -461,11 +476,13 @@ def _require_int(name: str, value, minimum: int | None = None) -> int:
 def _make_emd(n: int) -> SchemeSpec:
     """Weights 1..n mod 2n+1; one pixel moves by one unit at most."""
     n = _require_int("n", n, 2)
+    constraint = ChangeConstraint(1, l1_radius=1)
+    _check_search_size(n, constraint)
     return _finalize(
         id="emd",
         base=range(1, n + 1),
         modulus=2 * n + 1,
-        constraint=ChangeConstraint(1, l1_radius=1),
+        constraint=constraint,
         params={"n": n},
     )
 
@@ -539,11 +556,13 @@ def _make_mpemd(n: int, key: int = 0) -> SchemeSpec:
     key = _require_int("key", key, 0)
     if key >= 2 * n:
         raise SchemeError(f"key={key} outside [0, {2 * n})")
+    constraint = ChangeConstraint(1, l1_radius=1)
+    _check_search_size(n, constraint)
     return _finalize(
         id="mpemd",
         base=range(1, n + 1),
         modulus=2 * n,
-        constraint=ChangeConstraint(1, l1_radius=1),
+        constraint=constraint,
         key=key,
         params={"n": n, "key": key},
     )
@@ -558,12 +577,14 @@ def _emd2_weights(n: int) -> tuple[int, ...]:
 def _make_emd2(n: int) -> SchemeSpec:
     """Graded weights mod 2w+1 with w = 4 (pairs) or 8+5(n-3); two changes max."""
     n = _require_int("n", n, 2)
+    constraint = ChangeConstraint(1, l1_radius=2)
+    _check_search_size(n, constraint)
     w = 4 if n == 2 else 8 + 5 * (n - 3)
     return _finalize(
         id="emd2",
         base=_emd2_weights(n),
         modulus=2 * w + 1,
-        constraint=ChangeConstraint(1, l1_radius=2),
+        constraint=constraint,
         params={"n": n},
     )
 
@@ -586,11 +607,13 @@ def _make_twoemd(n: int) -> SchemeSpec:
 def _make_gemd(n: int) -> SchemeSpec:
     """Weights 2^i - 1 mod 2^(n+1); every pixel may move by one unit."""
     n = _require_int("n", n, 1)
+    constraint = ChangeConstraint(1)
+    _check_search_size(n, constraint)
     return _finalize(
         id="gemd",
         base=tuple((1 << i) - 1 for i in range(1, n + 1)),
         modulus=1 << (n + 1),
-        constraint=ChangeConstraint(1),
+        constraint=constraint,
         params={"n": n},
     )
 
@@ -626,11 +649,13 @@ def _make_mbe(n: int, k: int) -> SchemeSpec:
     """Chained weights b_i = 2^k b_(i-1) + 1 mod 2^(nk+1); changes up to 2^k - 1."""
     n = _require_int("n", n, 2)
     k = _require_int("k", k, 1)
+    constraint = ChangeConstraint((1 << k) - 1)
+    _check_search_size(n, constraint)
     return _finalize(
         id="mbe",
         base=_mbe_weights(n, k),
         modulus=1 << (n * k + 1),
-        constraint=ChangeConstraint((1 << k) - 1),
+        constraint=constraint,
         params={"n": n, "k": k},
     )
 
@@ -644,11 +669,13 @@ def _msd_modulus(n: int) -> int:
 def _make_msd(n: int) -> SchemeSpec:
     """Binary weights 2^(i-1) mod t_n, unit changes on any pixel."""
     n = _require_int("n", n, 1)
+    constraint = ChangeConstraint(1)
+    _check_search_size(n, constraint)
     return _finalize(
         id="msd",
         base=tuple(1 << i for i in range(n)),
         modulus=_msd_modulus(n),
-        constraint=ChangeConstraint(1),
+        constraint=constraint,
         params={"n": n},
     )
 
@@ -666,12 +693,14 @@ def _make_hemd(n: int, w: int, wbase: int = 0) -> SchemeSpec:
         raise SchemeError(f"w={w} must be odd")
     if wbase not in (0, 1):
         raise SchemeError("wbase must be 0 or 1")
+    constraint = ChangeConstraint((w - 1) // 2)
+    _check_search_size(n, constraint)
     root = w if wbase else n
     return _finalize(
         id="hemd",
         base=tuple(root**i for i in range(n)),
         modulus=w**n,
-        constraint=ChangeConstraint((w - 1) // 2),
+        constraint=constraint,
         params={"n": n, "w": w, "wbase": wbase},
     )
 
@@ -680,11 +709,13 @@ def _make_aemd(n: int, m: int) -> SchemeSpec:
     """Positional base-m weights mod m^n; changes up to ceil((m-1)/2)."""
     n = _require_int("n", n, 1)
     m = _require_int("m", m, 2)
+    constraint = ChangeConstraint(m // 2)
+    _check_search_size(n, constraint)
     return _finalize(
         id="aemd",
         base=tuple(m**i for i in range(n)),
         modulus=m**n,
-        constraint=ChangeConstraint(m // 2),
+        constraint=constraint,
         params={"n": n, "m": m},
     )
 

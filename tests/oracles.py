@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from emdsteg.bound import BoundError, BoundQuery, BoundResult
+from emdsteg.bound import BoundError
 from emdsteg.metrics import PEAK_SQ, DistortionProfile
 from emdsteg.rng import _GAMMA, _MASK, _MIX1, _MIX2
 from emdsteg.schemes import ChangeConstraint, SchemeSpec, _embed_groups, _extract_groups
@@ -26,13 +26,13 @@ class QueryTooLarge(BoundError):
     """Brute-force enumeration would exceed the state guard."""
 
 
-def enumerate_oracle(query: BoundQuery) -> BoundResult:
-    """Re-count a bound query by walking every vector in [-z, z]^n.
+def enumerate_oracle(n: int, z: int, q: int) -> tuple[int, int, int]:
+    """(states, sum |delta|, sum delta^2) of a bound query, by walking every
+    vector in [-z, z]^n.
 
     Independent of bound's closed-form running sum on purpose; guarded so a
     desk run stays bounded.
     """
-    n, z, q = query.n, query.z, query.q
     if (2 * z + 1) ** n > _ORACLE_LIMIT:
         raise QueryTooLarge(f"(2*{z}+1)^{n} states exceed the enumeration guard")
     states = 0
@@ -45,7 +45,7 @@ def enumerate_oracle(query: BoundQuery) -> BoundResult:
         states += 1
         lin += sum(abs(d) for d in deltas)
         sq += sum(d * d for d in deltas)
-    return BoundResult(states, lin, sq)
+    return states, lin, sq
 
 
 def allows(constraint: ChangeConstraint, deltas: Sequence[int]) -> bool:

@@ -14,9 +14,7 @@ import pytest
 
 from emdsteg.bench import BenchConfig, run_bench
 from emdsteg.bound import (
-    BoundQuery,
     REFERENCE_BOUND_POLY,
-    bound_counts,
     bound_point,
     cubic_eval,
     cubic_fit,
@@ -90,8 +88,7 @@ def test_criterion_1():
     for n in range(1, 7):
         for z in range(1, 4):
             for q in range(0, n + 1):
-                query = BoundQuery(n, z, q)
-                assert bound_counts(query) == enumerate_oracle(query), query
+                assert bound_point(n, z, q)[3:6] == enumerate_oracle(n, z, q), (n, z, q)
                 checked += 1
     elapsed = time.monotonic() - start
     assert checked == 81
@@ -100,16 +97,17 @@ def test_criterion_1():
 
 @criterion(2, "spot counts and closed-form corners")
 def test_criterion_2():
-    assert bound_counts(BoundQuery(2, 1, 1)).state_count == 5
-    assert bound_counts(BoundQuery(2, 1, 2)).state_count == 9
-    assert bound_counts(BoundQuery(2, 2, 1)).state_count == 21
-    assert bound_counts(BoundQuery(2, 1, 1)).change_sum_linear == 4
-    assert bound_counts(BoundQuery(2, 1, 2)).change_sum_linear == 12
-    assert bound_counts(BoundQuery(2, 2, 1)).change_sum_squared == 68
+    # a row is (n, z, q, states, lin, sq, values)
+    assert bound_point(2, 1, 1)[3] == 5
+    assert bound_point(2, 1, 2)[3] == 9
+    assert bound_point(2, 2, 1)[3] == 21
+    assert bound_point(2, 1, 1)[4] == 4
+    assert bound_point(2, 1, 2)[4] == 12
+    assert bound_point(2, 2, 1)[5] == 68
     for n in range(1, 9):
         for z in range(1, 4):
-            assert bound_counts(BoundQuery(n, z, n)).state_count == (2 * z + 1) ** n
-            assert bound_counts(BoundQuery(n, z, 0)).state_count == (2 * z - 1) ** n
+            assert bound_point(n, z, n)[3] == (2 * z + 1) ** n
+            assert bound_point(n, z, 0)[3] == (2 * z - 1) ** n
 
 
 @criterion(3, "scheme round-trips and change budgets")
@@ -162,13 +160,13 @@ def test_criterion_5():
 @criterion(6, "state family agrees with scheme expectation")
 def test_criterion_6():
     for n in range(2, 9):
-        point = bound_point(BoundQuery(n, 1, 1), "mean")
+        eff_standard = bound_point(n, 1, 1, "mean")[6][2]
         spec = make_scheme("emd", n=n)
         profile = theoretical_distortion(spec)
         bits_per_expected_change = spec.payload_bits_exact / (
             profile.expected_abs_per_pixel * n
         )
-        assert point.eff_standard == pytest.approx(
+        assert eff_standard == pytest.approx(
             bits_per_expected_change, rel=1e-9
         )
 

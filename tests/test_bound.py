@@ -1,5 +1,4 @@
 import math
-from dataclasses import astuple
 from fractions import Fraction
 from functools import cache
 
@@ -9,15 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emdsteg.bound import (
+    METRICS,
+    NORMALIZATIONS,
     BoundError,
-    BoundQuery,
-    BoundResult,
     CubicPoly,
-    DegenerateQuery,
     REFERENCE_BOUND_POLY,
     _corner_sums,
     _running_sums,
-    bound_counts,
     bound_point,
     cubic_eval,
     cubic_fit,
@@ -31,7 +28,7 @@ from emdsteg.schemes import make_scheme
 from oracles import QueryTooLarge, enumerate_oracle
 
 
-# Reference for bound_counts: the same three totals by cached recursions
+# Reference for bound_point's counts: the same three totals by cached recursions
 # (count by the first pixel, full-cube sums by halving the group, one shell
 # per number of capped pixels). Large q overflows Python's stack.
 @cache
@@ -74,26 +71,29 @@ def _sum_changes(n: int, z: int, q: int, squared: bool) -> int:
     )
 
 
-def recursive_counts(query: BoundQuery) -> BoundResult:
-    n, z, q = query.n, query.z, query.q
-    return BoundResult(
+def recursive_counts(n: int, z: int, q: int) -> tuple[int, int, int]:
+    """(states, sum |delta|, sum delta^2) of one query."""
+    return (
         _count(n, z, q),
         _sum_changes(n, z, q, squared=False),
         _sum_changes(n, z, q, squared=True),
     )
 
 
+def counts(n: int, z: int, q: int) -> tuple[int, int, int]:
+    """(states, lin, sq) of bound_point's row."""
+    return bound_point(n, z, q)[3:6]
+
+
 def per_query_frontier(n_values, z_values, metric, normalization):
-    """Reference for frontier: sweep rows from one bound_counts and bound_point per query."""
+    """Reference for frontier: rows from one bound_point per query."""
     eff_at = 3 if metric == "proposed" else 2
-    rows = []
-    for n in sorted(set(n_values)):
-        for z in sorted(set(z_values)):
-            for q in range(1, n + 1):
-                query = BoundQuery(n, z, q)
-                point = bound_point(query, normalization)
-                values = (point.alpha, point.inv_alpha, point.eff_standard, point.eff_proposed)
-                rows.append((n, z, q, *astuple(bound_counts(query)), values))
+    rows = [
+        bound_point(n, z, q, normalization)
+        for n in sorted(set(n_values))
+        for z in sorted(set(z_values))
+        for q in range(1, n + 1)
+    ]
     rows.sort(key=lambda row: row[6][eff_at], reverse=True)
     rows.sort(key=lambda row: row[6][1])
     envelope = []
@@ -139,70 +139,65 @@ def scan_golden_distance(poly, point, domain):
 
 
 class TestCounts:
+    # a row is (n, z, q, states, lin, sq, values)
     def test_spot_values(self):
-        assert bound_counts(BoundQuery(2, 1, 1)).state_count == 5
-        assert bound_counts(BoundQuery(2, 1, 2)).state_count == 9
-        assert bound_counts(BoundQuery(2, 2, 1)).state_count == 21
-        assert bound_counts(BoundQuery(2, 1, 1)).change_sum_linear == 4
-        assert bound_counts(BoundQuery(2, 1, 2)).change_sum_linear == 12
-        assert bound_counts(BoundQuery(3, 1, 0)).change_sum_linear == 0
-        assert bound_counts(BoundQuery(2, 1, 2)).change_sum_squared == 12
-        assert bound_counts(BoundQuery(2, 2, 1)).change_sum_squared == 68
-        assert bound_counts(BoundQuery(1, 2, 1)).change_sum_squared == 10
+        assert bound_point(2, 1, 1)[3] == 5
+        assert bound_point(2, 1, 2)[3] == 9
+        assert bound_point(2, 2, 1)[3] == 21
+        assert bound_point(2, 1, 1)[4] == 4
+        assert bound_point(2, 1, 2)[4] == 12
+        assert bound_point(3, 1, 0)[4] == 0
+        assert bound_point(2, 1, 2)[5] == 12
+        assert bound_point(2, 2, 1)[5] == 68
+        assert bound_point(1, 2, 1)[5] == 10
 
     def test_boundary_identities(self):
         for n in range(1, 9):
             for z in range(1, 4):
-                assert bound_counts(BoundQuery(n, z, n)).state_count == (2 * z + 1) ** n
-                assert bound_counts(BoundQuery(n, z, 0)).state_count == (2 * z - 1) ** n
-            assert bound_counts(BoundQuery(n, 1, 1)).state_count == 2 * n + 1
+                assert bound_point(n, z, n)[3] == (2 * z + 1) ** n
+                assert bound_point(n, z, 0)[3] == (2 * z - 1) ** n
+            assert bound_point(n, 1, 1)[3] == 2 * n + 1
 
     def test_monotonicity(self):
         for n in range(1, 7):
             for z in range(1, 4):
-                counts = [
-                    bound_counts(BoundQuery(n, z, q)).state_count for q in range(n + 1)
-                ]
-                assert counts == sorted(counts)
-                assert all(a < b for a, b in zip(counts, counts[1:]))
+                states = [bound_point(n, z, q)[3] for q in range(n + 1)]
+                assert states == sorted(states)
+                assert all(a < b for a, b in zip(states, states[1:]))
         for n in range(1, 7):
             for q in range(1, n + 1):
-                by_z = [
-                    bound_counts(BoundQuery(n, z, q)).state_count for z in range(1, 5)
-                ]
+                by_z = [bound_point(n, z, q)[3] for z in range(1, 5)]
                 assert all(a < b for a, b in zip(by_z, by_z[1:]))
 
     def test_unit_cap_sums_coincide(self):
         for n in range(1, 7):
             for q in range(n + 1):
-                counts = bound_counts(BoundQuery(n, 1, q))
-                assert counts.change_sum_linear == counts.change_sum_squared
+                _, lin, sq = counts(n, 1, q)
+                assert lin == sq
 
     def test_matches_enumeration_everywhere(self):
         for n in range(1, 7):
             for z in range(1, 4):
                 for q in range(n + 1):
-                    query = BoundQuery(n, z, q)
-                    assert bound_counts(query) == enumerate_oracle(query)
+                    assert counts(n, z, q) == enumerate_oracle(n, z, q)
 
     def test_matches_recursions(self):
         for n in range(1, 41):
             for z in range(1, 11):
                 for q in range(n + 1):
-                    query = BoundQuery(n, z, q)
-                    assert bound_counts(query) == recursive_counts(query), query
+                    assert counts(n, z, q) == recursive_counts(n, z, q), (n, z, q)
 
     def test_quota_counts_hold_every_smaller_quota(self):
         rows = {}
         for n, z, q, states, lin, sq, _ in sweep(range(1, 41), range(1, 11)):
             assert q == len(rows.setdefault((n, z), []))
-            rows[n, z].append(BoundResult(states, lin, sq))
+            rows[n, z].append((states, lin, sq))
         assert list(rows) == [(n, z) for n in range(1, 41) for z in range(1, 11)]
         for (n, z), got in rows.items():
-            want = [recursive_counts(BoundQuery(n, z, q)) for q in range(n + 1)]
+            want = [recursive_counts(n, z, q) for q in range(n + 1)]
             assert got == want, (n, z)
         # one running sum holds every quota's per-query count
-        assert rows[9, 3] == [bound_counts(BoundQuery(9, 3, q)) for q in range(10)]
+        assert rows[9, 3] == [counts(9, 3, q) for q in range(10)]
 
     def test_corner_sums_close_the_running_sum(self):
         for n in range(1, 13):
@@ -211,63 +206,81 @@ class TestCounts:
                 assert _corner_sums(n, z) == last, (n, z)
 
     def test_deep_quota_obeys_first_pixel_recurrence(self):
-        # beyond recursive_counts' reach (RecursionError); split on the first
-        # pixel: at +/-z (2 ways, quota q - 1 left) or inside the cap
+        # beyond recursive_counts' reach (RecursionError), and past the float
+        # edge that bound_point checks, so the exact sums come from the running
+        # sum; split on the first pixel: at +/-z (2 ways, quota q - 1 left) or
+        # inside the cap
         n, z, q = 1500, 2, 700
         inner = range(-(z - 1), z)
-        capped = bound_counts(BoundQuery(n - 1, z, q - 1))
-        free = bound_counts(BoundQuery(n - 1, z, q))
-        got = bound_counts(BoundQuery(n, z, q))
-        assert got.state_count == 2 * capped.state_count + len(inner) * free.state_count
-        assert got.change_sum_linear == (
-            2 * (capped.change_sum_linear + z * capped.state_count)
-            + len(inner) * free.change_sum_linear
-            + sum(abs(v) for v in inner) * free.state_count
+        capped_states, capped_lin, capped_sq = [*_running_sums(n - 1, z, q - 1)][-1]
+        free_states, free_lin, free_sq = [*_running_sums(n - 1, z, q)][-1]
+        states, lin, sq = [*_running_sums(n, z, q)][-1]
+        assert states == 2 * capped_states + len(inner) * free_states
+        assert lin == (
+            2 * (capped_lin + z * capped_states)
+            + len(inner) * free_lin
+            + sum(abs(v) for v in inner) * free_states
         )
-        assert got.change_sum_squared == (
-            2 * (capped.change_sum_squared + z * z * capped.state_count)
-            + len(inner) * free.change_sum_squared
-            + sum(v * v for v in inner) * free.state_count
+        assert sq == (
+            2 * (capped_sq + z * z * capped_states)
+            + len(inner) * free_sq
+            + sum(v * v for v in inner) * free_states
         )
 
     def test_arbitrary_precision(self):
-        big = bound_counts(BoundQuery(48, 3, 20)).state_count
+        big = bound_point(48, 3, 20)[3]
         assert big > 2**64
         assert isinstance(big, int)
 
     def test_invalid_query(self):
         with pytest.raises(BoundError, match=r"^bad query n=0 z=1 q=0$"):
-            BoundQuery(0, 1, 0)
+            bound_point(0, 1, 0)
         with pytest.raises(BoundError, match=r"^bad query n=2 z=0 q=1$"):
-            BoundQuery(2, 0, 1)
+            bound_point(2, 0, 1)
         with pytest.raises(BoundError, match=r"^bad query n=2 z=1 q=3$"):
-            BoundQuery(2, 1, 3)
+            bound_point(2, 1, 3)
 
     def test_oracle_guard(self):
         with pytest.raises(QueryTooLarge):
-            enumerate_oracle(BoundQuery(40, 3, 20))
+            enumerate_oracle(40, 3, 20)
 
 
 class TestBoundPoint:
     def test_literal_normalization(self):
-        point = bound_point(BoundQuery(2, 1, 2), "literal")
-        assert point.eff_standard == pytest.approx(math.log2(9) / 12)
+        values = bound_point(2, 1, 2, "literal")[6]
+        assert values[2] == pytest.approx(math.log2(9) / 12)
 
     def test_carries_its_counts(self):
-        for query in (BoundQuery(5, 3, 2), BoundQuery(30, 10, 30)):
-            assert bound_point(query).counts == bound_counts(query)
+        for n, z, q in ((5, 3, 2), (30, 10, 30)):
+            assert bound_point(n, z, q)[:6] == (n, z, q, *recursive_counts(n, z, q))
 
     def test_degenerate_query(self):
-        with pytest.raises(DegenerateQuery):
-            bound_point(BoundQuery(3, 1, 0))
+        # only the zero state: no efficiency, as in sweep's row
+        assert bound_point(3, 1, 0)[6] is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        z=st.integers(1, 12),
+        data=st.data(),
+        normalization=st.sampled_from(NORMALIZATIONS),
+    )
+    def test_is_the_sweep_row(self, n, z, data, normalization):
+        q = data.draw(st.integers(0, n), label="q")
+        assert bound_point(n, z, q, normalization) == list(sweep([n], [z], normalization))[q]
 
     @pytest.mark.parametrize("normalization", ["literal", "mean", "mean-per-pixel"])
     def test_float_overflow_names_the_query(self, normalization):
-        query = BoundQuery(400, 4, 400)
         with pytest.raises(BoundError, match="n=400 z=4"):
-            bound_point(query, normalization)
+            bound_point(400, 4, 400, normalization)
         with pytest.raises(BoundError, match="n=400 z=4"):
             frontier([400], [4], "standard", normalization)
+
+    def test_checks_only_its_own_row_against_the_float_edge(self):
+        # the q = 700 corner of (700, 1) passes the float range; q = 1 does not
+        assert all(math.isfinite(v) for v in bound_point(700, 1, 1)[6])
+        with pytest.raises(BoundError, match=r"^n=700 z=1: state counts overflow a float$"):
+            sweep([700], [1])
 
     @pytest.mark.parametrize("normalization", ["mean", "mean-per-pixel"])
     def test_standard_efficiency_finite_at_float_edge(self, normalization):
@@ -276,28 +289,28 @@ class TestBoundPoint:
         for _, _, q, states, lin, _, values in sweep([640], [1], normalization):
             if q == 0:
                 continue
-            point = bound_point(BoundQuery(640, 1, q), normalization)
-            assert point.eff_standard == values[2]
+            eff_standard = bound_point(640, 1, q, normalization)[6][2]
+            assert eff_standard == values[2]
             exact = Fraction(math.log2(states)) * states / lin
-            assert abs(Fraction(point.eff_standard) - exact) <= 2 * math.ulp(point.eff_standard)
+            assert abs(Fraction(eff_standard) - exact) <= 2 * math.ulp(eff_standard)
         envelope = frontier([640], [1], "standard", normalization)
         assert all(math.isfinite(values[2]) for *_, values in envelope)
 
     def test_inverse_payload(self):
-        point = bound_point(BoundQuery(2, 1, 1))
-        assert point.inv_alpha * point.alpha == pytest.approx(1.0, abs=1e-12)
+        alpha, inv_alpha, *_ = bound_point(2, 1, 1)[6]
+        assert inv_alpha * alpha == pytest.approx(1.0, abs=1e-12)
 
     def test_single_change_family_matches_scheme_expectation(self):
         # bits per expected unit change of the single-change scheme equals
         # the mean-normalized standard efficiency of its state family
         for n in range(2, 9):
-            point = bound_point(BoundQuery(n, 1, 1), "mean")
+            eff_standard = bound_point(n, 1, 1, "mean")[6][2]
             spec = make_scheme("emd", n=n)
             profile = theoretical_distortion(spec)
             expected = spec.payload_bits_exact / (
                 profile.expected_abs_per_pixel * n
             )
-            assert point.eff_standard == pytest.approx(expected, rel=1e-9)
+            assert eff_standard == pytest.approx(expected, rel=1e-9)
 
 
 class TestFrontier:
@@ -318,15 +331,15 @@ class TestFrontier:
         for n in range(2, 7):
             for z in range(1, 4):
                 for q in range(1, n + 1):
-                    point = bound_point(BoundQuery(n, z, q), "mean-per-pixel")
-                    # best envelope efficiency at inverse payload <= the point's
+                    _, inv_alpha, _, eff_proposed = bound_point(n, z, q, "mean-per-pixel")[6]
+                    # best envelope efficiency at inverse payload <= the row's
                     reachable = [
                         values[3]
                         for *_, values in envelope
-                        if values[1] <= point.inv_alpha + 1e-12
+                        if values[1] <= inv_alpha + 1e-12
                     ]
                     ceiling = max(reachable, default=-math.inf)
-                    assert point.eff_proposed <= ceiling + 1e-9
+                    assert eff_proposed <= ceiling + 1e-9
 
     def test_empty_range(self):
         with pytest.raises(BoundError, match=r"^need at least one n and one z$"):
@@ -343,12 +356,16 @@ class TestFrontier:
         "metric,normalization", [("rmse", "mean"), ("standard", "per-pixel")]
     )
     def test_bad_chart_args_match_bound_point(self, metric, normalization):
-        # bound_point takes no metric; its point names a bad one as frontier does
-        with pytest.raises(ValueError) as expected:
-            bound_point(BoundQuery(2, 1, 1), normalization).efficiency(metric)
+        # a bad normalization fails as in bound_point; bound_point takes no
+        # metric, so a bad one is named against METRICS
         with pytest.raises(ValueError) as got:
             frontier([2], [1], metric, normalization)
-        assert str(got.value) == str(expected.value)
+        if normalization in NORMALIZATIONS:
+            assert str(got.value) == f"metric {metric!r} not one of {METRICS}"
+        else:
+            with pytest.raises(ValueError) as expected:
+                bound_point(2, 1, 1, normalization)
+            assert str(got.value) == str(expected.value)
 
     @pytest.mark.parametrize("metric", ["standard", "proposed"])
     @pytest.mark.parametrize("normalization", ["literal", "mean", "mean-per-pixel"])
@@ -361,8 +378,8 @@ class TestFrontier:
         envelope = frontier(ns, zs, metric, normalization)
         # same rows, same order, same floats and counts
         assert envelope == per_query_frontier(ns, zs, metric, normalization)
-        for n, z, q, *counts, _ in envelope:
-            assert BoundResult(*counts) == recursive_counts(BoundQuery(n, z, q))
+        for n, z, q, *sums, _ in envelope:
+            assert tuple(sums) == recursive_counts(n, z, q)
 
     @settings(max_examples=100, deadline=None)
     @given(

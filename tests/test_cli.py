@@ -197,6 +197,17 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: 800000000000000 bits > capacity 16\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", [10_000, 30_000])
+    def test_oversize_change_budget_is_one_line(self, tmp_path, capsys, n):
+        # the guard stops counting at its limit, so a huge group is refused at once
+        out = tmp_path / "s.pgm"
+        assert run("embed", "--scheme", "gemd", "--n", n, "--synthetic", "4x4:128",
+                   "--random-bits", 1, "--out", out) == 2
+        assert capsys.readouterr() == (
+            "", "error: change budget exceeds the limit of 10000000 vectors\n"
+        )
+        assert not out.exists()
+
     def test_unknown_scheme(self, tmp_path):
         assert (
             run(
@@ -325,7 +336,6 @@ _EXIT_CODES = {
     MetricsError: 2,
     DimensionMismatch: 3,
     bound_mod.BoundError: 2,
-    bound_mod.DegenerateQuery: 2,
     BenchConfigError: 2,
     CliDataError: 3,
 }
@@ -626,10 +636,10 @@ class TestBoundCommand:
             lambda n, z, q: sums.append((n, z, q)) or running_sums(n, z, q),
         )
 
-        def no_bound_counts(query):
-            raise AssertionError(f"bound_counts({query}) recounted a swept query")
+        def no_bound_point(*query):
+            raise AssertionError(f"bound_point{query} recounted a swept query")
 
-        monkeypatch.setattr(bound_mod, "bound_counts", no_bound_counts)
+        monkeypatch.setattr(bound_mod, "bound_point", no_bound_point)
         out = tmp_path / "bound.csv"
         # both modes: one running sum over every quota per (n, z), in order
         every_n_z = [(n, z, n) for n in range(1, 4) for z in range(1, 3)]
@@ -642,20 +652,17 @@ class TestBoundCommand:
     @pytest.mark.parametrize("metric", ["standard", "proposed"])
     @pytest.mark.parametrize("normalization", ["literal", "mean", "mean-per-pixel"])
     def test_table_matches_per_query_rows(self, tmp_path, metric, normalization):
-        # reference rows from one bound_point / bound_counts call per query
+        # reference rows from one bound_point call per query
         lines = ["n,z,q,f_M,f_rho_lin,f_rho_sq,alpha,inv_alpha,eff,metric,normalization"]
         for n in range(1, 13):
             for z in range(1, 7):
                 for q in range(n + 1):
-                    query = bound_mod.BoundQuery(n, z, q)
-                    counts = bound_mod.bound_counts(query)
-                    try:
-                        point = bound_mod.bound_point(query, normalization)
-                        floats = (point.alpha, point.inv_alpha, point.efficiency(metric))
-                    except bound_mod.DegenerateQuery:
-                        floats = (None, None, None)
-                    cells = (n, z, q, counts.state_count, counts.change_sum_linear,
-                             counts.change_sum_squared, *floats, metric, normalization)
+                    *row, values = bound_mod.bound_point(n, z, q, normalization)
+                    floats = (None, None, None)
+                    if values is not None:  # the degenerate query has none
+                        eff = values[3 if metric == "proposed" else 2]
+                        floats = (values[0], values[1], eff)
+                    cells = (*row, *floats, metric, normalization)
                     lines.append(",".join(_fmt(cell) for cell in cells))
         out = tmp_path / "bound.csv"
         assert run("bound", "--max-n", 12, "--max-z", 6, "--metric", metric,

@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import tracemalloc
+import zlib
 from dataclasses import replace
 from functools import partial
 from unittest import mock
@@ -542,16 +544,34 @@ class TestTableSearch:
         monkeypatch.setattr(schemes, "_search_column", _no_search)
         # 3**16 vectors
         with pytest.raises(
-            SchemeError,
-            match=r"^change budget of 43046721 vectors exceeds the limit of 10000000$",
+            SchemeError, match=r"^change budget exceeds the limit of 10000000 vectors$"
         ):
             make_scheme("gemd", n=16)
         # the guard also wins over the pigeonhole exit
         with pytest.raises(
-            SchemeError,
-            match=r"^change budget of 43046721 vectors exceeds the limit of 10000000$",
+            SchemeError, match=r"^change budget exceeds the limit of 10000000 vectors$"
         ):
             schemes._optimal_delta_table(16, (1,) * 16, 2**40, ChangeConstraint(1))
+        # the count stops at the limit: in full it has over 4300 digits and
+        # takes seconds to sum
+        with pytest.raises(
+            SchemeError, match=r"^change budget exceeds the limit of 10000000 vectors$"
+        ):
+            make_scheme("gemd", n=10_000)
+
+    @pytest.mark.parametrize(
+        "name,params", [("aemd", {"n": 5000, "m": 4}), ("mbe", {"n": 1000, "k": 100})]
+    )
+    def test_guard_runs_before_the_weights_exist(self, name, params):
+        # the weights alone take megabytes; the refusal allocates almost nothing
+        tracemalloc.start()
+        try:
+            with pytest.raises(SchemeError, match=r"^change budget exceeds the limit"):
+                make_scheme(name, **params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_radius_is_keyword_only(self):
         # an old positional ChangeConstraint(z, k) must not read k as a radius
@@ -675,7 +695,7 @@ class TestRoundTrip:
     def test_embed_then_extract_per_group(self, name, params):
         spec = make_scheme(name, **params)
         z = spec.constraint.per_pixel_max
-        rng = np.random.default_rng(hash(name) & 0xFFFF)
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
         for _ in range(200):
             group = tuple(int(v) for v in rng.integers(z, 256 - z, spec.n))
             symbol = int(rng.integers(0, spec.modulus))
