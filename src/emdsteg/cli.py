@@ -1,8 +1,8 @@
 """Command-line harness.
 
 Subcommands: embed, extract, analyze, bound, bench, fit, distance.
-Exit codes: 0 on success, 2 for usage/config/capacity problems, 3 for I/O
-and malformed-data problems.
+Exit codes: 0 on success, 2 for usage/config/capacity problems, 3 for
+files that cannot be read or written and for malformed data.
 """
 
 from __future__ import annotations
@@ -15,25 +15,24 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import bound as bound_mod
 from . import metrics
 from .bench import BenchConfig, BenchConfigError, run_bench
 from .image import GrayImage, PgmError, load_pgm, save_pgm
 from .metrics import DimensionMismatch
 from .rng import seeded_bytes
-from .schemes import SchemeSpec, _check_capacity, embed_bytes, extract_bytes, make_scheme
+from .schemes import _PARAMETERS, SchemeSpec, _check_capacity, embed_bytes, extract_bytes, make_scheme
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 
-_PARAM_FLAGS = ("n", "t", "k", "w", "m", "key", "n1", "wbase")
+# every scheme parameter, in the order the schemes first take it
+_PARAM_FLAGS = tuple(dict.fromkeys(p for names in _PARAMETERS.values() for p in names))
 
 
 class CliDataError(Exception):
-    """I/O or malformed input; maps to exit code 3."""
+    """Malformed input; maps to exit code 3."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,13 +76,6 @@ def _parse_synthetic(token: str) -> tuple[int, int, int]:
     return tuple(int(g) for g in match.groups())
 
 
-def _read(path: str) -> bytes:
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise CliDataError(f"cannot read {path}: {exc}") from None
-
-
 def _read_text(path: str, error: type[Exception] = CliDataError) -> str:
     """The file as text in the locale's encoding, with universal newlines.
 
@@ -91,15 +83,13 @@ def _read_text(path: str, error: type[Exception] = CliDataError) -> str:
     """
     try:
         return Path(path).read_text()
-    except OSError as exc:
-        raise CliDataError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise error(f"{path}: undecodable text: {exc}") from None
 
 
 def _read_image(path: str) -> GrayImage:
     try:
-        return load_pgm(_read(path))
+        return load_pgm(Path(path).read_bytes())
     except PgmError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
@@ -112,19 +102,12 @@ def _message(
     Random bits are drawn only once their count fits the capacity.
     """
     if args.message is not None:
-        data = _read(args.message)
+        data = Path(args.message).read_bytes()
         return data, 8 * len(data), None
     seed = 0 if args.seed is None else args.seed
     _check_capacity(cover, spec, args.random_bits)
     data = seeded_bytes(seed, -(-args.random_bits // 8))
     return data, args.random_bits, seed
-
-
-def _write_bytes(path: str, data: bytes | np.ndarray) -> None:
-    try:
-        Path(path).write_bytes(data)
-    except OSError as exc:
-        raise CliDataError(f"cannot write {path}: {exc}") from None
 
 
 def _cmd_embed(args: argparse.Namespace) -> int:
@@ -149,14 +132,14 @@ def _cmd_embed(args: argparse.Namespace) -> int:
         cover = _read_image(args.cover)
     data, bit_length, seed = _message(args, cover, spec)
     stego, _ = embed_bytes(cover, spec, data, bit_length)
-    _write_bytes(args.out, save_pgm(stego))
+    Path(args.out).write_bytes(save_pgm(stego))
     sidecar = {
         "scheme": spec.id,
         "params": dict(sorted(spec.params.items())),
         "bit_length": bit_length,
         "seed": seed,
     }
-    _write_bytes(args.out + ".json", (json.dumps(sidecar, indent=2) + "\n").encode())
+    Path(args.out + ".json").write_bytes((json.dumps(sidecar, indent=2) + "\n").encode())
     return EXIT_OK
 
 
@@ -171,7 +154,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     except ValueError as exc:
         # the bit count fits, so the image holds a group that decodes to no symbol
         raise CliDataError(f"{args.stego}: {exc}") from None
-    _write_bytes(args.out, data)
+    Path(args.out).write_bytes(data)
     return EXIT_OK
 
 
@@ -215,17 +198,14 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         rows = bound_mod.sweep(ns, zs, args.normalization)
     eff_at = bound_mod.EFFICIENCY_SLOT[args.metric]
     tail = f",{args.metric},{args.normalization}\n"
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("n,z,q,f_M,f_rho_lin,f_rho_sq,alpha,inv_alpha,eff,metric,normalization\n")
-            for n, z, q, states, lin, sq, values in rows:
-                # a degenerate query (no values) leaves its three float cells empty
-                floats = ",,"
-                if values is not None:
-                    floats = f"{values[0]:.10g},{values[1]:.10g},{values[eff_at]:.10g}"
-                fh.write(f"{n},{z},{q},{states},{lin},{sq},{floats}{tail}")
-    except OSError as exc:
-        raise CliDataError(f"cannot write {args.out}: {exc}") from None
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        fh.write("n,z,q,f_M,f_rho_lin,f_rho_sq,alpha,inv_alpha,eff,metric,normalization\n")
+        for n, z, q, states, lin, sq, values in rows:
+            # a degenerate query (no values) leaves its three float cells empty
+            floats = ",,"
+            if values is not None:
+                floats = f"{values[0]:.10g},{values[1]:.10g},{values[eff_at]:.10g}"
+            fh.write(f"{n},{z},{q},{states},{lin},{sq},{floats}{tail}")
     return EXIT_OK
 
 
@@ -234,11 +214,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         cfg = BenchConfig.from_json(_read_text(args.config, BenchConfigError))
     else:
         cfg = BenchConfig()
-    try:
-        paths = run_bench(cfg, args.out_dir)
-    except OSError as exc:
-        # the cover was read by then, so this is the output directory or a CSV
-        raise CliDataError(f"cannot write to {args.out_dir}: {exc}") from None
+    paths = run_bench(cfg, args.out_dir)
     for name in sorted(paths):
         print(f"{name}: {paths[name]}")
     return EXIT_OK
@@ -386,7 +362,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (PgmError, DimensionMismatch, CliDataError) as exc:
+    except (PgmError, DimensionMismatch, CliDataError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:
+            # a file that cannot be read or written: name it once
+            exc = f"{exc.filename}: {exc.strerror}"
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

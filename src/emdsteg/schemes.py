@@ -17,8 +17,9 @@ once at construction, so embedding never fails at run time.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -33,9 +34,11 @@ from .image import (
     symbols_to_bytes,
 )
 
-# Guard on the change budget, compared with _search_size. The table search
-# is exact at any size, but the guard fixes which budgets build at all.
+# Guards on the change budget, compared with _search_size, and on the
+# table's n * M entries, which the search keeps as its column choices. The
+# table search is exact at any size, but the guards fix which schemes build.
 _MAX_SEARCH_STATES = 10_000_000
+_MAX_TABLE_ENTRIES = 100_000_000
 # Candidates per scatter of the table search; bounds its working memory.
 _SEARCH_CHUNK = 2**16
 # Rows per slice when a table is converted to tuples.
@@ -173,12 +176,11 @@ def _search_size(n: int, constraint: ChangeConstraint) -> int:
     return size
 
 
-def _check_search_size(n: int, constraint: ChangeConstraint) -> int:
-    """_search_size of an n-pixel budget; raises SchemeError past _MAX_SEARCH_STATES."""
-    size = _search_size(n, constraint)
-    if size > _MAX_SEARCH_STATES:
+def _check_search_size(n: int, constraint: ChangeConstraint) -> ChangeConstraint:
+    """constraint itself; raises SchemeError when its n-pixel _search_size passes _MAX_SEARCH_STATES."""
+    if _search_size(n, constraint) > _MAX_SEARCH_STATES:
         raise SchemeError(f"change budget exceeds the limit of {_MAX_SEARCH_STATES} vectors")
-    return size
+    return constraint
 
 
 def _ranks(z: int, n: int, l1_first: bool) -> tuple[np.ndarray, int]:
@@ -247,7 +249,9 @@ def _optimal_delta_table(
     budget, or None when some residue is unreachable. Vectors rank by
     squared then absolute change, or by absolute then squared change when
     the budget has an L1 radius, and then by lexicographic order, which
-    makes the table deterministic. The search covers _search_box and drops
+    makes the table deterministic. Raises SchemeError when the budget passes
+    _MAX_SEARCH_STATES vectors or, past the pigeonhole exit, the table
+    passes _MAX_TABLE_ENTRIES entries. The search covers _search_box and drops
     ranks at the top of _ranks, which no vector of the budget reaches; the
     radius is checked on the finished table: a residue's L1-first optimum
     lies within it if any vector does.
@@ -273,9 +277,13 @@ def _optimal_delta_table(
     - states: M * 8 (intp), plus one intp temporary for the step and one for
       its reduction.
     """
-    size = _check_search_size(n, constraint)
-    if modulus > size:
+    _check_search_size(n, constraint)
+    if modulus > _search_size(n, constraint):
         return None  # pigeonhole: fewer change vectors than residues
+    if n * modulus > _MAX_TABLE_ENTRIES:
+        raise SchemeError(
+            f"table of {n} x {modulus} entries exceeds the limit of {_MAX_TABLE_ENTRIES}"
+        )
     radius = constraint.l1_radius
     z, k = _search_box(n, constraint)
     values = np.arange(-z, z + 1)
@@ -440,29 +448,25 @@ def _finalize(
 ) -> SchemeSpec:
     """Build a spec; a plain one gets its solver table, and embeds with it
     unless embed_array is given."""
-    if modulus < 2:
-        raise SchemeError(f"{id}: modulus {modulus} < 2")
-    if any(b < 1 for b in base):
-        raise SchemeError(f"{id}: base vector must hold positive weights")
-    spec = SchemeSpec(
+    base = tuple(base)
+    table = None
+    if not sub_specs:
+        table = _optimal_delta_table(len(base), base, modulus, constraint)
+        if table is None:
+            raise SchemeError(
+                f"{id}: some residue mod {modulus} is unreachable within the budget"
+            )
+    return SchemeSpec(
         id=id,
-        base=tuple(base),
+        base=base,
         modulus=modulus,
         constraint=constraint,
         key=key,
-        params=dict(params),
+        params=params,
+        solver_array=table,
+        embed_array=table if embed_array is None else embed_array,
         sub_specs=sub_specs,
     )
-    if sub_specs:
-        return spec
-    table = _optimal_delta_table(spec.n, spec.base, modulus, constraint)
-    if table is None:
-        raise SchemeError(
-            f"{id}: some residue mod {modulus} is unreachable within the budget"
-        )
-    if embed_array is None:
-        embed_array = table
-    return replace(spec, solver_array=table, embed_array=embed_array)
 
 
 def _require_int(name: str, value, minimum: int | None = None) -> int:
@@ -476,8 +480,7 @@ def _require_int(name: str, value, minimum: int | None = None) -> int:
 def _make_emd(n: int) -> SchemeSpec:
     """Weights 1..n mod 2n+1; one pixel moves by one unit at most."""
     n = _require_int("n", n, 2)
-    constraint = ChangeConstraint(1, l1_radius=1)
-    _check_search_size(n, constraint)
+    constraint = _check_search_size(n, ChangeConstraint(1, l1_radius=1))
     return _finalize(
         id="emd",
         base=range(1, n + 1),
@@ -556,8 +559,7 @@ def _make_mpemd(n: int, key: int = 0) -> SchemeSpec:
     key = _require_int("key", key, 0)
     if key >= 2 * n:
         raise SchemeError(f"key={key} outside [0, {2 * n})")
-    constraint = ChangeConstraint(1, l1_radius=1)
-    _check_search_size(n, constraint)
+    constraint = _check_search_size(n, ChangeConstraint(1, l1_radius=1))
     return _finalize(
         id="mpemd",
         base=range(1, n + 1),
@@ -577,8 +579,7 @@ def _emd2_weights(n: int) -> tuple[int, ...]:
 def _make_emd2(n: int) -> SchemeSpec:
     """Graded weights mod 2w+1 with w = 4 (pairs) or 8+5(n-3); two changes max."""
     n = _require_int("n", n, 2)
-    constraint = ChangeConstraint(1, l1_radius=2)
-    _check_search_size(n, constraint)
+    constraint = _check_search_size(n, ChangeConstraint(1, l1_radius=2))
     w = 4 if n == 2 else 8 + 5 * (n - 3)
     return _finalize(
         id="emd2",
@@ -606,9 +607,9 @@ def _make_twoemd(n: int) -> SchemeSpec:
 
 def _make_gemd(n: int) -> SchemeSpec:
     """Weights 2^i - 1 mod 2^(n+1); every pixel may move by one unit."""
-    n = _require_int("n", n, 1)
-    constraint = ChangeConstraint(1)
-    _check_search_size(n, constraint)
+    # n = 1 has 3 change vectors for 4 residues
+    n = _require_int("n", n, 2)
+    constraint = _check_search_size(n, ChangeConstraint(1))
     return _finalize(
         id="gemd",
         base=tuple((1 << i) - 1 for i in range(1, n + 1)),
@@ -619,13 +620,14 @@ def _make_gemd(n: int) -> SchemeSpec:
 
 
 def _make_egemd(n: int, n1: int | None = None) -> SchemeSpec:
-    """GEMD on two subgroups carrying n+2 bits; split defaults to floor(n/2)."""
-    n = _require_int("n", n, 2)
+    """GEMD on two subgroups carrying n+2 bits; split defaults to floor(n/2).
+    Each subgroup is a GEMD group of at least two pixels."""
+    n = _require_int("n", n, 4)
     if n1 is None:
         n1 = n // 2
     n1 = _require_int("n1", n1)
-    if not 1 <= n1 < n:
-        raise SchemeError(f"n1={n1} outside [1, {n - 1}]")
+    if not 2 <= n1 <= n - 2:
+        raise SchemeError(f"n1={n1} outside [2, {n - 2}]")
     low = _make_gemd(n1)
     high = _make_gemd(n - n1)
     return _finalize(
@@ -649,8 +651,7 @@ def _make_mbe(n: int, k: int) -> SchemeSpec:
     """Chained weights b_i = 2^k b_(i-1) + 1 mod 2^(nk+1); changes up to 2^k - 1."""
     n = _require_int("n", n, 2)
     k = _require_int("k", k, 1)
-    constraint = ChangeConstraint((1 << k) - 1)
-    _check_search_size(n, constraint)
+    constraint = _check_search_size(n, ChangeConstraint((1 << k) - 1))
     return _finalize(
         id="mbe",
         base=_mbe_weights(n, k),
@@ -669,8 +670,7 @@ def _msd_modulus(n: int) -> int:
 def _make_msd(n: int) -> SchemeSpec:
     """Binary weights 2^(i-1) mod t_n, unit changes on any pixel."""
     n = _require_int("n", n, 1)
-    constraint = ChangeConstraint(1)
-    _check_search_size(n, constraint)
+    constraint = _check_search_size(n, ChangeConstraint(1))
     return _finalize(
         id="msd",
         base=tuple(1 << i for i in range(n)),
@@ -693,8 +693,7 @@ def _make_hemd(n: int, w: int, wbase: int = 0) -> SchemeSpec:
         raise SchemeError(f"w={w} must be odd")
     if wbase not in (0, 1):
         raise SchemeError("wbase must be 0 or 1")
-    constraint = ChangeConstraint((w - 1) // 2)
-    _check_search_size(n, constraint)
+    constraint = _check_search_size(n, ChangeConstraint((w - 1) // 2))
     root = w if wbase else n
     return _finalize(
         id="hemd",
@@ -709,8 +708,7 @@ def _make_aemd(n: int, m: int) -> SchemeSpec:
     """Positional base-m weights mod m^n; changes up to ceil((m-1)/2)."""
     n = _require_int("n", n, 1)
     m = _require_int("m", m, 2)
-    constraint = ChangeConstraint(m // 2)
-    _check_search_size(n, constraint)
+    constraint = _check_search_size(n, ChangeConstraint(m // 2))
     return _finalize(
         id="aemd",
         base=tuple(m**i for i in range(n)),
@@ -739,22 +737,31 @@ _BUILDERS = {
 
 SCHEME_NAMES = tuple(sorted(_BUILDERS))
 
+# each builder's parameters by name, read once: make_scheme checks a call's
+# names against them instead of binding the call
+_PARAMETERS = {name: inspect.signature(builder).parameters for name, builder in _BUILDERS.items()}
+
 
 def make_scheme(name: str, **params) -> SchemeSpec:
     """Build a SchemeSpec from a scheme token and its integer parameters.
 
-    Raises SchemeError for a bad token, for bad or missing parameters, and
+    Raises SchemeError for a bad token, for an unknown, missing or bad
+    parameter, when the change budget or the table passes its guard, and
     when the change budget cannot reach every residue.
     """
-    builder = _BUILDERS.get(name.strip().lower())
-    if builder is None:
+    token = name.strip().lower()
+    if token not in _BUILDERS:
         raise SchemeError(
             f"unknown scheme {name!r}; known: {', '.join(SCHEME_NAMES)}"
         )
-    try:
-        return builder(**params)
-    except TypeError as exc:
-        raise SchemeError(f"{name}: {exc}") from None
+    known = _PARAMETERS[token]
+    for param in params:
+        if param not in known:
+            raise SchemeError(f"{token}: unknown parameter {param!r}")
+    for param in known.values():
+        if param.default is param.empty and param.name not in params:
+            raise SchemeError(f"{token}: missing parameter {param.name!r}")
+    return _BUILDERS[token](**params)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from emdsteg.bench import BenchConfig, BenchConfigError, build_cover, run_bench
+from emdsteg.bench import BenchConfig, BenchConfigError, _fmt, build_cover, run_bench
 from emdsteg.cli import main
 from emdsteg.image import GrayImage, PgmError, save_pgm
 
@@ -120,11 +120,25 @@ DEFAULT_CSV_SHA256 = {
 }
 
 
+def test_infinite_cell_reads_inf():
+    assert _fmt(float("inf")) == "inf"
+
+
 class TestDeterminism:
     def test_default_config_csv_digests(self, tmp_path):
         paths = run_bench(BenchConfig(), tmp_path)
         digests = {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in paths.items()}
         assert digests == DEFAULT_CSV_SHA256
+
+    def test_cli_without_config_runs_the_default(self, tmp_path, capsys):
+        assert main(["bench", "--out-dir", str(tmp_path)]) == 0
+        names = sorted(DEFAULT_CSV_SHA256)
+        assert capsys.readouterr() == (
+            "".join(f"{name}: {tmp_path / name}.csv\n" for name in names), ""
+        )
+        for name in names:
+            digest = hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest()
+            assert digest == DEFAULT_CSV_SHA256[name]
 
     def test_byte_identical_runs(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

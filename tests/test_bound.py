@@ -546,6 +546,12 @@ class TestDistance:
         with pytest.raises(BoundError, match=rf"^domain \[{lo}, {hi}\] is empty$"):
             distance_to_curve(REFERENCE_BOUND_POLY, (1.0, 1.0), mode, domain)
 
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(
+            ValueError, match=r"^mode 'bogus' not one of \('euclidean', 'vertical'\)$"
+        ):
+            distance_to_curve(REFERENCE_BOUND_POLY, (1.0, 1.0), "bogus")
+
     @pytest.mark.parametrize("mode", ["vertical", "euclidean"])
     def test_rejects_overflowing_distance(self, mode):
         # the true distance is about 1e200, but its square overflows

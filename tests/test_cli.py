@@ -208,6 +208,18 @@ class TestExitCodes:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("scheme", ["emd", "mpemd"])
+    def test_oversize_table_is_one_line(self, tmp_path, capsys, scheme):
+        # 200 001 change vectors pass the budget guard; the n x M table does not
+        out = tmp_path / "s.pgm"
+        assert run("embed", "--scheme", scheme, "--n", 100_000, "--synthetic", "4x4:128",
+                   "--random-bits", 1, "--out", out) == 2
+        modulus = {"emd": 200_001, "mpemd": 200_000}[scheme]
+        assert capsys.readouterr() == (
+            "", f"error: table of 100000 x {modulus} entries exceeds the limit of 100000000\n"
+        )
+        assert not out.exists()
+
     def test_unknown_scheme(self, tmp_path):
         assert (
             run(
@@ -250,10 +262,12 @@ class TestExitCodes:
     def test_unwritable_bench_out_dir_is_data_error(self, tmp_path, target, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
-        out_dir = {
-            "existing-file": blocker,
-            "under-a-file": blocker / "out",
-            "csv-is-a-directory": tmp_path / "out",
+        # the output directory, and the path and reason the error names
+        out_dir, named, reason = {
+            "existing-file": (blocker, blocker, "File exists"),
+            "under-a-file": (blocker / "out", blocker / "out", "Not a directory"),
+            "csv-is-a-directory": (tmp_path / "out", tmp_path / "out" / "table3.csv",
+                                   "Is a directory"),
         }[target]
         if target == "csv-is-a-directory":
             (out_dir / "table3.csv").mkdir(parents=True)
@@ -261,10 +275,7 @@ class TestExitCodes:
         cover = {"kind": "flat", "width": 16, "height": 16, "value": 128}
         config.write_text(json.dumps({"cover": cover}))
         assert run("bench", "--config", config, "--out-dir", out_dir) == 3
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert out.err.startswith(f"error: cannot write to {out_dir}: ")
-        assert out.err.count("\n") == 1
+        assert capsys.readouterr() == ("", f"error: {named}: {reason}\n")
 
     def test_undecodable_bench_config_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
@@ -355,7 +366,8 @@ class TestErrorClasses:
         assert defined == set(_EXIT_CODES)
 
     @pytest.mark.parametrize(
-        "error,code", [*_EXIT_CODES.items(), (ValueError, 2)],
+        # an OSError that names no file prints as it is
+        "error,code", [*_EXIT_CODES.items(), (ValueError, 2), (OSError, 3)],
         ids=lambda value: getattr(value, "__name__", str(value)),
     )
     def test_exit_code_map(self, monkeypatch, capsys, error, code):
@@ -423,10 +435,17 @@ class TestErrorClasses:
             (["embed", "--scheme", "emd", "--n", 2, "--synthetic", "4x4:50",
               "--message", "@image", "--seed", 9],
              "give --seed only with --random-bits"),
+            (["embed", "--scheme", "emd", "--n", 2, "--synthetic", "8x8",
+              "--message", "@image"],
+             "--synthetic wants WxH:V, got '8x8'"),
+            (["embed", "--scheme", "emd", "--n", 2, "--t", 3, "--cover", "@image",
+              "--random-bits", 4],
+             "emd: unknown parameter 't'"),
         ],
         ids=["extract-negative-bits", "embed-negative-random-bits", "embed-no-message",
              "embed-message-and-random-bits", "embed-cover-and-synthetic",
-             "embed-message-and-seed"],
+             "embed-message-and-seed", "embed-synthetic-without-value",
+             "embed-unknown-parameter"],
     )
     @pytest.mark.parametrize("present", [False, True], ids=["missing", "present"])
     def test_usage_error_before_reading(self, tmp_path, capsys, argv, message, present):
@@ -458,21 +477,26 @@ class TestErrorClasses:
             ["bench", "--config", "@absent", "--out-dir", "@out"],
             ["distance", "--poly", "@absent", "--x", 1, "--y", 1],
             ["fit", "--points", "@absent"],
+            # outputs into a directory that does not exist
+            ["embed", "--scheme", "emd", "--n", 2, "--synthetic", "4x4:50",
+             "--random-bits", 4, "--out", "@absent/o"],
+            ["extract", "--scheme", "emd", "--n", 2, "--stego", "@image",
+             "--bits", 4, "--out", "@absent/o"],
+            ["bound", "--max-n", 2, "--max-z", 2, "--out", "@absent/o"],
         ],
         ids=["embed-cover", "embed-message", "extract-stego", "analyze-cover",
-             "analyze-bound-poly", "bench-config", "distance-poly", "fit-points"],
+             "analyze-bound-poly", "bench-config", "distance-poly", "fit-points",
+             "embed-out", "extract-out", "bound-out"],
     )
     def test_unreadable_input_is_data_error(self, tmp_path, capsys, argv):
         image = tmp_path / "c.pgm"
         image.write_bytes(save_pgm(GrayImage.flat(4, 4, 50)))
         absent, out = tmp_path / "absent", tmp_path / "o"
-        places = {"@absent": absent, "@image": image, "@out": out}
+        places = {"@absent": absent, "@absent/o": absent / "o", "@image": image, "@out": out}
+        named = places["@absent/o" if "@absent/o" in argv else "@absent"]
         assert run(*(places.get(token, token) for token in argv)) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: cannot read {absent}: ")
-        assert captured.err.count("\n") == 1
-        assert not out.exists()
+        assert capsys.readouterr() == ("", f"error: {named}: No such file or directory\n")
+        assert not out.exists() and not absent.exists()
 
     @pytest.mark.parametrize(
         "bits,code,message",
@@ -512,10 +536,7 @@ class TestAnalyze:
         poly = tmp_path / "missing.json"
         assert run("analyze", "--scheme", "emd", "--n", 2, "--cover", path,
                    "--stego", path, "--bound-poly", poly) == 3
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert out.err.startswith(f"error: cannot read {poly}: ")
-        assert out.err.count("\n") == 1
+        assert capsys.readouterr() == ("", f"error: {poly}: No such file or directory\n")
 
     def test_distance_for_on_curve_point(self, tmp_path, capsys):
         # a stego pair whose proposed efficiency is irrelevant; checks the
@@ -795,6 +816,21 @@ class TestFitDistance:
             out = capsys.readouterr()
             assert out.out == ""
             assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"c3": "x", "c2": 0.0, "c1": 0.0, "c0": 0.0}',
+             "bad polynomial record: could not convert string to float: 'x'"),
+            ("c3 = 1", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ],
+        ids=["non-numeric-coefficient", "not-json"],
+    )
+    def test_poly_rejects_bad_record(self, tmp_path, capsys, text, message):
+        poly = tmp_path / "poly.json"
+        poly.write_text(text)
+        assert run("distance", "--poly", poly, "--x", 1, "--y", 1) == 3
+        assert capsys.readouterr() == ("", f"error: {poly}: {message}\n")
 
     @pytest.mark.parametrize("row", ["0.5,nan", "inf,1", "1,-inf"])
     def test_fit_rejects_non_finite_points(self, tmp_path, row, capsys):

@@ -13,6 +13,7 @@ from emdsteg.image import (
     clamp_for_scheme,
     load_pgm,
     save_pgm,
+    symbol_bit_width,
     symbols_to_bits,
     symbols_to_bytes,
 )
@@ -39,6 +40,10 @@ class TestPgm:
     def test_missing_dimensions_rejected(self):
         with pytest.raises(PgmError, match=r"^missing or non-numeric height$"):
             load_pgm(b"P5\n255\n")
+
+    def test_zero_dimension_rejected(self):
+        with pytest.raises(PgmError, match=r"^zero image dimension$"):
+            load_pgm(b"P5 0 5 255\n")
 
     def test_header_is_canonical(self):
         data = save_pgm(GrayImage(1, 1, [128]))
@@ -113,6 +118,10 @@ class TestGrayImage:
         img = GrayImage.flat(2, 2, 10)
         with pytest.raises(ValueError):
             img.pixels[0] = 5
+
+    def test_rejects_empty_dimensions(self):
+        with pytest.raises(ValueError, match=r"^bad dimensions 0x5$"):
+            GrayImage(0, 5, [])
 
     @pytest.mark.parametrize("args", [(0, 4, 5), (4, -1, 5), (2, 2, 256), (2, 2, -1)])
     def test_flat_checks_size_and_value(self, args):
@@ -285,6 +294,14 @@ class TestByteCodec:
     def test_zero_length(self):
         assert bytes_to_symbols(b"", 5, 0).tolist() == []
         assert symbols_to_bytes([], 5, 0).tolist() == []
+
+    def test_unpack_rejects_negative_length(self):
+        with pytest.raises(ValueError, match=r"^bit_length must be >= 0$"):
+            symbols_to_bytes([], 5, -1)
+
+    def test_modulus_below_two_carries_no_bits(self):
+        with pytest.raises(ValueError, match=r"^modulus must be >= 2$"):
+            symbol_bit_width(1)
 
     @given(st.integers(1, 63), st.data())
     @settings(max_examples=200)

@@ -39,6 +39,8 @@ def test_repeatable():
 def test_negative_count_rejected():
     with pytest.raises(ValueError):
         seeded_bits(0, -1)
+    with pytest.raises(ValueError, match=r"^count must be >= 0$"):
+        seeded_bytes(0, -1)
 
 
 # The per-word, per-bit implementations the vectorized stream replaced.

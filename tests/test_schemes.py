@@ -267,10 +267,40 @@ class TestMakeScheme:
             make_scheme("nope")
 
     def test_missing_parameter(self):
-        with pytest.raises(
-            SchemeError, match=r"^emd: .*missing 1 required positional argument: 'n'$"
-        ):
+        with pytest.raises(SchemeError, match=r"^emd: missing parameter 'n'$"):
             make_scheme("emd")
+        with pytest.raises(SchemeError, match=r"^hemd: missing parameter 'w'$"):
+            make_scheme("hemd", n=3)
+
+    def test_builder_type_error_is_not_a_parameter_error(self, monkeypatch):
+        # a TypeError inside a builder is a bug, not a usage error
+        def broken(n):
+            raise TypeError("inside the builder")
+
+        monkeypatch.setitem(schemes._BUILDERS, "emd", broken)
+        with pytest.raises(TypeError, match=r"^inside the builder$"):
+            make_scheme("emd", n=2)
+
+    @pytest.mark.parametrize(
+        "name,params,message",
+        [
+            ("emd", {"n": 2, "t": 3}, "emd: unknown parameter 't'"),
+            ("iemd", {"n": 2}, "iemd: unknown parameter 'n'"),
+            ("emd", {"n": 2.0}, "n must be an integer, got 2.0"),
+            ("emd", {"n": 1}, "n=1 below minimum 2"),
+            ("pva", {"t": 5}, r"t=5 outside \[2, 4\]"),
+            ("hemd", {"n": 3, "w": 3, "wbase": 2}, "wbase must be 0 or 1"),
+            # gemd n=1 has 3 change vectors for 4 residues, so neither it
+            # nor an egemd part of one pixel can build
+            ("gemd", {"n": 1}, "n=1 below minimum 2"),
+            ("egemd", {"n": 3}, "n=3 below minimum 4"),
+            ("egemd", {"n": 4, "n1": 1}, r"n1=1 outside \[2, 2\]"),
+            ("egemd", {"n": 5, "n1": 4}, r"n1=4 outside \[2, 3\]"),
+        ],
+    )
+    def test_bad_parameters(self, name, params, message):
+        with pytest.raises(SchemeError, match=f"^{message}$"):
+            make_scheme(name, **params)
 
     def test_infeasible_budget_rejected(self):
         # weights 1, 3, 9 cannot reach every residue mod 5^3 with |d| <= 2
@@ -278,10 +308,6 @@ class TestMakeScheme:
             SchemeError, match=r"^hemd: some residue mod 125 is unreachable within the budget$"
         ):
             make_scheme("hemd", n=3, w=5)
-        with pytest.raises(
-            SchemeError, match=r"^gemd: some residue mod 4 is unreachable within the budget$"
-        ):
-            make_scheme("egemd", n=3)
 
     def test_msd_modulus_series(self):
         assert make_scheme("msd", n=3).modulus == 11
@@ -343,7 +369,7 @@ class TestExplicitEmbedders:
         assert extraction_value(spec, out) == 0b100101
 
     def test_split_size_validated(self):
-        with pytest.raises(SchemeError, match=r"^n1=0 outside \[1, 3\]$"):
+        with pytest.raises(SchemeError, match=r"^n1=0 outside \[2, 2\]$"):
             make_scheme("egemd", n=4, n1=0)
 
 
@@ -560,7 +586,34 @@ class TestTableSearch:
             make_scheme("gemd", n=10_000)
 
     @pytest.mark.parametrize(
-        "name,params", [("aemd", {"n": 5000, "m": 4}), ("mbe", {"n": 1000, "k": 100})]
+        "name,modulus", [("emd", 200_001), ("mpemd", 200_000)]
+    )
+    def test_table_guard_rejects_before_enumerating(self, monkeypatch, name, modulus):
+        # 200 001 change vectors pass the budget guard, but the search would
+        # keep 100 000 choice arrays of M bytes
+        monkeypatch.setattr(schemes, "_search_column", _no_search)
+        with pytest.raises(
+            SchemeError,
+            match=rf"^table of 100000 x {modulus} entries exceeds the limit of 100000000$",
+        ):
+            make_scheme(name, n=100_000)
+
+    @pytest.mark.parametrize(
+        "name,params",
+        [
+            ("aemd", {"n": 5000, "m": 4}),
+            ("mbe", {"n": 1000, "k": 100}),
+            # every other builder that guards an n-pixel budget, past its guard
+            ("emd", {"n": 5_000_000}),
+            ("mpemd", {"n": 5_000_000}),
+            ("emd2", {"n": 3000}),
+            ("gemd", {"n": 10_000}),
+            ("msd", {"n": 10_000}),
+            ("hemd", {"n": 10_000, "w": 3}),
+            # the split constructions through the builders of their parts
+            ("twoemd", {"n": 5_000_000}),
+            ("egemd", {"n": 20_000}),
+        ],
     )
     def test_guard_runs_before_the_weights_exist(self, name, params):
         # the weights alone take megabytes; the refusal allocates almost nothing
@@ -624,11 +677,6 @@ class TestTableSearch:
         constraint = ChangeConstraint(1)
         assert schemes._search_size(2, constraint) == 9
         assert schemes._optimal_delta_table(2, (1, 3), 10, constraint) is None
-        # gemd n=1: three vectors, four residues
-        with pytest.raises(
-            SchemeError, match=r"^gemd: some residue mod 4 is unreachable within the budget$"
-        ):
-            make_scheme("gemd", n=1)
 
     def test_kernel_never_builds_table_views(self):
         spec = make_scheme("aemd", n=8, m=4)
