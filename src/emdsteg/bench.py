@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -150,7 +149,7 @@ def build_cover(spec: dict) -> GrayImage:
         try:
             data = Path(path).read_bytes()
         except OSError as exc:
-            raise BenchConfigError(f"cannot read cover {path}: {exc}") from None
+            raise BenchConfigError(f"{path}: {exc.strerror}") from None
         try:
             return load_pgm(data)
         except PgmError as exc:
@@ -170,8 +169,6 @@ def _fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
         return f"{value:.10g}"
     return str(value)
 

@@ -162,7 +162,7 @@ def _json_value(value):
     if value is None:
         return None
     if isinstance(value, float) and math.isinf(value):
-        return "inf"
+        return str(value)
     return value
 
 

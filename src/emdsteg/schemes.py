@@ -20,7 +20,7 @@ import functools
 import inspect
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,11 +34,9 @@ from .image import (
     symbols_to_bytes,
 )
 
-# Guards on the change budget, compared with _search_size, and on the
-# table's n * M entries, which the search keeps as its column choices. The
-# table search is exact at any size, but the guards fix which schemes build.
-_MAX_SEARCH_STATES = 10_000_000
-_MAX_TABLE_ENTRIES = 100_000_000
+# The most bytes a table search may hold, as _check_search_cost counts them.
+# The search is exact at any size, but this bound fixes which schemes build.
+_MAX_SEARCH_BYTES = 2**27
 # Candidates per scatter of the table search; bounds its working memory.
 _SEARCH_CHUNK = 2**16
 # Rows per slice when a table is converted to tuples.
@@ -159,28 +157,47 @@ def _search_box(n: int, constraint: ChangeConstraint) -> tuple[int, int]:
     return min(z, radius), min(n, radius)
 
 
-def _search_size(n: int, constraint: ChangeConstraint) -> int:
-    """Count of the change vectors in the search box, at least the budget's.
+def _rank_top(z: int, n: int) -> int:
+    """A multiple of D = 2z + 1 above the rank of every vector of at most n changes
+    in [-z, z]: D times each cost's top plus one (L1 alone for n = 1)."""
+    if n == 1:
+        return (2 * z + 1) * (z + 1)
+    return (2 * z + 1) * (n * z + 1) * (n * z * z + 1)
 
-    Summed by the count of changed pixels only until it passes
-    _MAX_SEARCH_STATES, so past the limit it is some count above it.
+
+def _check_search_cost(n: int, modulus: int, constraint: ChangeConstraint) -> int:
+    """The most bytes the table search of n columns mod modulus holds.
+
+    Raises SchemeError when they pass _MAX_SEARCH_BYTES, or when a candidate
+    rank, below 2 * _rank_top, would not fit int64. For M residues, D = 2z + 1
+    values of the search box, R-byte ranks (2 for unit changes on up to 72
+    pixels) and d-byte deltas for the box's z, t-byte for the budget's (1 for
+    z <= 127), the search and the read-back hold at most:
+    - n choice arrays of M * d, each with 320 bytes of Python objects, and the table;
+    - per state, 4 ranks (best, keys, picked, a change) and 8 of 8 bytes: the
+      reached states, the next ones and their mask, the read-back's states,
+      step, reduction, row L1, delta and its absolute value;
+    - per value, 8 of 8 bytes: values, moves, their shift, ranks, _ranks' temporaries;
+    - one candidate chunk of max(_SEARCH_CHUNK, D) intp states and ranks.
     """
     z, k = _search_box(n, constraint)
-    size = term = 1
-    for j in range(1, k + 1):
-        # comb(n, j) * (2z)^j from the term of j - 1, exactly
-        term = term * (n - j + 1) * 2 * z // j
-        size += term
-        if size > _MAX_SEARCH_STATES:
-            break
-    return size
-
-
-def _check_search_size(n: int, constraint: ChangeConstraint) -> ChangeConstraint:
-    """constraint itself; raises SchemeError when its n-pixel _search_size passes _MAX_SEARCH_STATES."""
-    if _search_size(n, constraint) > _MAX_SEARCH_STATES:
-        raise SchemeError(f"change budget exceeds the limit of {_MAX_SEARCH_STATES} vectors")
-    return constraint
+    values = 2 * z + 1
+    # _rank_top cubes z, slowly for a huge one; any z >= 2^63 passes both limits anyway
+    top = _rank_top(z, k) if z < 2**63 else 2**63
+    rank = _int_type(2 * top, np.int16).itemsize
+    delta = np.dtype(_delta_type(z)).itemsize
+    table = np.dtype(_delta_type(constraint.per_pixel_max)).itemsize
+    cost = n * (modulus * (delta + table) + 320) + modulus * (4 * rank + 8 * 8) + values * 8 * 8
+    cost += max(_SEARCH_CHUNK, values) * (8 + rank)
+    if cost > _MAX_SEARCH_BYTES:
+        # log2 floored to a tenth: the decimal int may be too long to print
+        raise SchemeError(
+            f"table search needs at least 2^{math.floor(10 * math.log2(cost)) / 10} bytes, "
+            f"over the limit of 2^{_MAX_SEARCH_BYTES.bit_length() - 1}"
+        )
+    if 2 * top >= 2**63:
+        raise SchemeError("table search ranks would pass the limit of 2^63")
+    return cost
 
 
 def _ranks(z: int, n: int, l1_first: bool) -> tuple[np.ndarray, int]:
@@ -188,31 +205,20 @@ def _ranks(z: int, n: int, l1_first: bool) -> tuple[np.ndarray, int]:
 
     key folds the change's (primary, secondary) cost, (L1, L2) when l1_first
     else (L2, L1), into one integer, so keys add up along a vector. Also
-    returns a multiple of D above the rank of every vector of at most n
-    changes in [-z, z]: the top.
+    returns _rank_top(z, n): a candidate adds one column's rank to a reached
+    key, both below it, so the ranks take the narrowest dtype that holds 2 * top.
     """
     l1 = np.abs(np.arange(-z, z + 1))
-    l1_top = n * z
-    l2, l2_top = l1 * l1, l1_top * z
+    l2 = l1 * l1
     if n == 1:
         # one changed pixel ranks by its size in either order
-        costs = ((l1, l1_top), (0, 0))
+        primary, secondary, fold = l1, 0, 1
     elif l1_first:
-        costs = ((l1, l1_top), (l2, l2_top))
+        primary, secondary, fold = l1, l2, n * z * z + 1
     else:
-        costs = ((l2, l2_top), (l1, l1_top))
-    (primary, primary_top), (secondary, secondary_top) = costs
+        primary, secondary, fold = l2, l1, n * z + 1
     count = len(l1)
-    fold = secondary_top + 1
-    top = count * (primary_top + 1) * fold
-    # The search adds one column's rank to a reached state's key and drops
-    # every sum from the top on. Both addends lie below the top, so every
-    # candidate sum lies below 2 * top, and the ranks take the narrowest
-    # dtype that holds it: int16 for every unit-change budget the guard
-    # admits (2 * 3 * 15**2 for n = 14), and never past int64, as 2 * top
-    # < 2**63 for every budget within _MAX_SEARCH_STATES: its box has
-    # (2z)**n <= 10**7, so about 2z**2 < 5 * 10**13 for n = 1, 8z**4
-    # < 5 * 10**13 (z < 1600) for n = 2, and smaller beyond.
+    top = _rank_top(z, n)
     ranks = count * (primary * fold + secondary) + np.arange(count)
     return ranks.astype(_int_type(2 * top, np.int16)), top
 
@@ -249,12 +255,10 @@ def _optimal_delta_table(
     budget, or None when some residue is unreachable. Vectors rank by
     squared then absolute change, or by absolute then squared change when
     the budget has an L1 radius, and then by lexicographic order, which
-    makes the table deterministic. Raises SchemeError when the budget passes
-    _MAX_SEARCH_STATES vectors or, past the pigeonhole exit, the table
-    passes _MAX_TABLE_ENTRIES entries. The search covers _search_box and drops
-    ranks at the top of _ranks, which no vector of the budget reaches; the
-    radius is checked on the finished table: a residue's L1-first optimum
-    lies within it if any vector does.
+    makes the table deterministic; _check_search_cost lists its arrays. The
+    search covers _search_box and drops ranks at the top of _ranks, which no
+    vector of the budget reaches; the radius is checked on the read-back's
+    row sums: a residue's L1-first optimum lies within it if any vector does.
 
     An exact dynamic program over the columns from the last to the first.
     Each state, a residue, keeps the best rank D * key + i of the columns
@@ -265,25 +269,7 @@ def _optimal_delta_table(
     of every state, in the delta dtype of the search box's z, and the table
     is read back with one intp-indexed gather per column: the change is the
     table's column, and the state steps back by change * weight mod M.
-
-    The arrays, for M residues, n columns, a rank dtype of R bytes (2 for
-    every unit-change budget) and a delta dtype of d bytes (1 for z <= 127):
-    - ranks: the best rank of every state, M * R, and the keys of the
-      reached states, at most M * R, plus one candidate chunk of
-      _SEARCH_CHUNK intp states and ranks;
-    - reached states: at most M * 8 (intp);
-    - choices: n * M * d, kept from the search to the read-back;
-    - table: M * n * d;
-    - states: M * 8 (intp), plus one intp temporary for the step and one for
-      its reduction.
     """
-    _check_search_size(n, constraint)
-    if modulus > _search_size(n, constraint):
-        return None  # pigeonhole: fewer change vectors than residues
-    if n * modulus > _MAX_TABLE_ENTRIES:
-        raise SchemeError(
-            f"table of {n} x {modulus} entries exceeds the limit of {_MAX_TABLE_ENTRIES}"
-        )
     radius = constraint.l1_radius
     z, k = _search_box(n, constraint)
     values = np.arange(-z, z + 1)
@@ -295,7 +281,7 @@ def _optimal_delta_table(
     best = np.empty(modulus, dtype=ranks.dtype)
     choices = []
     for weight in reversed(base):
-        # weights mod M keep the int64 shifts far from overflow: M, z <= size
+        # weights mod M keep the int64 shifts far from overflow: z * M < 2**41
         step = weight % modulus
         moves = values * step % modulus
         _search_column(reached, keys, moves - modulus, ranks, best, unreached)
@@ -311,14 +297,17 @@ def _optimal_delta_table(
         return None
     del best, reached, keys, picked  # free the search's arrays for the table's
     states = np.arange(modulus)
+    l1 = np.zeros(modulus, dtype=np.intp) if radius is not None else None
     table = np.empty((modulus, n), dtype=_delta_type(constraint.per_pixel_max))
     for column, (choice, step) in enumerate(reversed(choices)):
         delta = choice[states]
         table[:, column] = delta
+        if radius is not None:
+            l1 += np.abs(delta)
         # the intp step makes the product intp: |delta * step| <= z * M < 2**63
         states -= delta * step
         _reduce(states, modulus)
-    if radius is not None and (np.abs(table).sum(axis=1) > radius).any():
+    if radius is not None and (l1 > radius).any():
         return None
     table.flags.writeable = False
     return table
@@ -438,24 +427,30 @@ def embed_group(spec: SchemeSpec, x: Sequence[int], s: int) -> tuple[int, ...]:
 def _finalize(
     *,
     id: str,
-    base: Sequence[int],
-    modulus: int,
+    base: Iterable[int],
+    modulus: Callable[[], int],
     constraint: ChangeConstraint,
+    n: int | None = None,
     key: int = 0,
     params: dict,
     sub_specs: tuple[SchemeSpec, ...] = (),
     embed_array: np.ndarray | None = None,
 ) -> SchemeSpec:
-    """Build a spec; a plain one gets its solver table, and embeds with it
-    unless embed_array is given."""
-    base = tuple(base)
+    """Build a spec from its weights and modulus, both lazy. A plain spec's n columns get
+    a solver table, which it embeds with unless embed_array is given, once
+    _check_search_cost admits them: first mod 1, as the cost only grows with the
+    modulus, which may be too large to make, then mod the modulus itself."""
     table = None
-    if not sub_specs:
-        table = _optimal_delta_table(len(base), base, modulus, constraint)
+    if sub_specs:
+        modulus = modulus()
+    else:
+        _check_search_cost(n, 1, constraint)
+        modulus = modulus()
+        _check_search_cost(n, modulus, constraint)
+        base = tuple(base)
+        table = _optimal_delta_table(n, base, modulus, constraint)
         if table is None:
-            raise SchemeError(
-                f"{id}: some residue mod {modulus} is unreachable within the budget"
-            )
+            raise SchemeError(f"{id}: some residue mod {modulus} is unreachable within the budget")
     return SchemeSpec(
         id=id,
         base=base,
@@ -480,12 +475,12 @@ def _require_int(name: str, value, minimum: int | None = None) -> int:
 def _make_emd(n: int) -> SchemeSpec:
     """Weights 1..n mod 2n+1; one pixel moves by one unit at most."""
     n = _require_int("n", n, 2)
-    constraint = _check_search_size(n, ChangeConstraint(1, l1_radius=1))
     return _finalize(
         id="emd",
+        n=n,
         base=range(1, n + 1),
-        modulus=2 * n + 1,
-        constraint=constraint,
+        modulus=lambda: 2 * n + 1,
+        constraint=ChangeConstraint(1, l1_radius=1),
         params={"n": n},
     )
 
@@ -506,8 +501,9 @@ def _make_iemd() -> SchemeSpec:
     table.flags.writeable = False
     return _finalize(
         id="iemd",
+        n=2,
         base=(1, 3),
-        modulus=8,
+        modulus=lambda: 8,
         constraint=ChangeConstraint(1),
         params={},
         embed_array=table,
@@ -522,8 +518,9 @@ def _make_pva(t: int) -> SchemeSpec:
     z = (t * t) // 2
     return _finalize(
         id="pva",
+        n=1,
         base=(1,),
-        modulus=t * t,
+        modulus=lambda: t * t,
         constraint=ChangeConstraint(z),
         params={"t": t},
     )
@@ -534,8 +531,9 @@ def _make_femd(t: int) -> SchemeSpec:
     t = _require_int("t", t, 2)
     return _finalize(
         id="femd",
+        n=2,
         base=(t - 1, t),
-        modulus=t * t,
+        modulus=lambda: t * t,
         constraint=ChangeConstraint(t // 2),
         params={"t": t},
     )
@@ -546,8 +544,9 @@ def _make_de(k: int) -> SchemeSpec:
     k = _require_int("k", k, 1)
     return _finalize(
         id="de",
+        n=2,
         base=(2 * k + 1, 1),
-        modulus=2 * k * k + 2 * k + 1,
+        modulus=lambda: 2 * k * k + 2 * k + 1,
         constraint=ChangeConstraint(k, l1_radius=k),
         params={"k": k},
     )
@@ -559,33 +558,32 @@ def _make_mpemd(n: int, key: int = 0) -> SchemeSpec:
     key = _require_int("key", key, 0)
     if key >= 2 * n:
         raise SchemeError(f"key={key} outside [0, {2 * n})")
-    constraint = _check_search_size(n, ChangeConstraint(1, l1_radius=1))
     return _finalize(
         id="mpemd",
+        n=n,
         base=range(1, n + 1),
-        modulus=2 * n,
-        constraint=constraint,
+        modulus=lambda: 2 * n,
+        constraint=ChangeConstraint(1, l1_radius=1),
         key=key,
         params={"n": n, "key": key},
     )
 
 
-def _emd2_weights(n: int) -> tuple[int, ...]:
-    if n == 2:
-        return (1, 3)
-    return (1, 2) + tuple(6 + 5 * i for i in range(n - 2))
+def _emd2_weights(n: int) -> Iterator[int]:
+    yield from (1, 3) if n == 2 else (1, 2)
+    yield from (6 + 5 * i for i in range(n - 2))
 
 
 def _make_emd2(n: int) -> SchemeSpec:
     """Graded weights mod 2w+1 with w = 4 (pairs) or 8+5(n-3); two changes max."""
     n = _require_int("n", n, 2)
-    constraint = _check_search_size(n, ChangeConstraint(1, l1_radius=2))
     w = 4 if n == 2 else 8 + 5 * (n - 3)
     return _finalize(
         id="emd2",
+        n=n,
         base=_emd2_weights(n),
-        modulus=2 * w + 1,
-        constraint=constraint,
+        modulus=lambda: 2 * w + 1,
+        constraint=ChangeConstraint(1, l1_radius=2),
         params={"n": n},
     )
 
@@ -598,7 +596,7 @@ def _make_twoemd(n: int) -> SchemeSpec:
     return _finalize(
         id="twoemd",
         base=sub.base + sub.base,
-        modulus=m * m,
+        modulus=lambda: m * m,
         constraint=ChangeConstraint(1, l1_radius=2),
         params={"n": n},
         sub_specs=(sub,),
@@ -609,12 +607,12 @@ def _make_gemd(n: int) -> SchemeSpec:
     """Weights 2^i - 1 mod 2^(n+1); every pixel may move by one unit."""
     # n = 1 has 3 change vectors for 4 residues
     n = _require_int("n", n, 2)
-    constraint = _check_search_size(n, ChangeConstraint(1))
     return _finalize(
         id="gemd",
-        base=tuple((1 << i) - 1 for i in range(1, n + 1)),
-        modulus=1 << (n + 1),
-        constraint=constraint,
+        n=n,
+        base=((1 << i) - 1 for i in range(1, n + 1)),
+        modulus=lambda: 1 << (n + 1),
+        constraint=ChangeConstraint(1),
         params={"n": n},
     )
 
@@ -633,30 +631,30 @@ def _make_egemd(n: int, n1: int | None = None) -> SchemeSpec:
     return _finalize(
         id="egemd",
         base=low.base + high.base,
-        modulus=1 << (n + 2),
+        modulus=lambda: 1 << (n + 2),
         constraint=ChangeConstraint(1),
         params={"n": n, "n1": n1},
         sub_specs=(low, high),
     )
 
 
-def _mbe_weights(n: int, k: int) -> tuple[int, ...]:
-    weights = [1]
-    for _ in range(n - 1):
-        weights.append((weights[-1] << k) + 1)
-    return tuple(weights)
+def _mbe_weights(n: int, k: int) -> Iterator[int]:
+    weight = 1
+    for _ in range(n):
+        yield weight
+        weight = (weight << k) + 1
 
 
 def _make_mbe(n: int, k: int) -> SchemeSpec:
     """Chained weights b_i = 2^k b_(i-1) + 1 mod 2^(nk+1); changes up to 2^k - 1."""
     n = _require_int("n", n, 2)
     k = _require_int("k", k, 1)
-    constraint = _check_search_size(n, ChangeConstraint((1 << k) - 1))
     return _finalize(
         id="mbe",
+        n=n,
         base=_mbe_weights(n, k),
-        modulus=1 << (n * k + 1),
-        constraint=constraint,
+        modulus=lambda: 1 << (n * k + 1),
+        constraint=ChangeConstraint((1 << k) - 1),
         params={"n": n, "k": k},
     )
 
@@ -670,12 +668,12 @@ def _msd_modulus(n: int) -> int:
 def _make_msd(n: int) -> SchemeSpec:
     """Binary weights 2^(i-1) mod t_n, unit changes on any pixel."""
     n = _require_int("n", n, 1)
-    constraint = _check_search_size(n, ChangeConstraint(1))
     return _finalize(
         id="msd",
-        base=tuple(1 << i for i in range(n)),
-        modulus=_msd_modulus(n),
-        constraint=constraint,
+        n=n,
+        base=(1 << i for i in range(n)),
+        modulus=lambda: _msd_modulus(n),
+        constraint=ChangeConstraint(1),
         params={"n": n},
     )
 
@@ -693,13 +691,13 @@ def _make_hemd(n: int, w: int, wbase: int = 0) -> SchemeSpec:
         raise SchemeError(f"w={w} must be odd")
     if wbase not in (0, 1):
         raise SchemeError("wbase must be 0 or 1")
-    constraint = _check_search_size(n, ChangeConstraint((w - 1) // 2))
     root = w if wbase else n
     return _finalize(
         id="hemd",
-        base=tuple(root**i for i in range(n)),
-        modulus=w**n,
-        constraint=constraint,
+        n=n,
+        base=(root**i for i in range(n)),
+        modulus=lambda: w**n,
+        constraint=ChangeConstraint((w - 1) // 2),
         params={"n": n, "w": w, "wbase": wbase},
     )
 
@@ -708,12 +706,12 @@ def _make_aemd(n: int, m: int) -> SchemeSpec:
     """Positional base-m weights mod m^n; changes up to ceil((m-1)/2)."""
     n = _require_int("n", n, 1)
     m = _require_int("m", m, 2)
-    constraint = _check_search_size(n, ChangeConstraint(m // 2))
     return _finalize(
         id="aemd",
-        base=tuple(m**i for i in range(n)),
-        modulus=m**n,
-        constraint=constraint,
+        n=n,
+        base=(m**i for i in range(n)),
+        modulus=lambda: m**n,
+        constraint=ChangeConstraint(m // 2),
         params={"n": n, "m": m},
     )
 
@@ -746,8 +744,8 @@ def make_scheme(name: str, **params) -> SchemeSpec:
     """Build a SchemeSpec from a scheme token and its integer parameters.
 
     Raises SchemeError for a bad token, for an unknown, missing or bad
-    parameter, when the change budget or the table passes its guard, and
-    when the change budget cannot reach every residue.
+    parameter, when the table search would hold more than _MAX_SEARCH_BYTES,
+    and when the change budget cannot reach every residue.
     """
     token = name.strip().lower()
     if token not in _BUILDERS:

@@ -124,6 +124,10 @@ def test_infinite_cell_reads_inf():
     assert _fmt(float("inf")) == "inf"
 
 
+def test_negative_infinite_cell_keeps_its_sign():
+    assert _fmt(float("-inf")) == "-inf"
+
+
 class TestDeterminism:
     def test_default_config_csv_digests(self, tmp_path):
         paths = run_bench(BenchConfig(), tmp_path)
@@ -301,7 +305,11 @@ class TestConfig:
         cfg_path.write_text(json.dumps({"cover": cover}))
         out_dir = tmp_path / "out"
         assert main(["bench", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if cover["kind"] == "file":
+            # the path once, as the CLI names a file it cannot read
+            assert err == "error: no/such/cover.pgm: No such file or directory\n"
         assert not out_dir.exists()
 
 

@@ -6,6 +6,7 @@ import io
 import json
 import pkgutil
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -199,25 +200,52 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("n", [10_000, 30_000])
     def test_oversize_change_budget_is_one_line(self, tmp_path, capsys, n):
-        # the guard stops counting at its limit, so a huge group is refused at once
+        # the cost is named by its log2: in decimal it would have thousands of digits
+        log2 = {10_000: "10015.2", 30_000: "30016.8"}[n]
         out = tmp_path / "s.pgm"
         assert run("embed", "--scheme", "gemd", "--n", n, "--synthetic", "4x4:128",
                    "--random-bits", 1, "--out", out) == 2
         assert capsys.readouterr() == (
-            "", "error: change budget exceeds the limit of 10000000 vectors\n"
+            "", f"error: table search needs at least 2^{log2} bytes, over the limit of 2^27\n"
         )
         assert not out.exists()
 
     @pytest.mark.parametrize("scheme", ["emd", "mpemd"])
     def test_oversize_table_is_one_line(self, tmp_path, capsys, scheme):
-        # 200 001 change vectors pass the budget guard; the n x M table does not
+        # one change per group, but 100 000 choice arrays of about 200 000 bytes
         out = tmp_path / "s.pgm"
         assert run("embed", "--scheme", scheme, "--n", 100_000, "--synthetic", "4x4:128",
                    "--random-bits", 1, "--out", out) == 2
-        modulus = {"emd": 200_001, "mpemd": 200_000}[scheme]
         assert capsys.readouterr() == (
-            "", f"error: table of 100000 x {modulus} entries exceeds the limit of 100000000\n"
+            "", "error: table search needs at least 2^35.2 bytes, over the limit of 2^27\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args,log2,peak",
+        [
+            # moduli of 10^10 and 1.6 * 10^9 bits, refused on n before they exist
+            (["gemd", "--n", 10**10], "41.5", 2**20),
+            (["aemd", "--n", 10**9, "--m", 3], "38.2", 2**20),
+            # z = 2^k - 1 is made with the budget and priced before it is cubed:
+            # at k = 10^8 the peak is a few copies of z's 12.5 MB, not its cube
+            (["mbe", "--n", 2, "--k", 10**6], "1000007.3", 2**20),
+            (["mbe", "--n", 2, "--k", 10**8], "100000007.3", 8 * 10**8 // 8),
+        ],
+    )
+    def test_huge_group_is_refused_at_once(self, tmp_path, capsys, args, log2, peak):
+        out = tmp_path / "s.pgm"
+        tracemalloc.start()
+        try:
+            assert run("embed", "--scheme", *args, "--synthetic", "4x4:128",
+                       "--random-bits", 1, "--out", out) == 2
+            got = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr() == (
+            "", f"error: table search needs at least 2^{log2} bytes, over the limit of 2^27\n"
+        )
+        assert got < peak
         assert not out.exists()
 
     def test_unknown_scheme(self, tmp_path):
@@ -529,6 +557,10 @@ class TestAnalyze:
         assert record["psnr_db"] == "inf"
         assert record["eff_proposed"] is None
         assert record["provenance"] == "computed"
+
+    def test_infinite_values_keep_their_sign(self):
+        assert cli._json_value(float("inf")) == "inf"
+        assert cli._json_value(float("-inf")) == "-inf"
 
     def test_poly_is_read_for_an_identical_pair(self, tmp_path, capsys):
         path = tmp_path / "img.pgm"
@@ -948,8 +980,8 @@ class TestFitDistance:
 # synthetic covers at most 64x64, --random-bits and --bits at most 4096,
 # --max-n at most 8 (or 700 and 100000, past the float edge, which is checked
 # before any row is made) and --max-z at most 4, scheme parameters in -1..4 (the
-# largest table search they reach, 923 521 vectors for mbe n=4 k=4, is under
-# a tenth of the 10M search guard). bench always gets a cover option, so it never builds its default
+# largest table search they reach, mbe n=4 k=4, counts under 12 MiB of the
+# search guard's 128 MiB). bench always gets a cover option, so it never builds its default
 # 256x256 cover; the one valid config holds a 16x16 cover. A value "@name"
 # names a file under the test's temporary directory; inputs and outputs use
 # separate names, so no draw rewrites another's input.

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import tracemalloc
 import zlib
 from dataclasses import replace
@@ -436,19 +437,28 @@ def _no_search(*args):
     raise AssertionError("the change budget was searched")
 
 
+def _admitted(n, constraint):
+    """Whether the guard admits a search of n columns mod 2 under constraint."""
+    try:
+        schemes._check_search_cost(n, 2, constraint)
+    except SchemeError:
+        return False
+    return True
+
+
 def rank_budgets(test):
-    """Run a rank test on random budgets and on budgets at the guard's edge:
-    the largest z for one, two and three changed pixels, the most unit
-    changes, and radii that cut a box the guard would refuse down to one it
-    admits."""
+    """Run a rank test on random budgets and on budgets at the guard's edge
+    mod 2: the largest z for one changed pixel (by bytes) and for two and
+    three (by the int64 ranks), the most unit changes, and radii that cut a
+    box the guard would refuse down to one it admits."""
     edges = [
-        dict(n=1, z=4_999_999, l1_radius=None),
-        dict(n=2, z=1580, l1_radius=None),
-        dict(n=3, z=107, l1_radius=None),
-        dict(n=14, z=1, l1_radius=None),
-        dict(n=1, z=6_000_000, l1_radius=4_999_999),
-        dict(n=2, z=6_000_000, l1_radius=1580),
-        dict(n=100, z=1, l1_radius=1),
+        dict(n=1, z=838_857, l1_radius=None),
+        dict(n=2, z=27_554, l1_radius=None),
+        dict(n=3, z=22_497, l1_radius=None),
+        dict(n=411_014, z=1, l1_radius=None),
+        dict(n=1, z=6_000_000, l1_radius=838_857),
+        dict(n=2, z=6_000_000, l1_radius=27_554),
+        dict(n=404_733, z=6_000_000, l1_radius=1),
     ]
     for edge in edges:
         test = example(**edge)(test)
@@ -487,7 +497,7 @@ class TestTableSearch:
         modulus=st.integers(2, 200),
     )
     @settings(max_examples=150, deadline=None)
-    # infeasible past the pigeonhole check: only even residues are reachable
+    # infeasible: only even residues are reachable, so the search returns None
     @example(base=(2, 4), z=1, l1_radius=None, modulus=8)
     # feasible, with cost ties that only the lexicographic order breaks
     @example(base=(1, 1, 1), z=2, l1_radius=3, modulus=5)
@@ -538,6 +548,13 @@ class TestTableSearch:
              "0844769fdd3e5c920aa8eb925dfe5b97fd74f2e31152ac2004a819d7facef3fc"),
             ("mpemd", {"n": 8, "key": 5},
              "6a85ccc06e9ef84e13c77604f59bb74e6b41c72172456ee45f759852d693b5d2"),
+            # GEMD groups the byte bound admits and the earlier vector count
+            # refused; the same digests come from the earlier search with that
+            # count lifted
+            ("gemd", {"n": 16},
+             "f42d4402545e446380155222f190a666d24b65a3a6217c2c4872cd96a3d66c60"),
+            ("gemd", {"n": 18},
+             "caf705a210648d5dcfb7e084621a91c3e9df85924c3bf6d39584ac96fb47ea3b"),
         ],
     )
     def test_large_tables_are_pinned(self, name, params, digest):
@@ -550,6 +567,14 @@ class TestTableSearch:
             h.update(str((a.dtype.str, a.shape)).encode())
             h.update(a.tobytes())
         assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("n", [16, 18])
+    def test_admitted_gemd_rows_reach_their_residues(self, n):
+        spec = make_scheme("gemd", n=n)
+        table = spec.solver_array
+        assert np.abs(table).max() <= spec.constraint.per_pixel_max
+        reached = table.astype(np.int64) @ np.array(spec.base) % spec.modulus
+        assert np.array_equal(reached, np.arange(spec.modulus))
 
     def test_single_change_with_a_wide_per_pixel_budget(self):
         # one pixel mod m = 10^5: z = 50000 needs int32 deltas, and the
@@ -568,20 +593,16 @@ class TestTableSearch:
 
     def test_guard_rejects_before_enumerating(self, monkeypatch):
         monkeypatch.setattr(schemes, "_search_column", _no_search)
-        # 3**16 vectors
+        # 20 choice arrays and a table of 2**21 bytes each, and 2**21 states
         with pytest.raises(
-            SchemeError, match=r"^change budget exceeds the limit of 10000000 vectors$"
+            SchemeError,
+            match=r"^table search needs at least 2\^27\.8 bytes, over the limit of 2\^27$",
         ):
-            make_scheme("gemd", n=16)
-        # the guard also wins over the pigeonhole exit
+            make_scheme("gemd", n=20)
+        # the cost is counted in closed form; in decimal it has over 3000 digits
         with pytest.raises(
-            SchemeError, match=r"^change budget exceeds the limit of 10000000 vectors$"
-        ):
-            schemes._optimal_delta_table(16, (1,) * 16, 2**40, ChangeConstraint(1))
-        # the count stops at the limit: in full it has over 4300 digits and
-        # takes seconds to sum
-        with pytest.raises(
-            SchemeError, match=r"^change budget exceeds the limit of 10000000 vectors$"
+            SchemeError,
+            match=r"^table search needs at least 2\^10015\.2 bytes, over the limit of 2\^27$",
         ):
             make_scheme("gemd", n=10_000)
 
@@ -589,21 +610,65 @@ class TestTableSearch:
         "name,modulus", [("emd", 200_001), ("mpemd", 200_000)]
     )
     def test_table_guard_rejects_before_enumerating(self, monkeypatch, name, modulus):
-        # 200 001 change vectors pass the budget guard, but the search would
-        # keep 100 000 choice arrays of M bytes
+        # one change per group, but the 100 000 choice arrays and the table
+        # alone hold 2 bytes per entry, and they set the cost's log2
+        monkeypatch.setattr(schemes, "_search_column", _no_search)
+        need = math.floor(10 * math.log2(100_000 * modulus * 2)) / 10
+        with pytest.raises(
+            SchemeError,
+            match=rf"^table search needs at least 2\^{need} bytes, over the limit of 2\^27$",
+        ):
+            make_scheme(name, n=100_000)
+
+    @pytest.mark.parametrize(
+        "name,params,need",
+        [
+            ("aemd", {"n": 12, "m": 4}, "30.5"),
+            ("mbe", {"n": 4, "k": 6}, "31.4"),
+            # 4.5M states of int64 ranks and int16 deltas
+            ("de", {"k": 1500}, "28.8"),
+            # 4M values of int64 ranks refuse it before the modulus is made,
+            # so the cost named leaves out its 4M states
+            ("aemd", {"n": 1, "m": 4_000_000}, "28.2"),
+            ("emd", {"n": 7070}, "27.6"),
+        ],
+    )
+    def test_heavy_searches_are_refused(self, monkeypatch, name, params, need):
+        # each peaks at 200-900 MiB RSS when built; the earlier vector and
+        # entry counts admitted the de, wide aemd and emd searches
         monkeypatch.setattr(schemes, "_search_column", _no_search)
         with pytest.raises(
             SchemeError,
-            match=rf"^table of 100000 x {modulus} entries exceeds the limit of 100000000$",
+            match=rf"^table search needs at least 2\^{need} bytes, over the limit of 2\^27$",
         ):
-            make_scheme(name, n=100_000)
+            make_scheme(name, **params)
+
+    @pytest.mark.parametrize(
+        "name,params",
+        [
+            ("emd", {"n": 3000}),
+            ("aemd", {"n": 10, "m": 4}),
+            ("de", {"k": 200}),
+            ("aemd", {"n": 1, "m": 100_000}),
+            ("gemd", {"n": 14}),
+        ],
+    )
+    def test_search_cost_bounds_the_peak(self, name, params):
+        # the guard's cost is an upper bound on what the build allocates
+        tracemalloc.start()
+        try:
+            spec = make_scheme(name, **params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= schemes._check_search_cost(spec.n, spec.modulus, spec.constraint)
 
     @pytest.mark.parametrize(
         "name,params",
         [
             ("aemd", {"n": 5000, "m": 4}),
             ("mbe", {"n": 1000, "k": 100}),
-            # every other builder that guards an n-pixel budget, past its guard
+            # every other builder with n weights, past the guard
             ("emd", {"n": 5_000_000}),
             ("mpemd", {"n": 5_000_000}),
             ("emd2", {"n": 3000}),
@@ -613,13 +678,18 @@ class TestTableSearch:
             # the split constructions through the builders of their parts
             ("twoemd", {"n": 5_000_000}),
             ("egemd", {"n": 20_000}),
+            # moduli of 10^10 and 1.6 * 10^9 bits, and a 10^6-bit z to cube
+            ("gemd", {"n": 10**10}),
+            ("aemd", {"n": 10**9, "m": 3}),
+            ("mbe", {"n": 2, "k": 10**6}),
         ],
     )
     def test_guard_runs_before_the_weights_exist(self, name, params):
-        # the weights alone take megabytes; the refusal allocates almost nothing
+        # the weights alone take megabytes, and some moduli more; the refusal
+        # allocates almost nothing
         tracemalloc.start()
         try:
-            with pytest.raises(SchemeError, match=r"^change budget exceeds the limit"):
+            with pytest.raises(SchemeError, match=r"^table search needs at least 2\^"):
                 make_scheme(name, **params)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -631,36 +701,17 @@ class TestTableSearch:
         with pytest.raises(TypeError):
             ChangeConstraint(1, 2)
 
-    @given(
-        n=st.integers(1, 5),
-        z=st.integers(0, 3),
-        l1_radius=st.none() | st.integers(0, 8),
-    )
-    @settings(max_examples=150, deadline=None)
-    # a radius below both z and n cuts both sides of the box
-    @example(n=5, z=3, l1_radius=2)
-    @example(n=4, z=3, l1_radius=1)
-    @example(n=2, z=3, l1_radius=0)
-    def test_search_size_bounds_the_budget(self, n, z, l1_radius):
-        # the pigeonhole exit trusts _search_size to count at least every
-        # vector of the budget, after the radius cuts the search box
-        constraint = ChangeConstraint(z, l1_radius=l1_radius)
-        count = sum(1 for _ in _feasible_vectors(n, constraint))
-        assert schemes._search_size(n, constraint) >= count
-
     @rank_budgets
     def test_rank_top_fits_int64(self, n, z, l1_radius):
         constraint = ChangeConstraint(z, l1_radius=l1_radius)
-        box = schemes._search_box(n, constraint)
-        _, top = schemes._ranks(*box, l1_radius is not None)
+        top = schemes._rank_top(*schemes._search_box(n, constraint))
         # a candidate adds one column's rank to a reached key below the top
-        admitted = schemes._search_size(n, constraint) <= schemes._MAX_SEARCH_STATES
-        assert not admitted or 2 * top < 2**63
+        assert not _admitted(n, constraint) or 2 * top < 2**63
 
     @rank_budgets
     def test_rank_dtype_holds_every_candidate_sum(self, n, z, l1_radius):
         constraint = ChangeConstraint(z, l1_radius=l1_radius)
-        if schemes._search_size(n, constraint) > schemes._MAX_SEARCH_STATES:
+        if not _admitted(n, constraint):
             return
         box = schemes._search_box(n, constraint)
         ranks, top = schemes._ranks(*box, l1_radius is not None)
@@ -670,13 +721,6 @@ class TestTableSearch:
         # and no narrower dtype would hold it
         narrower = {np.int32: np.int16, np.int64: np.int32}.get(ranks.dtype.type)
         assert narrower is None or 2 * top > np.iinfo(narrower).max
-
-    def test_pigeonhole_exit_skips_enumeration(self, monkeypatch):
-        monkeypatch.setattr(schemes, "_search_column", _no_search)
-        # 9 change vectors cannot reach 10 residues
-        constraint = ChangeConstraint(1)
-        assert schemes._search_size(2, constraint) == 9
-        assert schemes._optimal_delta_table(2, (1, 3), 10, constraint) is None
 
     def test_kernel_never_builds_table_views(self):
         spec = make_scheme("aemd", n=8, m=4)
