@@ -279,83 +279,110 @@ def _cmd_distance(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+# every subcommand, in usage order
+_COMMANDS = ("embed", "extract", "analyze", "bound", "bench", "fit", "distance")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of command alone when it is given.
+
+    A one-subcommand parser reads that subcommand's argv as the full parser
+    does, and its usage line still lists every subcommand, so its help and
+    error texts are the full parser's too.
+    """
     parser = _Parser(
         prog="emdsteg",
         description="EMD-family steganography workbench",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        # the usage line lists every choice, as the full parser's does; the
+        # full parser keeps no metavar, which argparse's error for a missing
+        # or unknown command would print in place of the dest
+        metavar = "{" + ",".join(_COMMANDS) + "}"
+        sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p = sub.add_parser("embed", help="embed a message into a PGM cover")
-    _add_scheme_flags(p)
-    p.add_argument("--cover", help="cover PGM path")
-    p.add_argument("--synthetic", help="flat synthetic cover WxH:V")
-    p.add_argument("--message", help="message file (bytes)")
-    p.add_argument("--random-bits", type=int, default=None, help="seeded random bits")
-    p.add_argument("--seed", type=int, default=None, help="seed of --random-bits (0)")
-    p.add_argument("--out", required=True, help="stego PGM path")
-    p.set_defaults(func=_cmd_embed)
+    if command in (None, "embed"):
+        p = sub.add_parser("embed", help="embed a message into a PGM cover")
+        _add_scheme_flags(p)
+        p.add_argument("--cover", help="cover PGM path")
+        p.add_argument("--synthetic", help="flat synthetic cover WxH:V")
+        p.add_argument("--message", help="message file (bytes)")
+        p.add_argument("--random-bits", type=int, default=None, help="seeded random bits")
+        p.add_argument("--seed", type=int, default=None, help="seed of --random-bits (0)")
+        p.add_argument("--out", required=True, help="stego PGM path")
+        p.set_defaults(func=_cmd_embed)
 
-    p = sub.add_parser("extract", help="extract bits from a stego PGM")
-    _add_scheme_flags(p)
-    p.add_argument("--stego", required=True)
-    p.add_argument("--bits", type=int, required=True)
-    p.add_argument("--out", required=True, help="packed-bit output path")
-    p.set_defaults(func=_cmd_extract)
+    if command in (None, "extract"):
+        p = sub.add_parser("extract", help="extract bits from a stego PGM")
+        _add_scheme_flags(p)
+        p.add_argument("--stego", required=True)
+        p.add_argument("--bits", type=int, required=True)
+        p.add_argument("--out", required=True, help="packed-bit output path")
+        p.set_defaults(func=_cmd_extract)
 
-    p = sub.add_parser("analyze", help="metrics for a cover/stego pair")
-    _add_scheme_flags(p)
-    p.add_argument("--cover", required=True)
-    p.add_argument("--stego", required=True)
-    p.add_argument("--bound-poly", help="polynomial JSON for distance")
-    p.add_argument(
-        "--mode", choices=bound_mod.DISTANCE_MODES, default=bound_mod.DISTANCE_MODES[0]
-    )
-    p.add_argument("--domain", type=float, nargs=2, default=(0.0, 3.0))
-    p.set_defaults(func=_cmd_analyze)
+    if command in (None, "analyze"):
+        p = sub.add_parser("analyze", help="metrics for a cover/stego pair")
+        _add_scheme_flags(p)
+        p.add_argument("--cover", required=True)
+        p.add_argument("--stego", required=True)
+        p.add_argument("--bound-poly", help="polynomial JSON for distance")
+        p.add_argument(
+            "--mode", choices=bound_mod.DISTANCE_MODES, default=bound_mod.DISTANCE_MODES[0]
+        )
+        p.add_argument("--domain", type=float, nargs=2, default=(0.0, 3.0))
+        p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("bound", help="state-count table or frontier CSV")
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--max-z", type=int, required=True)
-    p.add_argument(
-        "--metric",
-        choices=bound_mod.METRICS,
-        default=bound_mod.METRIC_PROPOSED,
-    )
-    p.add_argument(
-        "--normalization",
-        choices=bound_mod.NORMALIZATIONS,
-        default=bound_mod.NORM_MEAN_PER_PIXEL,
-    )
-    p.add_argument("--frontier", action="store_true", help="emit the envelope only")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_bound)
+    if command in (None, "bound"):
+        p = sub.add_parser("bound", help="state-count table or frontier CSV")
+        p.add_argument("--max-n", type=int, required=True)
+        p.add_argument("--max-z", type=int, required=True)
+        p.add_argument(
+            "--metric",
+            choices=bound_mod.METRICS,
+            default=bound_mod.METRIC_PROPOSED,
+        )
+        p.add_argument(
+            "--normalization",
+            choices=bound_mod.NORMALIZATIONS,
+            default=bound_mod.NORM_MEAN_PER_PIXEL,
+        )
+        p.add_argument("--frontier", action="store_true", help="emit the envelope only")
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=_cmd_bound)
 
-    p = sub.add_parser("bench", help="comparison tables and chart data")
-    p.add_argument("--config", help="BenchConfig JSON path")
-    p.add_argument("--out-dir", default="bench_out")
-    p.set_defaults(func=_cmd_bench)
+    if command in (None, "bench"):
+        p = sub.add_parser("bench", help="comparison tables and chart data")
+        p.add_argument("--config", help="BenchConfig JSON path")
+        p.add_argument("--out-dir", default="bench_out")
+        p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser("fit", help="least-squares cubic through CSV points")
-    p.add_argument("--points", required=True, help="CSV of x,y rows")
-    p.set_defaults(func=_cmd_fit)
+    if command in (None, "fit"):
+        p = sub.add_parser("fit", help="least-squares cubic through CSV points")
+        p.add_argument("--points", required=True, help="CSV of x,y rows")
+        p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("distance", help="point-to-curve distance")
-    p.add_argument("--poly", help="polynomial JSON path")
-    p.add_argument("--eq43", action="store_true", help="use the reference bound curve")
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, required=True)
-    p.add_argument(
-        "--mode", choices=bound_mod.DISTANCE_MODES, default=bound_mod.DISTANCE_MODES[0]
-    )
-    p.add_argument("--domain", type=float, nargs=2, default=(0.0, 3.0))
-    p.set_defaults(func=_cmd_distance)
+    if command in (None, "distance"):
+        p = sub.add_parser("distance", help="point-to-curve distance")
+        p.add_argument("--poly", help="polynomial JSON path")
+        p.add_argument("--eq43", action="store_true", help="use the reference bound curve")
+        p.add_argument("--x", type=float, required=True)
+        p.add_argument("--y", type=float, required=True)
+        p.add_argument(
+            "--mode", choices=bound_mod.DISTANCE_MODES, default=bound_mod.DISTANCE_MODES[0]
+        )
+        p.add_argument("--domain", type=float, nargs=2, default=(0.0, 3.0))
+        p.set_defaults(func=_cmd_distance)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a call builds only the subcommand it names; anything else gets the full parser
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = build_parser(command)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

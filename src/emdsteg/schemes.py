@@ -318,15 +318,17 @@ def _optimal_delta_table(
 
 
 def _parts(spec: SchemeSpec) -> tuple[tuple[SchemeSpec, int, int], ...]:
-    """(sub-spec, first pixel, place value) of each part of a split scheme.
+    """(sub-spec, first pixel, place value) of each part of a split scheme,
+    lowest place first.
 
     The symbol is the sum of part symbols times their place values: the
-    paired-EMD split reads high * sub-M + low, the two-part GEMD split
-    carry * 2^(n1+1) + remainder.
+    paired-EMD split reads high * sub-M + low (the low part on the second
+    pixels), the two-part GEMD split carry * 2^(n1+1) + remainder. Each
+    place is the product of the moduli of the parts before it.
     """
     if spec.id == "twoemd":
         (sub,) = spec.sub_specs
-        return ((sub, 0, sub.modulus), (sub, sub.n, 1))
+        return ((sub, sub.n, 1), (sub, 0, sub.modulus))
     low, high = spec.sub_specs
     return ((low, 0, 1), (high, low.n, low.modulus))
 
@@ -351,11 +353,17 @@ def _weighted_sums(spec: SchemeSpec, groups: np.ndarray) -> np.ndarray:
 
 
 def _reduce(values: np.ndarray, modulus: int) -> None:
-    """values %= modulus in place, as values - floor(values / modulus) * modulus.
+    """values %= modulus in place: a mask for a power of two, otherwise
+    values - floor(values / modulus) * modulus.
 
-    Equal to numpy's %, whose remainder loop is several times slower on
-    negative values than its floor division by a scalar.
+    Equal to numpy's % for a signed dtype that holds modulus; two's
+    complement makes the mask the floor remainder of negative values too.
+    numpy's remainder loop is several times slower on negative values than
+    its floor division by a scalar, which is slower again than the mask.
     """
+    if modulus & (modulus - 1) == 0:
+        values &= modulus - 1
+        return
     quotients = values // modulus
     quotients *= modulus
     values -= quotients
@@ -380,11 +388,15 @@ def _extract_groups(spec: SchemeSpec, groups: np.ndarray) -> np.ndarray:
 def _embed_groups(spec: SchemeSpec, groups: np.ndarray, symbols: np.ndarray) -> None:
     """Add each group's change vector for its symbol to groups, in place."""
     if spec.is_composite:
-        # a part's digit is symbols // place % sub-M, which its sub-kernel's
-        # accumulator holds
-        for sub, first, place in _parts(spec):
-            digits = symbols // place % sub.modulus
+        # each place is the product of the moduli below it, so lowest place
+        # first a part's digit is one divmod's remainder and the top part's
+        # the quotient left; a digit is below its part's M, which the part's
+        # sub-kernel accumulator holds
+        *lower, (top, top_first, _) = _parts(spec)
+        for sub, first, _ in lower:
+            symbols, digits = np.divmod(symbols, sub.modulus)
             _embed_groups(sub, groups[:, first : first + sub.n], digits)
+        _embed_groups(top, groups[:, top_first : top_first + top.n], symbols)
         return
     # r = (s - key - sum) mod M, with one remainder in the accumulator dtype;
     # symbols < M fit it, and a same-dtype subtract avoids numpy's mixed loops

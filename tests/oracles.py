@@ -3,8 +3,9 @@
 Each recomputes, in its plainest form, something emdsteg computes with its
 own fast path, so a test can compare the two: the bound's state counts by
 walking every change vector, a change budget check per vector, one group's
-extraction value, the distortion profile by embedding every symbol, the
-inverse of psnr, and SplitMix64 word by word.
+extraction value, a split scheme's digits by floor division, the distortion
+profile by embedding every symbol, the inverse of psnr, and SplitMix64 word
+by word.
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ import numpy as np
 from emdsteg.bound import BoundError
 from emdsteg.metrics import PEAK_SQ, DistortionProfile
 from emdsteg.rng import _GAMMA, _MASK, _MIX1, _MIX2
-from emdsteg.schemes import ChangeConstraint, SchemeSpec, _embed_groups, _extract_groups
+from emdsteg.schemes import (
+    ChangeConstraint,
+    SchemeSpec,
+    _embed_groups,
+    _extract_groups,
+    _parts,
+)
 
 _ORACLE_LIMIT = 10**8
 
@@ -63,6 +70,16 @@ def allows(constraint: ChangeConstraint, deltas: Sequence[int]) -> bool:
 def extraction_value(spec: SchemeSpec, group: Sequence[int]) -> int:
     """Symbol a receiver reads from one pixel group: a one-row _extract_groups."""
     return int(_extract_groups(spec, np.array([group], dtype=np.int64))[0])
+
+
+def split_embed(spec: SchemeSpec, groups: np.ndarray, symbols: np.ndarray) -> None:
+    """_embed_groups with each split part's digit taken as symbols // place % part M,
+    each part on its own, in place."""
+    if not spec.is_composite:
+        _embed_groups(spec, groups, symbols)
+        return
+    for sub, first, place in _parts(spec):
+        split_embed(sub, groups[:, first : first + sub.n], symbols // place % sub.modulus)
 
 
 def embedded_distortion(spec: SchemeSpec) -> DistortionProfile:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import importlib
@@ -1111,3 +1112,67 @@ class TestArgvFuzz:
         if argv[0] == "fit" and code == 0 and not {"-h", "--help"} & set(argv):
             # strict JSON: no NaN or Infinity in the record
             json.loads(stdout.getvalue(), parse_constant=_reject_constant)
+
+
+def _outcome(call, *args):
+    """(result, SystemExit code, stdout, stderr) of call(*args); no result after an exit."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    result = code = None
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            result = call(*args)
+        except SystemExit as exc:
+            code = exc.code
+    return result, code, stdout.getvalue(), stderr.getvalue()
+
+
+# no arguments, help and an unknown option for each subcommand, no subcommand
+# or an unknown one, and every README command
+_PARSER_CORPUS = (
+    [[], ["-h"], ["bogus"]]
+    + [[name, *tail] for name in cli._COMMANDS for tail in ([], ["-h"], ["--zzz"])]
+    + _readme_commands()
+)
+
+
+class TestOneSubcommandParser:
+    @given(_argvs())
+    @example(["distance", "--x", "0.0", "--y", "nan"])
+    @settings(max_examples=200, deadline=None)
+    def test_reads_argv_as_the_full_parser(self, argv):
+        command = argv[0] if argv[0] in cli._COMMANDS else None
+        # the namespaces' reprs, so that NaN values compare equal
+        one = _outcome(lambda: repr(vars(build_parser(command).parse_args(argv))))
+        assert one == _outcome(lambda: repr(vars(build_parser().parse_args(argv))))
+
+    @pytest.mark.parametrize("argv", _PARSER_CORPUS, ids=lambda argv: " ".join(argv) or "-")
+    def test_main_prints_what_the_full_parser_prints(self, argv, tmp_path, monkeypatch):
+        # each run in its own empty directory, so neither reads what the other wrote
+        one_parser = cli.build_parser
+        outcomes = []
+        for name, build in (("one", one_parser), ("full", lambda command=None: one_parser())):
+            monkeypatch.setattr(cli, "build_parser", build)
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            outcomes.append(_outcome(main, argv))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize(
+        "argv, added",
+        [
+            (["bound", "--max-n", "2", "--max-z", "1", "--out", "b.csv"], ["bound"]),
+            (["-h"], list(cli._COMMANDS)),
+        ],
+    )
+    def test_a_call_adds_only_its_subparser(self, argv, added, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting_add_parser(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
+        assert main(argv) == 0
+        assert names == added

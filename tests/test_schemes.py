@@ -11,9 +11,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from emdsteg import schemes
-from emdsteg.image import GrayImage, bits_to_symbols, clamp_for_scheme, clamped_pixels
+from emdsteg.image import (
+    GrayImage,
+    bits_to_symbols,
+    bytes_to_symbols,
+    clamp_for_scheme,
+    clamped_pixels,
+)
 from emdsteg.metrics import DistortionProfile, theoretical_distortion
 from emdsteg.schemes import (
     ChangeConstraint,
@@ -27,7 +34,7 @@ from emdsteg.schemes import (
     operational_capacity,
 )
 
-from oracles import allows, embedded_distortion, extraction_value
+from oracles import allows, embedded_distortion, extraction_value, split_embed
 
 # One canonical configuration per implemented scheme family.
 CANONICAL_CONFIGS = [
@@ -970,7 +977,7 @@ def matmul_embed(spec, groups, symbols):
         return np.hstack(
             [
                 matmul_embed(sub, groups[:, first : first + sub.n], symbols // place)
-                for sub, first, place in schemes._parts(spec)
+                for sub, first, place in sorted(schemes._parts(spec), key=lambda part: part[1])
             ]
         )
     residues = (symbols - matmul_values(spec, groups)) % spec.modulus
@@ -1046,6 +1053,71 @@ WIDE_TABLE_SPEC = partial(make_scheme, "hemd", n=2, w=257, wbase=1)
 
 # each pixel is uniform, or an edge of the 0..255 range or of a clamp to [z, 255 - z]
 pixel_values = st.integers(0, 255) | st.sampled_from([0, 1, 2, 3, 252, 253, 254, 255])
+
+
+# every split the two split families allow at small sizes
+SPLIT_CONFIGS = [("twoemd", {"n": n}) for n in range(2, 6)] + [
+    ("egemd", {"n": n, "n1": n1}) for n in range(4, 10) for n1 in range(2, n - 1)
+]
+_REDUCE_DTYPES = (np.int16, np.int32, np.intp)
+_POWER_MODULI = [1 << k for k in range(1, 17)]
+
+
+class TestSplitDigits:
+    @pytest.mark.parametrize("name, params", SPLIT_CONFIGS, ids=str)
+    def test_places_rise_by_the_moduli_below(self, name, params):
+        spec = make_scheme(name, **params)
+        places = [place for _, _, place in schemes._parts(spec)]
+        moduli = [sub.modulus for sub, _, _ in schemes._parts(spec)]
+        assert places == [math.prod(moduli[:i]) for i in range(len(moduli))]
+        assert places[-1] * moduli[-1] == spec.modulus
+        # the parts tile the group's pixels
+        spans = sorted((first, first + sub.n) for sub, first, _ in schemes._parts(spec))
+        assert [a for a, _ in spans] == [0] + [b for _, b in spans[:-1]]
+        assert spans[-1][1] == spec.n
+
+    @given(config=st.sampled_from(SPLIT_CONFIGS), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_embed_bytes_matches_floor_division_digits(self, config, data):
+        name, params = config
+        spec = make_scheme(name, **params)
+        groups = data.draw(st.integers(1, 40), label="groups")
+        size = groups * spec.n
+        pixels = data.draw(st.lists(pixel_values, min_size=size, max_size=size))
+        img = GrayImage(size, 1, np.array(pixels, dtype=np.uint8))
+        nbits = data.draw(st.integers(0, operational_capacity(img, spec)), label="nbits")
+        raw = data.draw(st.binary(min_size=-(-nbits // 8), max_size=-(-nbits // 8)))
+        stego, used = embed_bytes(img, spec, raw, nbits)
+        symbols = bytes_to_symbols(raw, spec.modulus, nbits)
+        expected = clamped_pixels(img, spec.constraint.per_pixel_max)
+        split_embed(spec, expected[: used * spec.n].reshape(used, spec.n), symbols)
+        assert stego.pixels.tobytes() == expected.tobytes()
+
+
+class TestReduce:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_numpy_mod(self, data):
+        dtype = data.draw(st.sampled_from(_REDUCE_DTYPES), label="dtype")
+        top = np.iinfo(dtype).max
+        odd = st.integers(1, min(top, 2**20) // 2).map(lambda half: 2 * half + 1)
+        powers = st.sampled_from([m for m in _POWER_MODULI if m <= top])
+        modulus = data.draw(powers | odd, label="modulus")
+        values = data.draw(hnp.arrays(dtype, st.integers(0, 64)), label="values")
+        got = values.copy()
+        schemes._reduce(got, modulus)
+        assert got.dtype == values.dtype
+        assert np.array_equal(got, np.mod(values, modulus))
+
+    @pytest.mark.parametrize("dtype", _REDUCE_DTYPES)
+    @pytest.mark.parametrize("modulus", [2, 3, 2**14, 2**14 + 1])
+    def test_dtype_edges(self, dtype, modulus):
+        # at the bottom of the range the floor product wraps
+        low, high = np.iinfo(dtype).min, np.iinfo(dtype).max
+        values = np.array([low, low + 1, -modulus, -1, 0, 1, modulus, high - 1, high], dtype=dtype)
+        got = values.copy()
+        schemes._reduce(got, modulus)
+        assert np.array_equal(got, np.mod(values, modulus))
 
 
 class TestKernelMatchesMatmulReference:
