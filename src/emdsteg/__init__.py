@@ -9,7 +9,6 @@ a bit length.
 from .bound import (
     CubicPoly,
     REFERENCE_BOUND_POLY,
-    bound_point,
     cubic_eval,
     cubic_fit,
     distance_to_curve,
@@ -56,7 +55,6 @@ __all__ = [
     "SCHEME_NAMES",
     "SchemeSpec",
     "analyze_pair",
-    "bound_point",
     "bytes_to_symbols",
     "cubic_eval",
     "cubic_fit",

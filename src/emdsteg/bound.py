@@ -176,42 +176,40 @@ def frontier(
 
     Returns the sweep's rows whose efficiency strictly exceeds every row's
     at smaller-or-equal inverse payload (of two equal rows, the earlier in
-    the sweep), by rising inverse payload. Each n's rows are merged into the
-    envelope as one block, or sooner once they outnumber it, so only the
-    envelope and one block are held.
+    the sweep), by rising inverse payload. Rows gather in a block, which is
+    merged into the envelope once it outnumbers it, and at the end: only the
+    envelope and one block are held, and the merges read at most three rows
+    per swept row.
     """
     rows = sweep(n_values, z_values, normalization)
     if metric not in METRICS:
         raise ValueError(f"metric {metric!r} not one of {METRICS}")
     eff_at = EFFICIENCY_SLOT[metric]
-    envelope, invs, effs = np.empty(0, dtype=object), np.empty(0), np.empty(0)
-    block = []
+    envelope, block = [], []
     for row in rows:
         if not row[2]:
             continue  # quota 0 is not swept
-        if block and (row[0] != block[-1][0] or len(block) > len(envelope)):
-            envelope, invs, effs = _merge(envelope, invs, effs, block, eff_at)
-            block = []
+        if len(block) > len(envelope):
+            envelope, block = _merge(envelope + block, eff_at), []
         block.append(row)
-    return _merge(envelope, invs, effs, block, eff_at)[0].tolist()
+    return _merge(envelope + block, eff_at)
 
 
-def _merge(
-    envelope: np.ndarray, invs: np.ndarray, effs: np.ndarray, block: list[tuple], eff_at: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The envelope of envelope + block, with its inverse payloads and efficiencies.
+def _merge(rows: list[tuple], eff_at: int) -> list[tuple]:
+    """The envelope of rows given in sweep order, by rising inverse payload.
 
     One stable sort orders the rows by rising inverse payload, then falling
-    efficiency, then sweep order (the envelope's rows precede the block's);
-    a row stays when it raises the running maximum of efficiency.
+    efficiency, then sweep order; a row stays when it raises the running
+    maximum of efficiency. A row that a subset's envelope drops is beaten or
+    tied by one that every superset's keeps, so merging an envelope with new
+    rows gives the envelope of all of them.
     """
-    rows = np.concatenate((envelope, np.fromiter(block, dtype=object, count=len(block))))
-    invs = np.concatenate((invs, [row[6][1] for row in block]))
-    effs = np.concatenate((effs, [row[6][eff_at] for row in block]))
+    invs = np.array([row[6][1] for row in rows])
+    effs = np.array([row[6][eff_at] for row in rows])
     order = np.lexsort((-effs, invs))
     best = np.maximum.accumulate(effs[order])
     keep = order[best > np.concatenate(([-np.inf], best[:-1]))]
-    return rows[keep], invs[keep], effs[keep]
+    return [rows[i] for i in keep]
 
 
 # ---------------------------------------------------------------------------

@@ -661,6 +661,9 @@ def _make_mbe(n: int, k: int) -> SchemeSpec:
     """Chained weights b_i = 2^k b_(i-1) + 1 mod 2^(nk+1); changes up to 2^k - 1."""
     n = _require_int("n", n, 2)
     k = _require_int("k", k, 1)
+    # the search holds 64 bytes per value of [-z, z], so a z of as many bits
+    # as the limit already passes it: price a larger k there, before its z exists
+    _check_search_cost(n, 1, ChangeConstraint((1 << min(k, _MAX_SEARCH_BYTES.bit_length())) - 1))
     return _finalize(
         id="mbe",
         n=n,

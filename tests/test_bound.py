@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from emdsteg import bound as bound_mod
 from emdsteg.bound import (
     METRICS,
     NORMALIZATIONS,
@@ -402,6 +403,23 @@ class TestFrontier:
         envelope = frontier([2], range(1, 2001), metric)
         assert len(envelope) == kept
         assert envelope == per_query_frontier([2], range(1, 2001), metric, "mean-per-pixel")
+
+    @pytest.mark.parametrize("metric", ["standard", "proposed"])
+    def test_merges_only_a_block_that_outnumbers_the_envelope(self, monkeypatch, metric):
+        # the work, not the time: a merge only once the block outnumbers the
+        # envelope, so every merge but the last reads at most twice its block
+        # and the merges read at most three rows per swept row
+        sizes = []
+        merge = bound_mod._merge
+
+        def counted(rows, eff_at):
+            sizes.append(len(rows))
+            return merge(rows, eff_at)
+
+        monkeypatch.setattr(bound_mod, "_merge", counted)
+        frontier(range(1, 31), range(1, 11), metric)
+        assert len(sizes) == 16
+        assert sum(sizes) <= 3 * sum(range(1, 31)) * 10
 
 
 class TestCubic:

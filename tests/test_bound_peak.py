@@ -16,7 +16,8 @@ def _peak(call, *args):
 
 def test_frontier_peak_holds_only_the_envelope():
     # 7 260 swept points with sums up to 3^120: holding every point's exact
-    # sums until one sort peaks at about 2.4 MiB, the envelope alone at 0.4
+    # sums until one sort peaks at about 2.4 MiB, the envelope and one block
+    # at 0.4
     envelope, peak = _peak(frontier, range(1, 121), [1])
     assert len(envelope) > 1
     assert peak <= 1.5 * 2**20

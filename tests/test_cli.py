@@ -228,10 +228,10 @@ class TestExitCodes:
             # moduli of 10^10 and 1.6 * 10^9 bits, refused on n before they exist
             (["gemd", "--n", 10**10], "41.5", 2**20),
             (["aemd", "--n", 10**9, "--m", 3], "38.2", 2**20),
-            # z = 2^k - 1 is made with the budget and priced before it is cubed:
-            # at k = 10^8 the peak is a few copies of z's 12.5 MB, not its cube
-            (["mbe", "--n", 2, "--k", 10**6], "1000007.3", 2**20),
-            (["mbe", "--n", 2, "--k", 10**8], "100000007.3", 8 * 10**8 // 8),
+            # z = 2^k - 1 of 10^6 to 10^9 bits, refused at z = 2^28 - 1 before it exists
+            (["mbe", "--n", 2, "--k", 10**6], "35.3", 2**20),
+            (["mbe", "--n", 2, "--k", 10**8], "35.3", 2**20),
+            (["mbe", "--n", 2, "--k", 10**9], "35.3", 2**20),
         ],
     )
     def test_huge_group_is_refused_at_once(self, tmp_path, capsys, args, log2, peak):
