@@ -65,6 +65,46 @@ def test_readme_commands_parse(argv):
     build_parser().parse_args(argv)
 
 
+def _readme_refusals() -> list[tuple[list[str], str, int, str]]:
+    """(argv, raised class, exit code, first stderr line) of each row of README's refusal table."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| argv | raises | exit | first stderr line |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        argv, raises, code, first = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
+        rows.append((shlex.split(argv), raises, int(code), first))
+    return rows
+
+
+def test_readme_refusals(tmp_path, monkeypatch, capsys):
+    # the rows run in order in one directory: the first ones make the files the others read
+    monkeypatch.chdir(tmp_path)
+    rows = _readme_refusals()
+    # one row for each class that main maps to an exit code
+    assert sorted(raises for _, raises, _, _ in rows if raises) == sorted([
+        "SchemeError", "BoundError", "BenchConfigError", "ValueError",
+        "PgmError", "DimensionMismatch", "CliDataError", "OSError",
+    ])
+    for argv, raises, code, first in rows:
+        tracemalloc.start()
+        try:
+            assert main(argv) == code, argv
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**22, argv
+        assert capsys.readouterr().err.splitlines()[:1] == ([first] if first else []), argv
+        if raises:
+            # a refusal writes nothing, so its command can run again for the class it raises
+            args = build_parser().parse_args(argv)
+            with pytest.raises(Exception) as info:
+                args.func(args)
+            cls = type(info.value)
+            assert cls.__name__ == raises or (raises == "OSError" and issubclass(cls, OSError)), argv
+
+
 class TestEmbedExtract:
     def test_round_trip_with_message_file(self, tmp_path):
         message = tmp_path / "msg.bin"
